@@ -4,7 +4,8 @@ Spin (SU(2)) channels damp each spherical-harmonic sector by a squared
 Clebsch-Gordan factor and fix only the identity; the particle
 (Heisenberg-Weyl) channel realizes anti-normal ordering and fixes the
 (2N+1)-dimensional family spanned by the identity and (a^n ± a†^n)
-combinations.  Modules: channel (generic superoperator machinery), spin,
+combinations.  Modules: channel (the Lüders core shared by both families:
+POVM sums, Q-symbols, channel images; superoperator machinery), spin,
 fock (the two concrete POVMs), expr/ordering (exact symbolic engine),
 cli/reports (verification front end).
 """
@@ -19,6 +20,9 @@ from .channel import (
     build_luders_channel,
     channel_spectrum,
     choi_matrix,
+    luders_image,
+    q_symbols,
+    resolution,
 )
 from .expr import ComplexRational, ParseError, parse_expression, to_source
 from .fock import (

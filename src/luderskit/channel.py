@@ -1,7 +1,10 @@
 """Lüders channels from weighted rank-1 projector families.
 
 A family {w_i, |ψ_i⟩} resolving the identity defines the unital channel
-B -> Σ_i w_i |ψ_i⟩⟨ψ_i| B |ψ_i⟩⟨ψ_i|.  The superoperator is assembled in
+B -> Σ_i w_i |ψ_i⟩⟨ψ_i| B |ψ_i⟩⟨ψ_i|.  `resolution`, `q_symbols` and
+`luders_image` compute the POVM sum, the symbols ⟨ψ_i|B|ψ_i⟩ and the
+channel image directly from a state matrix (one state per row), for the
+sphere and the disk alike.  The superoperator is assembled in
 the column-stacking convention, Λ = Σ_i w_i conj(P_i) ⊗ P_i, which makes
 it a Hermitian matrix on C^(D²) (the channel is its own Hilbert-Schmidt
 adjoint because each POVM element equals its own square root).
@@ -22,6 +25,26 @@ FIXED_POINT_TOL = 1e-7  # eigenvalue window around 1; spectral gaps exceed 1e-1
 
 class QuadratureError(ValueError):
     """A projector family fails its resolution-of-unity or weight invariants."""
+
+
+def resolution(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Σ_i w_i |ψ_i⟩⟨ψ_i| for the states in the rows of `states`."""
+    return (states.T * weights) @ states.conj()
+
+
+def q_symbols(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """⟨ψ_i|B|ψ_i⟩ for every row ψ_i of `states`."""
+    operator = np.asarray(operator, dtype=complex)
+    dim = states.shape[1]
+    if operator.shape != (dim, dim):
+        raise ValueError(f"operator shape {operator.shape} does not match dim {dim}")
+    return ((states.conj() @ operator) * states).sum(axis=1)
+
+
+def luders_image(states: np.ndarray, weights: np.ndarray,
+                 operator: np.ndarray) -> np.ndarray:
+    """Σ_i w_i ⟨ψ_i|B|ψ_i⟩ |ψ_i⟩⟨ψ_i|, in O(n·D²) without the D⁴ superoperator."""
+    return resolution(states, weights * q_symbols(states, operator))
 
 
 @dataclass(frozen=True)
@@ -47,8 +70,7 @@ class WeightedProjectorFamily:
         worst = np.abs(norms - 1.0).max()
         if worst > STATE_NORM_TOL:
             raise QuadratureError(f"state norm deviates from 1 by {worst:.3e}")
-        resolution = (states.T * weights) @ states.conj()
-        defect = np.abs(resolution - np.eye(self.dim)).max()
+        defect = np.abs(resolution(states, weights) - np.eye(self.dim)).max()
         if defect > RESOLUTION_TOL:
             raise QuadratureError(
                 f"resolution of unity fails: entrywise defect {defect:.3e} "

@@ -23,7 +23,14 @@ import sys
 import numpy as np
 
 from . import __version__, fock, ordering, spin
-from .channel import apply_channel, build_luders_channel, channel_spectrum
+from .channel import (
+    apply_channel,
+    build_luders_channel,
+    channel_spectrum,
+    luders_image,
+    q_symbols,
+    resolution,
+)
 from .expr import ParseError
 from .reports import ReportDocument, ReportSchemaError
 from .spin import SpinSpace
@@ -41,6 +48,20 @@ class UsageError(ValueError):
 def _random_hermitian(rng, dim):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (raw + raw.conj().T) / 2
+
+
+def _largest_coefficient(poly) -> float:
+    """max |c| over the terms of an exact polynomial, 0 for the zero polynomial."""
+    return max((abs(complex(c)) for c in poly.terms.values()), default=0.0)
+
+
+def _label_pairs(rng, dim, count=50):
+    """Random label pairs with |α| < min(2, sqrt(dim)/2), inside check_label's dim/4."""
+    bound = min(2.0, np.sqrt(dim) / 2)
+    for _ in range(count):
+        a_pt = rng.uniform(0, bound) * np.exp(2j * np.pi * rng.uniform())
+        b_pt = rng.uniform(0, bound) * np.exp(2j * np.pi * rng.uniform())
+        yield a_pt, b_pt
 
 
 class _CheckRunner:
@@ -74,8 +95,8 @@ class _CheckRunner:
 # --- spin ----------------------------------------------------------------------
 
 def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
-    if not 1 <= two_s <= 50:
-        raise UsageError(f"--two-s must lie in 1..50, got {two_s}")
+    if not 1 <= two_s <= spin.MAX_TWO_S:
+        raise UsageError(f"--two-s must lie in 1..{spin.MAX_TWO_S}, got {two_s}")
     space = SpinSpace(two_s)
     grid = spin.sphere_quadrature(space)
     report = ReportDocument(
@@ -91,9 +112,9 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     run = _CheckRunner(report, overrides)
 
     family = spin.projector_family(space, grid)
-    resolution = (family.states.T * family.weights) @ family.states.conj()
     run.numeric("resolution_of_unity", 0.0,
-                np.abs(resolution - np.eye(space.dim)).max(), 1e-12)
+                np.abs(resolution(family.states, family.weights) - np.eye(space.dim)).max(),
+                1e-12)
 
     chan = build_luders_channel(family)
     spectral = channel_spectrum(chan)
@@ -112,9 +133,9 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     for _ in range(20):
         operator = _random_hermitian(rng, space.dim)
         before = spin.harmonic_coefficients(
-            spin.q_symbol_spin(space, operator, grid), grid, space)
+            q_symbols(family.states, operator), grid, space)
         after = spin.harmonic_coefficients(
-            spin.q_symbol_spin(space, apply_channel(chan, operator), grid), grid, space)
+            q_symbols(family.states, apply_channel(chan, operator)), grid, space)
         for (l, m), value in before.coeffs.items():
             worst = max(worst, abs(after[(l, m)] - taus[l] * value))
     run.numeric("harmonic_damping", 0.0, worst, 1e-9)
@@ -152,16 +173,14 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
     psi = fock.coherent_state_matrix(space, quad)
-    resolution = (psi.T * quad.weights) @ psi.conj()
     run.numeric("resolution_of_unity_disk", 0.0,
-                np.abs(resolution - fock.disk_identity_matrix(space, radius)).max(),
+                np.abs(resolution(psi, quad.weights)
+                       - fock.disk_identity_matrix(space, radius)).max(),
                 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
     worst = 0.0
-    for _ in range(50):
-        a_pt = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform())
-        b_pt = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform())
+    for a_pt, b_pt in _label_pairs(rng, dim):
         va = fock.fock_coherent_state(space, a_pt)
         vb = fock.fock_coherent_state(space, b_pt)
         worst = max(worst, abs(abs(np.vdot(va, vb)) ** 2
@@ -171,8 +190,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     worst = 0.0
     for m in range(5):
         for n in range(5 - m):
-            image = fock.grid_channel_apply(
-                space, quad,
+            image = luders_image(
+                psi, quad.weights,
                 np.linalg.matrix_power(space.adag, m) @ np.linalg.matrix_power(space.a, n))
             prediction = fock.disk_monomial_image(space, m, n, radius)
             worst = max(worst, np.abs(image - prediction).max())
@@ -180,15 +199,10 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     lam_q2 = ordering.luders_symbolic(ordering.normal_order("q^2"))
     target = ordering.normal_order("q^2 + 1/2")
-    defect = max(
-        (abs(complex(lam_q2.coefficient(*k) - target.coefficient(*k)))
-         for k in set(lam_q2.terms) | set(target.terms)),
-        default=0.0,
-    )
-    run.numeric("lambda_q2_symbolic", 0.0, defect, 0)
+    run.numeric("lambda_q2_symbolic", 0.0, _largest_coefficient(lam_q2 - target), 0)
 
     q_op = (space.a + space.adag) / 2
-    grid_image = fock.grid_channel_apply(space, quad, q_op @ q_op)
+    grid_image = luders_image(psi, quad.weights, q_op @ q_op)
     disk_pred = (
         fock.disk_monomial_image(space, 2, 0, radius)
         + fock.disk_monomial_image(space, 0, 2, radius)
@@ -199,16 +213,14 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     vb = fock.fock_coherent_state(space, beta)
     proj = np.outer(vb, vb.conj())
-    q_image = fock.q_symbol_fock(space, fock.grid_channel_apply(space, quad, proj), quad)
+    q_image = q_symbols(psi, luders_image(psi, quad.weights, proj))
     gaussian = 0.5 * np.exp(-np.abs(quad.alphas - beta) ** 2 / 2)
     window = np.abs(quad.alphas) <= 2.0
     run.numeric("q_projector_symbol", 0.0,
                 np.abs(q_image - gaussian)[window].max(), 2e-3)
 
     worst = 0.0
-    for _ in range(50):
-        a_pt = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform())
-        b_pt = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform())
+    for a_pt, b_pt in _label_pairs(rng, dim):
         va = fock.fock_coherent_state(space, a_pt)
         vb2 = fock.fock_coherent_state(space, b_pt)
         proj_a = np.outer(va, va.conj())
@@ -249,13 +261,7 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
     reparsed = ordering.normal_order(poly.to_source())
     run.textual("parse_round_trip", poly.to_source(), reparsed.to_source())
 
-    round_trip = anti.to_normal()
-    defect = max(
-        (abs(complex(round_trip.coefficient(*k) - poly.coefficient(*k)))
-         for k in set(round_trip.terms) | set(poly.terms)),
-        default=0.0,
-    )
-    run.numeric("ordering_round_trip", 0.0, defect, 0)
+    run.numeric("ordering_round_trip", 0.0, _largest_coefficient(anti.to_normal() - poly), 0)
 
     run.textual("well_ordered_luders_consistency",
                 "true" if well else "false",
@@ -303,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replace a named check tolerance (repeatable)")
 
     p_spin = sub.add_parser("spin", help="certify the SU(2) channel")
-    p_spin.add_argument("--two-s", type=int, required=True, help="twice the spin, 1..50")
+    p_spin.add_argument("--two-s", type=int, required=True,
+                        help=f"twice the spin, 1..{spin.MAX_TWO_S}")
     common(p_spin)
 
     p_fock = sub.add_parser("fock", help="cross-check the particle grid channel")

@@ -19,6 +19,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln
 
+from .channel import luders_image, q_symbols, resolution
+
 DEFAULT_DIM = 40
 DEFAULT_GUARD_MARGIN = 8
 DEFAULT_RADIUS = 3.0
@@ -64,18 +66,27 @@ class FockSpace:
             )
 
 
-def fock_coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:
-    """Components e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1."""
-    space.check_label(alpha)
-    alpha = complex(alpha)
+def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
+    """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, one per label α."""
     k = np.arange(space.dim)
-    if alpha == 0:
-        out = np.zeros(space.dim, dtype=complex)
-        out[0] = 1.0
-        return out
+    mags = np.abs(alphas)[:, None]
     # log-domain magnitudes avoid factorial overflow at high dim
-    log_mag = -abs(alpha) ** 2 / 2 + k * np.log(abs(alpha)) - gammaln(k + 1) / 2
-    return np.exp(log_mag) * np.exp(1j * k * np.angle(alpha))
+    with np.errstate(divide="ignore"):
+        log_mag = np.where(mags > 0, k[None, :] * np.log(np.where(mags > 0, mags, 1.0)), 0.0)
+    log_mag = -mags**2 / 2 + log_mag - gammaln(k + 1)[None, :] / 2
+    phases = np.exp(1j * k[None, :] * np.angle(alphas)[:, None])
+    out = np.exp(log_mag) * phases
+    zero = alphas == 0
+    if np.any(zero):
+        out[zero] = 0.0
+        out[zero, 0] = 1.0
+    return out
+
+
+def fock_coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:
+    """The coherent state |α⟩ on the truncated space."""
+    space.check_label(alpha)
+    return _coherent_rows(space, np.array([complex(alpha)]))[0]
 
 
 def displacement_matrix(space: FockSpace, alpha: complex) -> np.ndarray:
@@ -130,46 +141,26 @@ def plane_quadrature(space: FockSpace, radius: float = DEFAULT_RADIUS,
 
 def coherent_state_matrix(space: FockSpace, quad: PlaneQuadrature) -> np.ndarray:
     """All grid coherent states as rows of an (n_points, dim) matrix."""
-    k = np.arange(space.dim)
-    mags = np.abs(quad.alphas)[:, None]
-    with np.errstate(divide="ignore"):
-        log_mag = np.where(mags > 0, k[None, :] * np.log(np.where(mags > 0, mags, 1.0)), 0.0)
-    log_mag = -mags**2 / 2 + log_mag - gammaln(k + 1)[None, :] / 2
-    phases = np.exp(1j * k[None, :] * np.angle(quad.alphas)[:, None])
-    out = np.exp(log_mag) * phases
-    zero = quad.alphas == 0
-    if np.any(zero):
-        out[zero] = 0.0
-        out[zero, 0] = 1.0
-    return out
+    return _coherent_rows(space, quad.alphas)
 
 
 def q_symbol_fock(space: FockSpace, operator: np.ndarray,
                   quad: PlaneQuadrature) -> np.ndarray:
     """Samples ⟨α_k|B|α_k⟩ on the quadrature nodes."""
-    operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (space.dim, space.dim):
-        raise ValueError(
-            f"operator shape {operator.shape} does not match dim {space.dim}"
-        )
-    psi = coherent_state_matrix(space, quad)
-    return np.einsum("ki,ij,kj->k", psi.conj(), operator, psi)
+    return q_symbols(coherent_state_matrix(space, quad), operator)
 
 
 def grid_channel_apply(space: FockSpace, quad: PlaneQuadrature,
                        operator: np.ndarray) -> np.ndarray:
     """Σ_k w_k ⟨α_k|B|α_k⟩ |α_k⟩⟨α_k|, the disk-discretized Lüders image."""
-    psi = coherent_state_matrix(space, quad)
-    q = np.einsum("ki,ij,kj->k", psi.conj(), np.asarray(operator, dtype=complex), psi)
-    return (psi.T * (quad.weights * q)) @ psi.conj()
+    return luders_image(coherent_state_matrix(space, quad), quad.weights, operator)
 
 
 def resolution_defect(space: FockSpace, quad: PlaneQuadrature,
                       block: int | None = None) -> float:
     """Max-entry deviation of Σ w|α⟩⟨α| from identity on the leading block."""
     block = space.guard_dim if block is None else block
-    psi = coherent_state_matrix(space, quad)
-    rou = (psi.T * quad.weights) @ psi.conj()
+    rou = resolution(coherent_state_matrix(space, quad), quad.weights)
     return float(np.abs(rou[:block, :block] - np.eye(space.dim)[:block, :block]).max())
 
 
@@ -177,8 +168,7 @@ def resolution_defect(space: FockSpace, quad: PlaneQuadrature,
 
 def disk_identity_matrix(space: FockSpace, radius: float) -> np.ndarray:
     """Continuum value of the disk POVM integral: diag of regularized γ(k+1, R²)."""
-    k = np.arange(space.dim)
-    return np.diag(gammainc(k + 1, radius**2)).astype(complex)
+    return disk_monomial_image(space, 0, 0, radius)
 
 
 def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
@@ -258,8 +248,9 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     """
     if xi_points is None:
         xi_points = default_xi_points()
-    source = q_symbol_fock(space, operator, quad)
-    image = q_symbol_fock(space, grid_channel_apply(space, quad, operator), quad)
+    psi = coherent_state_matrix(space, quad)
+    source = q_symbols(psi, operator)
+    image = q_symbols(psi, luders_image(psi, quad.weights, operator))
     src = xi_coefficients(source, quad, xi_points)
     img = xi_coefficients(image, quad, xi_points)
     flagged = np.abs(src.coeffs) < XI_FLOOR

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 
 from .expr import (
@@ -36,50 +37,10 @@ _HALF = ComplexRational.real(Fraction(1, 2))
 _NEG_HALF_I = ComplexRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
 
 
-@functools.lru_cache(maxsize=None)
-def _normal_word(n: int, m: int):
-    """Normal-ordered form of the word a^n a†^m as {(ad_pow, a_pow): int}.
-
-    Built from the single commutation a a† = a†a + 1, applied through the
-    recurrence a^n a† = a† a^n + n a^(n-1).
-    """
-    if n == 0:
-        return ((m, 0), 1),
-    if m == 0:
-        return ((0, n), 1),
-    acc: dict[tuple[int, int], int] = {}
-    for (mm, nn), c in _normal_word(n, m - 1):
-        key = (mm + 1, nn)
-        acc[key] = acc.get(key, 0) + c
-    for key, c in _normal_word(n - 1, m - 1):
-        acc[key] = acc.get(key, 0) + n * c
-    return tuple(sorted(acc.items()))
-
-
-@functools.lru_cache(maxsize=None)
-def _anti_word(m: int, n: int):
-    """Anti-normal form of the word a†^m a^n as {(a_pow, ad_pow): int}.
-
-    Mirror recurrence of _normal_word, using a† a^n = a^n a† - n a^(n-1).
-    """
-    if m == 0:
-        return ((n, 0), 1),
-    if n == 0:
-        return ((0, m), 1),
-    acc: dict[tuple[int, int], int] = {}
-    for (aa, dd), c in _anti_word(m - 1, n):
-        key = (aa, dd + 1)
-        acc[key] = acc.get(key, 0) + c
-    for key, c in _anti_word(m - 1, n - 1):
-        acc[key] = acc.get(key, 0) - n * c
-    return tuple(sorted(acc.items()))
-
-
 def reordering_coefficients(m: int, n: int) -> dict[tuple[int, int], int]:
     """Closed-form normal ordering of a^m a†^n.
 
-    Returns {(n-s, m-s): s! C(m,s) C(n,s)} keyed by (ad_pow, a_pow); kept
-    independent of the commutation recurrence so the two can cross-check.
+    Returns {(n-s, m-s): s! C(m,s) C(n,s)} keyed by (ad_pow, a_pow).
     """
     return {
         (n - s, m - s): factorial(s) * comb(m, s) * comb(n, s)
@@ -87,13 +48,63 @@ def reordering_coefficients(m: int, n: int) -> dict[tuple[int, int], int]:
     }
 
 
-class NormalPolynomial:
-    """Sparse exact polynomial sum beta[(m, n)] a†^m a^n, zero terms dropped."""
+@functools.lru_cache(maxsize=None)
+def _swapped_word(m: int, n: int, sign: int):
+    """A two-letter word x^m y^n rewritten with its letters swapped.
+
+    sign = +1 normal-orders a^m a†^n with reordering_coefficients(m, n);
+    sign = -1 anti-normal-orders its mirror,
+    a†^m a^n = Σ_s (-1)^s s! C(m,s) C(n,s) a^(n-s) a†^(m-s).
+    Terms are ((power of y, power of x), coefficient), s = m - (power of x).
+    """
+    return tuple(
+        ((y, x), ComplexRational.real(sign ** (m - x) * w))
+        for (y, x), w in reordering_coefficients(m, n).items()
+    )
+
+
+def _collect(terms) -> dict[tuple[int, int], ComplexRational]:
+    """Sum the coefficients of equal keys over (key, coefficient) pairs."""
+    out: dict[tuple[int, int], ComplexRational] = {}
+    for key, c in terms:
+        out[key] = out.get(key, ZERO) + c
+    return out
+
+
+def _swapped_sum(words, sign: int) -> dict[tuple[int, int], ComplexRational]:
+    """Σ c · y^i (x^m y^n swapped) x^j over words ((i, j), (m, n), c), keyed (y, x) powers."""
+    return _collect(
+        ((i + y, x + j), c * w)
+        for (i, j), (m, n), c in words
+        for (y, x), w in _swapped_word(m, n, sign)
+    )
+
+
+class _OrderedPolynomial:
+    """Sparse exact polynomial: terms[(m, n)] weights one ordered word, zero terms dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], ComplexRational] | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+
+    def coefficient(self, m: int, n: int) -> ComplexRational:
+        return self.terms.get((m, n), ZERO)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_source()})"
+
+
+class NormalPolynomial(_OrderedPolynomial):
+    """Sparse exact polynomial sum beta[(m, n)] a†^m a^n, zero terms dropped."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "NormalPolynomial":
@@ -109,40 +120,23 @@ class NormalPolynomial:
             raise ValueError("ladder powers must be nonnegative")
         return cls({(m, n): coeff})
 
-    def coefficient(self, m: int, n: int) -> ComplexRational:
-        return self.terms.get((m, n), ZERO)
-
     def __add__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, ZERO) + val
-        return NormalPolynomial(out)
+        return NormalPolynomial(_collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, ZERO) - val
-        return NormalPolynomial(out)
+        return self + other.scaled(-ONE)
 
     def scaled(self, coeff: ComplexRational) -> "NormalPolynomial":
         return NormalPolynomial({k: v * coeff for k, v in self.terms.items()})
 
     def __mul__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        out: dict[tuple[int, int], ComplexRational] = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                c = c1 * c2
-                # (a†^m1 a^n1)(a†^m2 a^n2): reorder the middle word a^n1 a†^m2
-                for (mm, nn), w in _normal_word(n1, m2):
-                    key = (m1 + mm, nn + n2)
-                    out[key] = out.get(key, ZERO) + c * ComplexRational.real(w)
-        return NormalPolynomial(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormalPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # (a†^m1 a^n1)(a†^m2 a^n2) = a†^m1 (a^n1 a†^m2) a^n2, middle word normal-ordered
+        return NormalPolynomial(_swapped_sum(
+            (((m1, n2), (n1, m2), c1 * c2)
+             for (m1, n1), c1 in self.terms.items()
+             for (m2, n2), c2 in other.terms.items()),
+            1,
+        ))
 
     def degree(self) -> int:
         return max((m + n for m, n in self.terms), default=0)
@@ -164,26 +158,11 @@ class NormalPolynomial:
     def to_source(self) -> str:
         return _poly_source(self.sorted_terms(), creation_first=True)
 
-    def __repr__(self):
-        return f"NormalPolynomial({self.to_source()})"
 
-
-class AntiNormalPolynomial:
+class AntiNormalPolynomial(_OrderedPolynomial):
     """Sparse exact polynomial sum beta[(m, n)] a^m a†^n."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], ComplexRational] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-
-    def coefficient(self, m: int, n: int) -> ComplexRational:
-        return self.terms.get((m, n), ZERO)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AntiNormalPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
 
     def sorted_terms(self):
         return sorted(
@@ -194,15 +173,8 @@ class AntiNormalPolynomial:
         return _poly_source(self.sorted_terms(), creation_first=False)
 
     def to_normal(self) -> NormalPolynomial:
-        out: dict[tuple[int, int], ComplexRational] = {}
-        for (m, n), c in self.terms.items():
-            for (mm, nn), w in _normal_word(m, n):
-                key = (mm, nn)
-                out[key] = out.get(key, ZERO) + c * ComplexRational.real(w)
-        return NormalPolynomial(out)
-
-    def __repr__(self):
-        return f"AntiNormalPolynomial({self.to_source()})"
+        return NormalPolynomial(_swapped_sum(
+            (((0, 0), key, c) for key, c in self.terms.items()), 1))
 
 
 def _poly_source(sorted_terms, creation_first: bool) -> str:
@@ -264,10 +236,8 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
         return _SYMBOL_POLYS[node.name]
     if isinstance(node, Neg):
         return _eval_node(node.operand).scaled(-ONE)
-    if isinstance(node, Add):
-        return _eval_node(node.lhs) + _eval_node(node.rhs)
-    if isinstance(node, Sub):
-        return _eval_node(node.lhs) - _eval_node(node.rhs)
+    if isinstance(node, (Add, Sub)):
+        return _eval_sum(node)
     if isinstance(node, Mul):
         return _eval_node(node.lhs) * _eval_node(node.rhs)
     if isinstance(node, Pow):
@@ -279,24 +249,33 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _eval_sum(node: Add | Sub) -> NormalPolynomial:
+    """Evaluate a left-nested chain of + and - into one term dict, without recursion.
+
+    The parser nests a sum of N terms N deep, so recursing down the chain
+    would overflow the interpreter stack for long normal forms.
+    """
+    operands = []
+    while isinstance(node, (Add, Sub)):
+        operands.append((node.rhs, isinstance(node, Sub)))
+        node = node.lhs
+    operands.append((node, False))
+    return NormalPolynomial(_collect(
+        (key, -c if negate else c)
+        for operand, negate in reversed(operands)
+        for key, c in _eval_node(operand).terms.items()
+    ))
+
+
 def anti_normal_order(poly: NormalPolynomial) -> AntiNormalPolynomial:
     """Rewrite a normal-ordered polynomial with all a† pushed to the right."""
-    out: dict[tuple[int, int], ComplexRational] = {}
-    for (m, n), c in poly.terms.items():
-        for (aa, dd), w in _anti_word(m, n):
-            key = (aa, dd)
-            out[key] = out.get(key, ZERO) + c * ComplexRational.real(w)
-    return AntiNormalPolynomial(out)
+    return AntiNormalPolynomial(_swapped_sum(
+        (((0, 0), key, c) for key, c in poly.terms.items()), -1))
 
 
 def luders_symbolic(poly: NormalPolynomial) -> NormalPolynomial:
     """Image under the coherent-state Lüders map: a†^m a^n -> a^n a†^m."""
-    out: dict[tuple[int, int], ComplexRational] = {}
-    for (m, n), c in poly.terms.items():
-        for (mm, nn), w in _normal_word(n, m):
-            key = (mm, nn)
-            out[key] = out.get(key, ZERO) + c * ComplexRational.real(w)
-    return NormalPolynomial(out)
+    return AntiNormalPolynomial({(n, m): c for (m, n), c in poly.terms.items()}).to_normal()
 
 
 def is_well_ordered(poly: NormalPolynomial) -> bool:
@@ -369,12 +348,7 @@ def _coordinates(poly: NormalPolynomial, basis) -> list[Fraction]:
     coords = []
     for kind, m, n in basis:
         c = poly.coefficient(m, n)
-        if kind == "diag":
-            coords.append(c.re)
-        elif kind == "re":
-            coords.append(c.re)
-        else:
-            coords.append(c.im)
+        coords.append(c.im if kind == "im" else c.re)
     return coords
 
 

@@ -16,7 +16,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from .channel import WeightedProjectorFamily
+from .channel import WeightedProjectorFamily, q_symbols
 
 MAX_TWO_S = 50  # dense D² superoperators get large beyond s = 25
 
@@ -84,24 +84,24 @@ class SpherePoint:
         )
 
 
-def spin_coherent_state(space: SpinSpace, point: SpherePoint) -> np.ndarray:
-    """Coherent state ⟨s,m|n⟩ = sqrt(C(2s,s+m)) cos^(s+m)(θ/2) sin^(s-m)(θ/2) e^(-imφ)."""
+def _coherent_rows(space: SpinSpace, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Rows ⟨s,m|n⟩ = sqrt(C(2s,s+m)) cos^(s+m)(θ/2) sin^(s-m)(θ/2) e^(-imφ)."""
     two_s = space.two_s
     k = np.arange(space.dim)          # basis index, m = s - k, so s+m = 2s-k
-    half = point.theta / 2
-    amps = np.array([np.sqrt(comb(two_s, two_s - kk)) for kk in k])
-    mag = amps * np.cos(half) ** (two_s - k) * np.sin(half) ** k
-    return mag * np.exp(-1j * (space.spin - k) * point.phi)
+    amps = np.sqrt([comb(two_s, two_s - kk) for kk in k])
+    half = thetas[:, None] / 2
+    mag = amps[None, :] * np.cos(half) ** (two_s - k)[None, :] * np.sin(half) ** k[None, :]
+    return mag * np.exp(-1j * np.outer(phis, space.spin - k))
+
+
+def spin_coherent_state(space: SpinSpace, point: SpherePoint) -> np.ndarray:
+    """The coherent state |n⟩ at one point of the sphere."""
+    return _coherent_rows(space, np.array([point.theta]), np.array([point.phi]))[0]
 
 
 def coherent_state_matrix(space: SpinSpace, grid: "SphereQuadrature") -> np.ndarray:
     """All grid coherent states as rows of an (n_points, dim) matrix."""
-    two_s = space.two_s
-    k = np.arange(space.dim)
-    amps = np.sqrt([comb(two_s, two_s - kk) for kk in k])
-    half = grid.thetas[:, None] / 2
-    mag = amps[None, :] * np.cos(half) ** (two_s - k)[None, :] * np.sin(half) ** k[None, :]
-    return mag * np.exp(-1j * np.outer(grid.phis, space.spin - k))
+    return _coherent_rows(space, grid.thetas, grid.phis)
 
 
 def overlap_squared(space: SpinSpace, p1: SpherePoint, p2: SpherePoint) -> float:
@@ -167,13 +167,7 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
 def q_symbol_spin(space: SpinSpace, operator: np.ndarray,
                   grid: SphereQuadrature) -> np.ndarray:
     """Samples ⟨n_k|B|n_k⟩ on the quadrature nodes."""
-    operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (space.dim, space.dim):
-        raise ValueError(
-            f"operator shape {operator.shape} does not match dim {space.dim}"
-        )
-    psi = coherent_state_matrix(space, grid)
-    return np.einsum("ki,ij,kj->k", psi.conj(), operator, psi)
+    return q_symbols(coherent_state_matrix(space, grid), operator)
 
 
 # --- spherical harmonics ------------------------------------------------------

@@ -12,6 +12,7 @@ from luderskit.channel import (
     build_luders_channel,
     channel_spectrum,
     choi_matrix,
+    luders_image,
     unvec,
     vec,
 )
@@ -81,6 +82,17 @@ def test_apply_channel_dimension_mismatch():
     chan = build_luders_channel(projector_family(SpinSpace(1)))
     with pytest.raises(ValueError):
         apply_channel(chan, np.eye(3))
+
+
+def test_luders_image_matches_superoperator_application():
+    rng = np.random.default_rng(31)
+    for two_s in range(1, 7):
+        family = projector_family(SpinSpace(two_s))
+        chan = build_luders_channel(family)
+        operator = (rng.normal(size=(family.dim, family.dim))
+                    + 1j * rng.normal(size=(family.dim, family.dim)))
+        direct = luders_image(family.states, family.weights, operator)
+        assert np.abs(direct - apply_channel(chan, operator)).max() < 1e-12, two_s
 
 
 def test_trace_preservation_on_random_hermitian():

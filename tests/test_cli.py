@@ -51,6 +51,17 @@ def test_fock_rejects_bad_sizing():
     assert run(["fock", "--dim", "40", "--radius", "9"]) == 2
 
 
+@pytest.mark.parametrize("dim", ["8", "15"])
+def test_fock_small_dims_report_instead_of_raising(dim):
+    assert run(["fock", "--dim", dim, "--radius", "1"]) in (0, 1)
+
+
+def test_order_long_normal_form_round_trips(capsys):
+    # The normal form of (q+p)^62 has 1024 terms, so its re-parse nests 1024 sums deep.
+    assert run(["order", "(q+p)^62"]) == 0
+    assert "[PASS] parse_round_trip" in capsys.readouterr().out
+
+
 def test_order_well_ordered_expression(tmp_path):
     out = tmp_path / "order.json"
     assert run(["order", "q^2 - p^2", "--json", str(out)]) == 0

@@ -72,6 +72,12 @@ def test_coherent_components_match_formula(space):
         assert abs(state[k] - expected) < 1e-14
 
 
+def test_point_state_matches_grid_row(space, quad):
+    states = coherent_state_matrix(space, quad)
+    for k in range(0, len(quad), 97):
+        assert np.abs(fock_coherent_state(space, quad.alphas[k]) - states[k]).max() < 1e-15
+
+
 def test_coherent_norm_under_precondition(space):
     rng = np.random.default_rng(4)
     for _ in range(20):
