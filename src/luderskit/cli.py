@@ -55,10 +55,10 @@ def _largest_coefficient(poly) -> float:
     return max((abs(complex(c)) for c in poly.terms.values()), default=0.0)
 
 
-def _label_pairs(rng, dim, count=50):
+def _label_pairs(rng, dim):
     """Random label pairs with |α| < min(2, sqrt(dim)/2), inside check_label's dim/4."""
     bound = min(2.0, np.sqrt(dim) / 2)
-    for _ in range(count):
+    for _ in range(50):
         a_pt = rng.uniform(0, bound) * np.exp(2j * np.pi * rng.uniform())
         b_pt = rng.uniform(0, bound) * np.exp(2j * np.pi * rng.uniform())
         yield a_pt, b_pt

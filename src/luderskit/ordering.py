@@ -348,7 +348,12 @@ def _coordinates(poly: NormalPolynomial, basis) -> list[Fraction]:
     coords = []
     for kind, m, n in basis:
         c = poly.coefficient(m, n)
-        coords.append(c.im if kind == "im" else c.re)
+        if kind == "diag":
+            coords.append(c.re)
+        elif kind == "re":
+            coords.append(c.re)
+        else:
+            coords.append(c.im)
     return coords
 
 
