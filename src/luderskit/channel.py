@@ -154,20 +154,19 @@ def apply_channel(chan: SuperoperatorMatrix, operator: np.ndarray) -> np.ndarray
     return unvec(chan.matrix @ vec(operator), chan.dim)
 
 
-def channel_spectrum(chan: SuperoperatorMatrix,
-                     fixed_point_tol: float = FIXED_POINT_TOL) -> SpectralReport:
+def channel_spectrum(chan: SuperoperatorMatrix) -> SpectralReport:
     """Full spectrum plus an orthonormal Hermitian basis of the fixed space.
 
     The superoperator is Hermitian, so a dense Hermitian eigensolver is
     used and the spectrum is real.  Eigenvectors with eigenvalue within
-    fixed_point_tol of 1 span the fixed space; they are Hermitized and
+    FIXED_POINT_TOL of 1 span the fixed space; they are Hermitized and
     Gram-Schmidt orthonormalized in the Hilbert-Schmidt inner product.
     """
     evals, evecs = np.linalg.eigh(chan.matrix)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    n_fixed = int(np.count_nonzero(np.abs(evals - 1.0) <= fixed_point_tol))
+    n_fixed = int(np.count_nonzero(np.abs(evals - 1.0) <= FIXED_POINT_TOL))
     basis = _hermitian_fixed_basis(evecs[:, :n_fixed], chan.dim, n_fixed)
     return SpectralReport(
         eigenvalues=evals.astype(complex),

@@ -240,6 +240,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 # --- order ---------------------------------------------------------------------
 
 def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> ReportDocument:
+    if fixed_space is not None and not 0 <= fixed_space <= ordering.MAX_FIXED_SPACE_DEGREE:
+        raise UsageError(f"--fixed-space must lie in 0..{ordering.MAX_FIXED_SPACE_DEGREE}")
     poly = ordering.normal_order(expression)  # ParseError propagates to main
     anti = ordering.anti_normal_order(poly)
     luders = ordering.luders_symbolic(poly)
@@ -268,10 +270,6 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
                 "true" if luders == poly else "false")
 
     if fixed_space is not None:
-        if not 0 <= fixed_space <= ordering.MAX_FIXED_SPACE_DEGREE:
-            raise UsageError(
-                f"--fixed-space must lie in 0..{ordering.MAX_FIXED_SPACE_DEGREE}"
-            )
         result = ordering.luders_fixed_space(fixed_space)
         run.numeric("fixed_space_dimension", 2 * fixed_space + 1, result.dimension, 0)
 

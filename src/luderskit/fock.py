@@ -5,9 +5,11 @@ The disk quadrature realizes the coherent-state POVM integral over
 levels that disk actually populates; the analytic disk-limit predictions
 below (regularized incomplete-gamma factors) are the right comparison
 targets for grid output, while infinite-plane statements carry an
-irreducible e^(-R²)-scale gap.  States with |α|² <= dim/4 are represented
-with negligible truncation loss; guard_dim marks the sub-block where
-matrix arithmetic is truncation-safe.
+irreducible e^(-R²)-scale gap.  States with |α|² <= dim/4 still lose
+measurable mass to truncation at small dim: with labels drawn up to that
+bound, the `fock` command's coherent_overlap_law row reads 5.4e-4 at
+dim 8 and 6.7e-7 at dim 16.  guard_dim marks the sub-block where matrix
+arithmetic is truncation-safe.
 """
 
 from __future__ import annotations
@@ -209,16 +211,13 @@ def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
     return XiSpectrum(xi_points, coeffs)
 
 
-def default_xi_points(count: int = 25, radius: float = 2.0) -> np.ndarray:
-    """Deterministic rings of sample points with 0 < |ξ| <= radius."""
-    n_rings = 5
-    per_ring = count // n_rings
-    radii = radius * (np.arange(1, n_rings + 1) / n_rings)
+def default_xi_points() -> np.ndarray:
+    """Five deterministic rings of five sample points with 0 < |ξ| <= 2."""
     out = []
-    for i, r in enumerate(radii):
-        angles = 2 * pi * (np.arange(per_ring) + 0.5 * (i % 2)) / per_ring
+    for i, r in enumerate(2.0 * (np.arange(1, 6) / 5)):
+        angles = 2 * pi * (np.arange(5) + 0.5 * (i % 2)) / 5
         out.extend(r * np.exp(1j * angles))
-    return np.array(out[:count])
+    return np.array(out)
 
 
 @dataclass(frozen=True)

@@ -357,38 +357,6 @@ def _coordinates(poly: NormalPolynomial, basis) -> list[Fraction]:
     return coords
 
 
-def _rational_kernel(columns: list[list[Fraction]], size: int) -> list[list[Fraction]]:
-    """Exact kernel basis of the matrix whose j-th column is columns[j]."""
-    ncols = len(columns)
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(size)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, size) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(size):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == size:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        kernel.append(vec)
-    return kernel
-
-
 def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamilyCoefficients:
     """Express a polynomial as b0 I + sum_n (bq_n Bq_n + bp_n Bp_n), exactly.
 
@@ -410,34 +378,37 @@ def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamil
 
 
 def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
-    """Exact kernel of (Lüders map - id) on Hermitian polynomials.
+    """Exact kernel of (Lüders map - id) on Hermitian polynomials, certified by charge chain.
 
-    The kernel has dimension 2*max_degree + 1 and is spanned by the identity
-    together with (a^n ± a†^n) combinations; the returned family coordinates
-    certify that every kernel element lies in that span.
+    A chain is the basis tags (kind, m, n) sharing a kind and a charge m - n,
+    ordered by n.  Each tag's image under (Λ - id) must have nonzero
+    coordinates only on earlier members (kind, m-s, n-s) of its chain, and a
+    nonzero one on (kind, m-1, n-1) when n >= 1; otherwise RuntimeError.
+    Then Λ - id is strictly triangular within each chain with a nonzero
+    subdiagonal, so the kernel, of dimension 2*max_degree + 1, is spanned by
+    the chain heads (n = 0): the identity and the a^n ± a†^n combinations,
+    whose family coordinates are returned alongside.
     """
     if max_degree < 0 or max_degree > MAX_FIXED_SPACE_DEGREE:
         raise ValueError(
             f"max_degree must be in 0..{MAX_FIXED_SPACE_DEGREE}, got {max_degree}"
         )
     basis = _hermitian_basis(max_degree)
-    size = len(basis)
-    columns = []
-    for tag in basis:
-        poly = _basis_polynomial(tag)
+    heads = []
+    for kind, m, n in basis:
+        poly = _basis_polynomial((kind, m, n))
         image = luders_symbolic(poly) - poly
-        columns.append(_coordinates(image, basis))
-    kernel = _rational_kernel(columns, size)
-    polys = []
-    coords = []
-    for vec in kernel:
-        poly = NormalPolynomial.zero()
-        for x, tag in zip(vec, basis):
-            if x != 0:
-                poly = poly + _basis_polynomial(tag).scaled(ComplexRational.real(x))
-        polys.append(poly)
-        coords.append(decompose_in_family(poly, max_degree))
-    return FixedSpaceResult(max_degree, len(polys), tuple(polys), tuple(coords))
+        hits = {tag for tag, x in zip(basis, _coordinates(image, basis)) if x != 0}
+        below = {(kind, m - s, n - s) for s in range(1, n + 1)}
+        if not hits <= below or (n >= 1 and (kind, m - 1, n - 1) not in hits):
+            raise RuntimeError(
+                f"Lüders image of {(kind, m, n)} is not triangular in its charge chain: "
+                f"coordinates on {sorted(hits)}"
+            )
+        if n == 0:
+            heads.append(poly)
+    coords = tuple(decompose_in_family(poly, max_degree) for poly in heads)
+    return FixedSpaceResult(max_degree, len(heads), tuple(heads), coords)
 
 
 def to_matrix(poly: NormalPolynomial, space):

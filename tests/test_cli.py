@@ -91,6 +91,16 @@ def test_order_fixed_space_dimension(tmp_path):
     assert rows["fixed_space_dimension"]["actual"] == "5"
 
 
+def test_order_rejects_fixed_space_before_ordering(monkeypatch):
+    from luderskit import ordering
+
+    def refuse(expression):
+        raise AssertionError("normal_order ran before --fixed-space was validated")
+
+    monkeypatch.setattr(ordering, "normal_order", refuse)
+    assert run(["order", "q", "--fixed-space", "13"]) == 2
+
+
 def test_order_parse_error_distinct_exit_code(capsys):
     assert run(["order", "q +"]) == 2
     assert "parse" in capsys.readouterr().err.lower()

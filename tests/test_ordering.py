@@ -6,7 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from luderskit.expr import ComplexRational
+from luderskit.expr import I_UNIT, ComplexRational
 from luderskit.fock import FockSpace, plane_quadrature, grid_channel_apply, disk_monomial_image
 from luderskit.ordering import (
     AntiNormalPolynomial,
@@ -199,6 +199,30 @@ def test_fixed_space_family_coordinates_reconstruct_basis():
             rebuilt = rebuilt + family_q(n).scaled(ComplexRational.real(coeffs.bq[n - 1]))
             rebuilt = rebuilt + family_p(n).scaled(ComplexRational.real(coeffs.bp[n - 1]))
         assert rebuilt == poly
+
+
+def test_fixed_space_certificate_rejects_identity_map(monkeypatch):
+    import luderskit.ordering as ordering
+
+    monkeypatch.setattr(ordering, "luders_symbolic", lambda poly: poly)
+    with pytest.raises(RuntimeError):
+        luders_fixed_space(3)
+
+
+@pytest.mark.parametrize("n_max", range(7, 13))
+def test_fixed_space_basis_is_chain_heads(n_max):
+    # identity, then a†^n + a^n and i·a†^n - i·a^n for n = 1..n_max
+    expected = [NormalPolynomial.identity()]
+    for n in range(1, n_max + 1):
+        expected.append(NormalPolynomial({(n, 0): ONE, (0, n): ONE}))
+        expected.append(NormalPolynomial({(n, 0): I_UNIT, (0, n): -I_UNIT}))
+    # family coordinates (b0, bq..., bp...) hold one entry: b0 = 1, bq[n] = 2 or bp[n] = 2
+    entries = [(0, 1)] + [(i, 2) for n in range(1, n_max + 1) for i in (n, n_max + n)]
+    result = luders_fixed_space(n_max)
+    assert list(result.basis) == expected
+    for (i, value), coeffs in zip(entries, result.family_coordinates, strict=True):
+        flat = [coeffs.b0, *coeffs.bq, *coeffs.bp]
+        assert flat == [value if j == i else 0 for j in range(2 * n_max + 1)]
 
 
 def test_decompose_rejects_mixed_terms():
