@@ -107,10 +107,6 @@ class NormalPolynomial(_OrderedPolynomial):
     __slots__ = ()
 
     @classmethod
-    def zero(cls) -> "NormalPolynomial":
-        return cls()
-
-    @classmethod
     def identity(cls) -> "NormalPolynomial":
         return cls({(0, 0): ONE})
 
