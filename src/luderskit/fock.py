@@ -19,7 +19,7 @@ from math import pi
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, xlogy
 
 from .channel import luders_image, q_symbols, resolution
 
@@ -72,17 +72,10 @@ def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, one per label α."""
     k = np.arange(space.dim)
     mags = np.abs(alphas)[:, None]
-    # log-domain magnitudes avoid factorial overflow at high dim
-    with np.errstate(divide="ignore"):
-        log_mag = np.where(mags > 0, k[None, :] * np.log(np.where(mags > 0, mags, 1.0)), 0.0)
-    log_mag = -mags**2 / 2 + log_mag - gammaln(k + 1)[None, :] / 2
+    # log-domain magnitudes avoid factorial overflow at high dim; xlogy(0, 0) = 0 gives |0⟩
+    log_mag = -mags**2 / 2 + xlogy(k[None, :], mags) - gammaln(k + 1)[None, :] / 2
     phases = np.exp(1j * k[None, :] * np.angle(alphas)[:, None])
-    out = np.exp(log_mag) * phases
-    zero = alphas == 0
-    if np.any(zero):
-        out[zero] = 0.0
-        out[zero, 0] = 1.0
-    return out
+    return np.exp(log_mag) * phases
 
 
 def fock_coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:

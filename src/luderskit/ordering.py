@@ -340,19 +340,6 @@ def _basis_polynomial(tag) -> NormalPolynomial:
     return NormalPolynomial({(m, n): I_UNIT, (n, m): -I_UNIT})
 
 
-def _coordinates(poly: NormalPolynomial, basis) -> list[Fraction]:
-    coords = []
-    for kind, m, n in basis:
-        c = poly.coefficient(m, n)
-        if kind == "diag":
-            coords.append(c.re)
-        elif kind == "re":
-            coords.append(c.re)
-        else:
-            coords.append(c.im)
-    return coords
-
-
 def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamilyCoefficients:
     """Express a polynomial as b0 I + sum_n (bq_n Bq_n + bp_n Bp_n), exactly.
 
@@ -376,35 +363,31 @@ def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamil
 def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
     """Exact kernel of (Lüders map - id) on Hermitian polynomials, certified by charge chain.
 
-    A chain is the basis tags (kind, m, n) sharing a kind and a charge m - n,
-    ordered by n.  Each tag's image under (Λ - id) must have nonzero
-    coordinates only on earlier members (kind, m-s, n-s) of its chain, and a
-    nonzero one on (kind, m-1, n-1) when n >= 1; otherwise RuntimeError.
-    Then Λ - id is strictly triangular within each chain with a nonzero
-    subdiagonal, so the kernel, of dimension 2*max_degree + 1, is spanned by
-    the chain heads (n = 0): the identity and the a^n ± a†^n combinations,
-    whose family coordinates are returned alongside.
+    Each ladder monomial a†^m a^n with m + n <= max_degree must map under
+    (Λ - id) onto terms (m-s, n-s), s >= 1, of its charge chain m - n,
+    including (m-1, n-1) when min(m, n) >= 1; otherwise RuntimeError.  So
+    Λ - id is strictly triangular per chain with a nonzero subdiagonal, and
+    its kernel is spanned by 1, a†^n and a^n; its Hermitian part (dimension
+    2*max_degree + 1) by 1, a†^n + a^n and i·a†^n - i·a^n, which are
+    returned with their family coordinates.
     """
     if max_degree < 0 or max_degree > MAX_FIXED_SPACE_DEGREE:
         raise ValueError(
             f"max_degree must be in 0..{MAX_FIXED_SPACE_DEGREE}, got {max_degree}"
         )
-    basis = _hermitian_basis(max_degree)
-    heads = []
-    for kind, m, n in basis:
-        poly = _basis_polynomial((kind, m, n))
-        image = luders_symbolic(poly) - poly
-        hits = {tag for tag, x in zip(basis, _coordinates(image, basis)) if x != 0}
-        below = {(kind, m - s, n - s) for s in range(1, n + 1)}
-        if not hits <= below or (n >= 1 and (kind, m - 1, n - 1) not in hits):
-            raise RuntimeError(
-                f"Lüders image of {(kind, m, n)} is not triangular in its charge chain: "
-                f"coordinates on {sorted(hits)}"
-            )
-        if n == 0:
-            heads.append(poly)
+    for m in range(max_degree + 1):
+        for n in range(max_degree - m + 1):
+            word = NormalPolynomial.monomial(m, n)
+            keys = set((luders_symbolic(word) - word).terms)
+            below = {(m - s, n - s) for s in range(1, min(m, n) + 1)}
+            if not keys <= below or (below and (m - 1, n - 1) not in keys):
+                raise RuntimeError(
+                    f"Lüders image of a†^{m} a^{n} is not triangular in its charge "
+                    f"chain: terms on {sorted(keys)}"
+                )
+    heads = tuple(_basis_polynomial(tag) for tag in _hermitian_basis(max_degree) if tag[2] == 0)
     coords = tuple(decompose_in_family(poly, max_degree) for poly in heads)
-    return FixedSpaceResult(max_degree, len(heads), tuple(heads), coords)
+    return FixedSpaceResult(max_degree, len(heads), heads, coords)
 
 
 def to_matrix(poly: NormalPolynomial, space):

@@ -34,11 +34,9 @@ class SpinSpace:
             raise ValueError(f"two_s capped at {MAX_TWO_S}")
         m = self.spin - np.arange(self.dim)
         jz = np.diag(m).astype(complex)
-        jplus = np.zeros((self.dim, self.dim), dtype=complex)
         # J+|s,m> = sqrt((s-m)(s+m+1)) |s,m+1>; basis index k has m = s-k
-        for k in range(1, self.dim):
-            mk = self.spin - k
-            jplus[k - 1, k] = np.sqrt((self.spin - mk) * (self.spin + mk + 1))
+        k = np.arange(1, self.dim)
+        jplus = np.diag(np.sqrt(k * (self.two_s + 1 - k)), 1).astype(complex)
         for arr in (jz, jplus):
             arr.setflags(write=False)
         object.__setattr__(self, "_jz", jz)
@@ -172,12 +170,14 @@ def q_symbol_spin(space: SpinSpace, operator: np.ndarray,
 
 # --- spherical harmonics ------------------------------------------------------
 
-def ylm_stream(lmax: int, thetas: np.ndarray, phis: np.ndarray):
-    """Yield ((l, m), Y_lm values) for 0 <= m <= l <= lmax at the given nodes.
+def harmonic_blocks(lmax: int, thetas: np.ndarray, phis: np.ndarray):
+    """Yield (m, P, phase) for m = 0, 1, -1, ..., lmax, -lmax at the given nodes.
 
-    Fully normalized harmonics with the Condon-Shortley phase, built from
-    the stable three-term recurrence on normalized associated Legendre
-    functions; negative m follows from Y_{l,-m} = (-1)^m conj(Y_lm).
+    Y_lm = P[:, l - |m|] * phase for l = |m|..lmax: fully normalized
+    harmonics with the Condon-Shortley phase.  P is the real block of
+    normalized associated Legendre values, built once per |m| from the
+    stable three-term recurrence and shared by ±m; the charge lives in the
+    phase, e^(imφ) for m >= 0 and (-1)^m conj(e^(imφ)) for -m.
     """
     x = np.cos(thetas)
     sx = np.sin(thetas)
@@ -185,28 +185,28 @@ def ylm_stream(lmax: int, thetas: np.ndarray, phis: np.ndarray):
     for m in range(lmax + 1):
         if m > 0:
             pmm = -np.sqrt((2 * m + 1) / (2 * m)) * sx * pmm
-        phase = np.exp(1j * m * phis)
-        yield (m, m), pmm * phase
-        if m == lmax:
-            break
-        prev2 = pmm
-        prev1 = np.sqrt(2 * m + 3) * x * pmm
-        yield (m + 1, m), prev1 * phase
+        rows = [pmm]
+        if m < lmax:
+            rows.append(np.sqrt(2 * m + 3) * x * pmm)
         for l in range(m + 2, lmax + 1):
             a_l = np.sqrt((4 * l * l - 1) / (l * l - m * m))
             a_l1 = np.sqrt((4 * (l - 1) ** 2 - 1) / ((l - 1) ** 2 - m * m))
-            cur = a_l * (x * prev1 - prev2 / a_l1)
-            yield (l, m), cur * phase
-            prev2, prev1 = prev1, cur
+            rows.append(a_l * (x * rows[-1] - rows[-2] / a_l1))
+        block = np.array(rows).T
+        phase = np.exp(1j * m * phis)
+        yield m, block, phase
+        if m > 0:
+            yield -m, block, (-1) ** m * phase.conj()
 
 
 def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Y_lm at the given angles (any sign of m)."""
     if abs(m) > l:
         raise ValueError("|m| must not exceed l")
-    for (ll, mm), vals in ylm_stream(l, np.asarray(thetas, float), np.asarray(phis, float)):
-        if ll == l and mm == abs(m):
-            return vals if m >= 0 else (-1) ** mm * vals.conj()
+    for mm, block, phase in harmonic_blocks(l, np.asarray(thetas, float),
+                                            np.asarray(phis, float)):
+        if mm == m:
+            return block[:, l - abs(m)] * phase
     raise AssertionError("unreachable")
 
 
@@ -223,34 +223,32 @@ class HarmonicCoefficients:
 
 def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
                           space: SpinSpace) -> HarmonicCoefficients:
-    """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k))."""
+    """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m."""
     lmax = space.two_s
     if grid.exact_degree < 2 * space.two_s:
         raise ValueError(
             f"grid exact degree {grid.exact_degree} is below the required "
             f"{2 * space.two_s}; coefficients would alias"
         )
-    samples = np.asarray(samples)
     scale = np.sqrt(4 * pi / (space.two_s + 1))
-    wq = grid.weights * samples
+    wq = grid.weights * np.asarray(samples)
     coeffs = {}
-    for (l, m), y in ylm_stream(lmax, grid.thetas, grid.phis):
-        coeffs[(l, m)] = scale * np.sum(wq * y.conj())
-        if m > 0:
-            # conj(Y_{l,-m}) = (-1)^m Y_{lm}
-            coeffs[(l, -m)] = (-1) ** m * scale * np.sum(wq * y)
+    for m, block, phase in harmonic_blocks(lmax, grid.thetas, grid.phis):
+        weighted = scale * wq * phase.conj()  # two real matmuls keep the block real
+        column = weighted.real @ block + 1j * (weighted.imag @ block)
+        coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(column))
     return HarmonicCoefficients(space.two_s, coeffs)
 
 
 def reconstruct_q_symbol(coeffs: HarmonicCoefficients,
                          grid: SphereQuadrature) -> np.ndarray:
     """Invert harmonic_coefficients: Q(n_k) = sqrt(4π/(2s+1)) Σ B_lm Y_lm(n_k)."""
-    scale = np.sqrt(4 * pi / (coeffs.two_s + 1))
+    lmax = coeffs.two_s
+    scale = np.sqrt(4 * pi / (lmax + 1))
     out = np.zeros(len(grid), dtype=complex)
-    for (l, m), y in ylm_stream(coeffs.two_s, grid.thetas, grid.phis):
-        out += coeffs[(l, m)] * y
-        if m > 0:
-            out += coeffs[(l, -m)] * (-1) ** m * y.conj()
+    for m, block, phase in harmonic_blocks(lmax, grid.thetas, grid.phis):
+        c_m = np.array([coeffs[(l, m)] for l in range(abs(m), lmax + 1)])
+        out += phase * (block @ c_m.real + 1j * (block @ c_m.imag))
     return scale * out
 
 

@@ -209,6 +209,18 @@ def test_fixed_space_certificate_rejects_identity_map(monkeypatch):
         luders_fixed_space(3)
 
 
+@pytest.mark.parametrize("leak", ["a", "a + ad"])
+def test_fixed_space_certificate_rejects_off_chain_leaks(monkeypatch, leak):
+    # a term outside the charge chain of each image, including one that
+    # keeps Hermitian inputs Hermitian, must fail the certificate
+    import luderskit.ordering as ordering
+
+    extra = normal_order(leak)
+    monkeypatch.setattr(ordering, "luders_symbolic", lambda poly: luders_symbolic(poly) + extra)
+    with pytest.raises(RuntimeError):
+        luders_fixed_space(3)
+
+
 @pytest.mark.parametrize("n_max", range(7, 13))
 def test_fixed_space_basis_is_chain_heads(n_max):
     # identity, then a†^n + a^n and i·a†^n - i·a^n for n = 1..n_max

@@ -271,6 +271,29 @@ def test_reconstruction_reproduces_samples():
     assert np.abs(reconstruct_q_symbol(coeffs, grid) - samples).max() < 1e-10
 
 
+@pytest.mark.parametrize("two_s", [1, 3, 6])
+def test_harmonic_coefficients_match_direct_quadrature(two_s):
+    # oracle: B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)) with scipy's
+    # Y_lm, summed term by term; a non-Hermitian B makes every -m coefficient
+    # independent of its +m partner
+    rng = np.random.default_rng(700 + two_s)
+    space = SpinSpace(two_s)
+    grid = sphere_quadrature(space)
+    operator = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(
+        size=(space.dim, space.dim))
+    samples = q_symbol_spin(space, operator, grid)
+    coeffs = harmonic_coefficients(samples, grid, space)
+    scale = np.sqrt(4 * pi / space.dim)
+    expected_keys = set()
+    for l in range(two_s + 1):
+        for m in range(-l, l + 1):
+            y = sph_harm_y(l, m, grid.thetas, grid.phis)
+            direct = scale * np.sum(grid.weights * samples * y.conj())
+            assert abs(coeffs[(l, m)] - direct) < 1e-12, (l, m)
+            expected_keys.add((l, m))
+    assert set(coeffs.coeffs) == expected_keys
+
+
 def test_coarse_grid_rejected_for_coefficients():
     fine_space = SpinSpace(4)
     coarse = sphere_quadrature(SpinSpace(2))  # exact degree 4 < 8 required
