@@ -5,7 +5,8 @@ Clebsch-Gordan factor and fix only the identity; the particle
 (Heisenberg-Weyl) channel realizes anti-normal ordering and fixes the
 (2N+1)-dimensional family spanned by the identity and (a^n ± a†^n)
 combinations.  Modules: channel (the Lüders core shared by both families:
-POVM sums, Q-symbols, channel images; superoperator machinery), spin,
+POVM sums, Q-symbols, channel images, U(1) charge blocks; the dense
+superoperator as reference), spin,
 fock (the two concrete POVMs), expr/ordering (exact symbolic engine),
 cli/reports (verification front end).
 """
@@ -19,6 +20,9 @@ from .channel import (
     apply_channel,
     build_luders_channel,
     channel_spectrum,
+    charge_block_image,
+    charge_block_spectrum,
+    charge_blocks,
     choi_matrix,
     luders_image,
     q_symbols,
@@ -55,6 +59,7 @@ from .spin import (
     harmonic_coefficients,
     overlap_squared,
     q_symbol_spin,
+    ring_factors,
     sphere_quadrature,
     spin_coherent_state,
     tau_spin,

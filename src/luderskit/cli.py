@@ -23,10 +23,15 @@ import sys
 import numpy as np
 
 from . import __version__, fock, ordering, spin
+# cmd_spin works from the charge blocks; apply_channel, build_luders_channel and
+# channel_spectrum stay imported because bench/spans.py traces them under these names
 from .channel import (
     apply_channel,
     build_luders_channel,
     channel_spectrum,
+    charge_block_image,
+    charge_block_spectrum,
+    charge_blocks,
     luders_image,
     q_symbols,
     resolution,
@@ -116,8 +121,8 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
                 np.abs(resolution(family.states, family.weights) - np.eye(space.dim)).max(),
                 1e-12)
 
-    chan = build_luders_channel(family)
-    spectral = channel_spectrum(chan)
+    blocks = charge_blocks(*spin.ring_factors(space, grid))
+    spectral = charge_block_spectrum(blocks)
     expected = spin.expected_spectrum(space)
     run.numeric("spectrum_law", 0.0,
                 np.abs(spectral.eigenvalues.real - expected).max(), 1e-9)
@@ -129,13 +134,15 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
 
     rng = np.random.default_rng(_RNG_SEED)
     taus = {l: spin.tau_spin(space, l) for l in range(two_s + 1)}
+    legendre = tuple(spin.harmonic_blocks(two_s, grid.thetas, grid.phis))
     worst = 0.0
     for _ in range(20):
         operator = _random_hermitian(rng, space.dim)
         before = spin.harmonic_coefficients(
-            q_symbols(family.states, operator), grid, space)
+            q_symbols(family.states, operator), grid, space, legendre)
         after = spin.harmonic_coefficients(
-            q_symbols(family.states, apply_channel(chan, operator)), grid, space)
+            q_symbols(family.states, charge_block_image(blocks, operator)), grid, space,
+            legendre)
         for (l, m), value in before.coeffs.items():
             worst = max(worst, abs(after[(l, m)] - taus[l] * value))
     run.numeric("harmonic_damping", 0.0, worst, 1e-9)

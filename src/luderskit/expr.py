@@ -49,6 +49,13 @@ class ComplexRational:
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
+        # A real factor skips the products with its zero imaginary part.
+        if not other.im:
+            if not self.im:
+                return ComplexRational(self.re * other.re, self.im)
+            return ComplexRational(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return ComplexRational(self.re * other.re, self.re * other.im)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import WeightedProjectorFamily, q_symbols
 
-MAX_TWO_S = 50  # dense D² superoperators get large beyond s = 25
+MAX_TWO_S = 50  # pinned by the tests; raising it is a change of its own
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,30 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
     return SphereQuadrature(tt.ravel(), pp.ravel(), ww.ravel(), exact_degree)
 
 
+def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """(F, w_ring) of a product grid, for `channel.charge_blocks`.
+
+    F[r, k] is the state at ring r and φ = 0, real and non-negative; the
+    state at angle φ is e^{−isφ} F[r, k] e^{ikφ}.  w_ring sums the weights
+    of each ring.  Raises ValueError unless the grid is rings × a uniform
+    φ-grid with equal weights per ring and n_φ > 2·two_s, the bound that
+    makes the φ-sum an exact Kronecker delta on the charge.
+    """
+    n_phi = int(np.count_nonzero(grid.thetas == grid.thetas[0]))
+    if n_phi <= 2 * space.two_s:
+        raise ValueError(f"need more than {2 * space.two_s} phi nodes, got {n_phi}")
+    if len(grid) % n_phi:
+        raise ValueError("grid is not rings × a uniform phi grid")
+    thetas, phis, weights = (np.reshape(a, (-1, n_phi))
+                             for a in (grid.thetas, grid.phis, grid.weights))
+    if (np.any(thetas != thetas[:, :1])
+            or not np.allclose(phis, 2 * pi * np.arange(n_phi) / n_phi, rtol=0, atol=1e-12)
+            or not np.allclose(weights, weights[:, :1], rtol=1e-12, atol=0)):
+        raise ValueError("grid is not rings × a uniform phi grid")
+    factors = _coherent_rows(space, thetas[:, 0], np.zeros(len(thetas))).real
+    return factors, weights.sum(axis=1)
+
+
 def q_symbol_spin(space: SpinSpace, operator: np.ndarray,
                   grid: SphereQuadrature) -> np.ndarray:
     """Samples ⟨n_k|B|n_k⟩ on the quadrature nodes."""
@@ -222,8 +246,13 @@ class HarmonicCoefficients:
 
 
 def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
-                          space: SpinSpace) -> HarmonicCoefficients:
-    """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m."""
+                          space: SpinSpace, blocks=None) -> HarmonicCoefficients:
+    """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m.
+
+    `blocks` holds the triples of harmonic_blocks(two_s, grid.thetas,
+    grid.phis), for callers that expand many symbols on one grid; they are
+    built here when omitted.
+    """
     lmax = space.two_s
     if grid.exact_degree < 2 * space.two_s:
         raise ValueError(
@@ -233,7 +262,9 @@ def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
     scale = np.sqrt(4 * pi / (space.two_s + 1))
     wq = grid.weights * np.asarray(samples)
     coeffs = {}
-    for m, block, phase in harmonic_blocks(lmax, grid.thetas, grid.phis):
+    if blocks is None:
+        blocks = harmonic_blocks(lmax, grid.thetas, grid.phis)
+    for m, block, phase in blocks:
         weighted = scale * wq * phase.conj()  # two real matmuls keep the block real
         column = weighted.real @ block + 1j * (weighted.imag @ block)
         coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(column))

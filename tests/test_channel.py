@@ -11,12 +11,20 @@ from luderskit.channel import (
     apply_channel,
     build_luders_channel,
     channel_spectrum,
+    charge_block_image,
+    charge_blocks,
     choi_matrix,
     luders_image,
     unvec,
     vec,
 )
-from luderskit.spin import SpinSpace, expected_spectrum, projector_family
+from luderskit.spin import (
+    SpinSpace,
+    expected_spectrum,
+    projector_family,
+    ring_factors,
+    sphere_quadrature,
+)
 
 
 def tau_fraction(two_s, l):
@@ -226,3 +234,30 @@ def test_spectrum_law_multiset_for_all_small_spins():
         space = SpinSpace(two_s)
         report = channel_spectrum(build_luders_channel(projector_family(space)))
         assert np.abs(report.eigenvalues.real - expected_spectrum(space)).max() < 1e-9
+
+
+# --- U(1) charge blocks ---------------------------------------------------------
+
+@pytest.mark.parametrize("oversized", [False, True])
+@pytest.mark.parametrize("two_s", range(1, 9))
+def test_charge_blocks_are_the_dense_superoperator(two_s, oversized):
+    space = SpinSpace(two_s)
+    grid = (sphere_quadrature(space, two_s + 3, 2 * two_s + 5) if oversized
+            else sphere_quadrature(space))
+    family = projector_family(space, grid)
+    dense = build_luders_channel(family).matrix
+    blocks = charge_blocks(*ring_factors(space, grid))
+    dim = space.dim
+    assert set(blocks) == set(range(1 - dim, dim))
+    for q, block in blocks.items():
+        rows = np.arange(max(q, 0), dim + min(q, 0))
+        index = rows + (rows - q) * dim  # column stacking: B[j, k] sits at j + k·D
+        assert np.abs(dense[np.ix_(index, index)] - block).max() < 1e-12, q
+    charge = np.arange(dim * dim) % dim - np.arange(dim * dim) // dim
+    off_sector = charge[:, None] != charge[None, :]
+    assert np.abs(dense[off_sector]).max() <= 1e-12
+    rng = np.random.default_rng(two_s)
+    for _ in range(3):
+        operator = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        image = charge_block_image(blocks, operator)
+        assert np.abs(image - luders_image(family.states, family.weights, operator)).max() < 1e-12

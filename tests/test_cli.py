@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from luderskit import cli, spin
 from luderskit.cli import run
 from luderskit.reports import ReportSchemaError, validate_report
 
@@ -34,6 +35,26 @@ def test_spin_rejects_invalid_two_s(capsys):
     assert run(["spin", "--two-s", "0"]) == 2
     assert "1..50" in capsys.readouterr().err
     assert run(["spin", "--two-s", "51"]) == 2
+
+
+def test_spin_command_skips_the_dense_superoperator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense superoperator path called")
+    for name in ("build_luders_channel", "channel_spectrum", "apply_channel"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(["spin", "--two-s", "3"]) == 0
+
+
+def test_spin_command_builds_legendre_blocks_once(monkeypatch):
+    calls = []
+    original = spin.harmonic_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(spin, "harmonic_blocks", counted)
+    assert run(["spin", "--two-s", "3"]) == 0
+    assert len(calls) == 1
 
 
 def test_fock_command_passes(tmp_path):

@@ -98,3 +98,18 @@ def test_complex_rational_arithmetic():
     assert (z + w - w) == z
     assert z.conjugate().conjugate() == z
     assert complex(z) == 0.5 - 0.75j
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ((Fraction(3, 7), Fraction(0)), (Fraction(-5, 2), Fraction(0))),    # real × real
+    ((Fraction(3, 7), Fraction(0)), (Fraction(-5, 2), Fraction(1, 9))),  # real × complex
+    ((Fraction(3, 7), Fraction(2, 3)), (Fraction(-5, 2), Fraction(0))),  # complex × real
+    ((Fraction(3, 7), Fraction(2, 3)), (Fraction(-5, 2), Fraction(1, 9))),
+    ((Fraction(0), Fraction(2, 3)), (Fraction(0), Fraction(-1, 4))),     # imaginary × imaginary
+    ((Fraction(0), Fraction(0)), (Fraction(-5, 2), Fraction(1, 9))),
+])
+def test_complex_rational_product_matches_four_product_formula(lhs, rhs):
+    (a, b), (c, d) = lhs, rhs
+    product = ComplexRational(a, b) * ComplexRational(c, d)
+    assert (product.re, product.im) == (a * c - b * d, a * d + b * c)
+    assert type(product.re) is Fraction and type(product.im) is Fraction

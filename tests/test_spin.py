@@ -18,6 +18,7 @@ from luderskit.spin import (
     projector_family,
     q_symbol_spin,
     reconstruct_q_symbol,
+    ring_factors,
     sph_harm_values,
     sphere_quadrature,
     spin_coherent_state,
@@ -163,6 +164,27 @@ def test_quadrature_rejects_undersized_requests():
         sphere_quadrature(space, n_theta=3)
     with pytest.raises(ValueError):
         sphere_quadrature(space, n_phi=4)
+
+
+def test_ring_factors_reject_aliasing_and_non_product_grids():
+    two_s = 3
+    space = SpinSpace(two_s)
+    x, w_gl = np.polynomial.legendre.leggauss(two_s + 1)
+    n_phi = 2 * two_s  # one node short of alias-free; sphere_quadrature refuses it
+    tt, pp = np.meshgrid(np.arccos(x), 2 * pi * np.arange(n_phi) / n_phi, indexing="ij")
+    ww = np.repeat((two_s + 1) * w_gl[:, None] / 2 / n_phi, n_phi, axis=1)
+    aliased = SphereQuadrature(tt.ravel(), pp.ravel(), ww.ravel(), n_phi - 1)
+    with pytest.raises(ValueError, match="phi nodes"):
+        ring_factors(space, aliased)
+    grid = sphere_quadrature(space)
+    shuffled = np.random.default_rng(0).permutation(len(grid))
+    scrambled = SphereQuadrature(grid.thetas[shuffled], grid.phis[shuffled],
+                                 grid.weights[shuffled], grid.exact_degree)
+    with pytest.raises(ValueError, match="rings"):
+        ring_factors(space, scrambled)
+    factors, ring_weights = ring_factors(space, grid)
+    assert factors.shape == (two_s + 1, space.dim) and np.all(factors >= 0)
+    assert abs(ring_weights.sum() - space.dim) < 1e-12
 
 
 def test_points_property_round_trips():
