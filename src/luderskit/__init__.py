@@ -5,7 +5,8 @@ Clebsch-Gordan factor and fix only the identity; the particle
 (Heisenberg-Weyl) channel realizes anti-normal ordering and fixes the
 (2N+1)-dimensional family spanned by the identity and (a^n ± a†^n)
 combinations.  Modules: channel (the Lüders core shared by both families:
-POVM sums, Q-symbols, channel images, U(1) charge blocks; the dense
+POVM sums, Q-symbols and channel images from a state matrix or from the
+ring factors of a product grid, U(1) charge blocks; the dense
 superoperator as reference), spin,
 fock (the two concrete POVMs), expr/ordering (exact symbolic engine),
 cli/reports (verification front end).
@@ -27,6 +28,9 @@ from .channel import (
     luders_image,
     q_symbols,
     resolution,
+    ring_luders_image,
+    ring_q_symbols,
+    ring_resolution,
 )
 from .expr import ComplexRational, ParseError, parse_expression, to_source
 from .fock import (

@@ -3,15 +3,22 @@
 A family {w_i, |ψ_i⟩} resolving the identity defines the unital channel
 B -> Σ_i w_i |ψ_i⟩⟨ψ_i| B |ψ_i⟩⟨ψ_i|.  `resolution`, `q_symbols` and
 `luders_image` compute the POVM sum, the symbols ⟨ψ_i|B|ψ_i⟩ and the
-channel image directly from a state matrix (one state per row), for the
-sphere and the disk alike.  The superoperator is assembled in
+channel image directly from a state matrix (one state per row), for any
+family; they are the reference for the product-grid core below.  The
+superoperator is assembled in
 the column-stacking convention, Λ = Σ_i w_i conj(P_i) ⊗ P_i, which makes
 it a Hermitian matrix on C^(D²) (the channel is its own Hilbert-Schmidt
 adjoint because each POVM element equals its own square root).
 
 Both concrete families live on a product grid (rings × a uniform angle
 grid) whose states factor as ψ[i, k] = F[r(i), k] e^{ikφ(i)}, up to a
-per-row phase that cancels in |ψ⟩⟨ψ|.  When the angle grid is alias-free
+per-row phase that cancels in |ψ⟩⟨ψ|, with φ(i) on the uniform grid
+2πl/n_φ.  On any such grid, aliased or not, `ring_q_symbols`,
+`ring_resolution` and `ring_luders_image` compute the same quadrature
+sums as `q_symbols`, `resolution` and `luders_image` from the ring
+factors F (n_r × D) and the node weights W (n_r × n_φ), one offset
+diagonal at a time, without the state matrix: O(n_r·D² + n_r·n_φ·D)
+per image against O(n_r·n_φ·D²).  When the angle grid is alias-free
 the channel preserves the U(1) charge q = j − k and acts on each offset
 diagonal b_q = (B[j, j−q])_j by one real symmetric (D−|q|)-square block;
 `charge_blocks`, `charge_block_image` and `charge_block_spectrum` give
@@ -23,6 +30,7 @@ superoperator stays as the dense reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import pi
 
 import numpy as np
 
@@ -226,6 +234,28 @@ def _charge_sector(dim: int, charge: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows - charge
 
 
+def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, bounds): the entries (j, k), j ≥ k, ordered by charge q = j − k.
+
+    Charge q owns the entries bounds[q]:bounds[q + 1], which run along its
+    offset diagonal; entry p also stands for the entry (cols_p, rows_p) of
+    charge −q.
+    """
+    lengths = dim - np.arange(dim)
+    bounds = np.r_[0, np.cumsum(lengths)]
+    charges = np.repeat(np.arange(dim), lengths)
+    cols = np.arange(bounds[-1]) - bounds[charges]
+    return cols + charges, cols, bounds
+
+
+def _ring_products(factors: np.ndarray):
+    """Yield G_q[r, i] = F[r, i + q] F[r, i] for q = 0..D−1, in `_charge_pairs` order."""
+    factors = np.asarray(factors, dtype=float)
+    dim = factors.shape[1]
+    for charge in range(dim):
+        yield factors[:, charge:] * factors[:, :dim - charge]
+
+
 def charge_blocks(factors: np.ndarray, ring_weights: np.ndarray) -> dict:
     """{q: M_q} for the family ψ[i, k] = F[r(i), k] e^{ikφ(i)} on an alias-free grid.
 
@@ -234,13 +264,9 @@ def charge_blocks(factors: np.ndarray, ring_weights: np.ndarray) -> dict:
     shifted by q, so one array serves both.  Raises ValueError when M_0
     is not unital within UNITALITY_TOL (the weights do not resolve I).
     """
-    factors = np.asarray(factors, dtype=float)
     ring_weights = np.asarray(ring_weights, dtype=float)
-    dim = factors.shape[1]
     blocks = {}
-    for charge in range(dim):
-        rows, cols = _charge_sector(dim, charge)
-        g = factors[:, rows] * factors[:, cols]
+    for charge, g in enumerate(_ring_products(factors)):
         blocks[charge] = blocks[-charge] = (g.T * ring_weights) @ g
     defect = np.abs(blocks[0].sum(axis=1) - 1.0).max()
     if defect > UNITALITY_TOL:
@@ -280,3 +306,62 @@ def charge_block_spectrum(blocks: dict) -> SpectralReport:
         fixed_space_dim=int(np.count_nonzero(np.abs(evals - 1.0) <= FIXED_POINT_TOL)),
         fixed_basis=tuple(np.diag(v / np.linalg.norm(v)).astype(complex) for v in fixed.T),
     )
+
+
+# --- ring factors: the quadrature sums of a product grid, aliasing included ------
+
+def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
+    """E[q, l] = e^{−iqφ_l} for q = 0..D−1 and φ_l = 2πl/n_φ."""
+    roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
+    return roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
+
+
+def ring_q_symbols(factors: np.ndarray, n_angular: int,
+                   operator: np.ndarray) -> np.ndarray:
+    """Q[r, l] = ⟨ψ_rl|B|ψ_rl⟩ for ψ_rl[k] = F[r, k] e^{ikφ_l}, φ_l = 2πl/n_φ.
+
+    c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] is summed one offset
+    diagonal at a time, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
+    """
+    dim = np.shape(factors)[1]
+    operator = np.asarray(operator, dtype=complex)
+    if operator.shape != (dim, dim):
+        raise ValueError(f"operator shape {operator.shape} does not match dim {dim}")
+    rows, cols, bounds = _charge_pairs(dim)
+    # columns: Re and Im of B[j, j−q], then of B[j−q, j]
+    pairs = np.stack([operator[rows, cols], operator[cols, rows]], axis=1).view(float)
+    sums = np.stack([g @ pairs[bounds[charge]:bounds[charge + 1]]
+                     for charge, g in enumerate(_ring_products(factors))],
+                    axis=1).view(complex)
+    phases = _angle_phases(dim, n_angular)
+    return sums[:, :, 0] @ phases + sums[:, 1:, 1] @ phases[1:].conj()
+
+
+def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`.
+
+    Entry (j, j−q) is Σ_r F[r, j] F[r, j−q] V̂[r, q], with
+    V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}.
+    """
+    values = np.asarray(values)
+    dim = np.shape(factors)[1]
+    if values.ndim != 2 or values.shape[0] != len(factors):
+        raise ValueError(f"values must have shape ({len(factors)}, n_angular), "
+                         f"got {values.shape}")
+    phases = _angle_phases(dim, values.shape[1])
+    # hats[q, r] holds Re and Im of V̂[r, q], then of V̂[r, −q]
+    hats = np.stack([phases.conj() @ values.T, phases @ values.T], axis=2).view(float)
+    entries = np.concatenate([g.T @ hats[charge]
+                              for charge, g in enumerate(_ring_products(factors))]).view(complex)
+    rows, cols, _ = _charge_pairs(dim)
+    out = np.empty((dim, dim), dtype=complex)
+    out[rows, cols] = entries[:, 0]
+    out[cols, rows] = entries[:, 1]
+    return out
+
+
+def ring_luders_image(factors: np.ndarray, weights: np.ndarray,
+                      operator: np.ndarray) -> np.ndarray:
+    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors."""
+    weights = np.asarray(weights, dtype=float)
+    return ring_resolution(factors, weights * ring_q_symbols(factors, weights.shape[1], operator))

@@ -32,9 +32,10 @@ from .channel import (
     charge_block_image,
     charge_block_spectrum,
     charge_blocks,
-    luders_image,
-    q_symbols,
     resolution,
+    ring_luders_image,
+    ring_q_symbols,
+    ring_resolution,
 )
 from .expr import ParseError
 from .reports import ReportDocument, ReportSchemaError
@@ -121,7 +122,8 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
                 np.abs(resolution(family.states, family.weights) - np.eye(space.dim)).max(),
                 1e-12)
 
-    blocks = charge_blocks(*spin.ring_factors(space, grid))
+    factors, ring_weights = spin.ring_factors(space, grid)
+    blocks = charge_blocks(factors, ring_weights)
     spectral = charge_block_spectrum(blocks)
     expected = spin.expected_spectrum(space)
     run.numeric("spectrum_law", 0.0,
@@ -135,14 +137,15 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     rng = np.random.default_rng(_RNG_SEED)
     taus = {l: spin.tau_spin(space, l) for l in range(two_s + 1)}
     legendre = tuple(spin.harmonic_blocks(two_s, grid.thetas, grid.phis))
+    n_phi = len(grid) // len(factors)
     worst = 0.0
     for _ in range(20):
         operator = _random_hermitian(rng, space.dim)
         before = spin.harmonic_coefficients(
-            q_symbols(family.states, operator), grid, space, legendre)
+            ring_q_symbols(factors, n_phi, operator).ravel(), grid, space, legendre)
         after = spin.harmonic_coefficients(
-            q_symbols(family.states, charge_block_image(blocks, operator)), grid, space,
-            legendre)
+            ring_q_symbols(factors, n_phi, charge_block_image(blocks, operator)).ravel(),
+            grid, space, legendre)
         for (l, m), value in before.coeffs.items():
             worst = max(worst, abs(after[(l, m)] - taus[l] * value))
     run.numeric("harmonic_damping", 0.0, worst, 1e-9)
@@ -179,9 +182,10 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
-    psi = fock.coherent_state_matrix(space, quad)
+    factors, weights = fock.ring_factors(space, quad)
+    n_angular = weights.shape[1]
     run.numeric("resolution_of_unity_disk", 0.0,
-                np.abs(resolution(psi, quad.weights)
+                np.abs(ring_resolution(factors, weights)
                        - fock.disk_identity_matrix(space, radius)).max(),
                 1e-9)
 
@@ -197,8 +201,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     worst = 0.0
     for m in range(5):
         for n in range(5 - m):
-            image = luders_image(
-                psi, quad.weights,
+            image = ring_luders_image(
+                factors, weights,
                 np.linalg.matrix_power(space.adag, m) @ np.linalg.matrix_power(space.a, n))
             prediction = fock.disk_monomial_image(space, m, n, radius)
             worst = max(worst, np.abs(image - prediction).max())
@@ -209,7 +213,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("lambda_q2_symbolic", 0.0, _largest_coefficient(lam_q2 - target), 0)
 
     q_op = (space.a + space.adag) / 2
-    grid_image = luders_image(psi, quad.weights, q_op @ q_op)
+    grid_image = ring_luders_image(factors, weights, q_op @ q_op)
     disk_pred = (
         fock.disk_monomial_image(space, 2, 0, radius)
         + fock.disk_monomial_image(space, 0, 2, radius)
@@ -220,7 +224,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     vb = fock.fock_coherent_state(space, beta)
     proj = np.outer(vb, vb.conj())
-    q_image = q_symbols(psi, luders_image(psi, quad.weights, proj))
+    q_image = ring_q_symbols(factors, n_angular,
+                             ring_luders_image(factors, weights, proj)).ravel()
     gaussian = 0.5 * np.exp(-np.abs(quad.alphas - beta) ** 2 / 2)
     window = np.abs(quad.alphas) <= 2.0
     run.numeric("q_projector_symbol", 0.0,

@@ -10,6 +10,12 @@ measurable mass to truncation at small dim: with labels drawn up to that
 bound, the `fock` command's coherent_overlap_law row reads 5.4e-4 at
 dim 8 and 6.7e-7 at dim 16.  guard_dim marks the sub-block where matrix
 arithmetic is truncation-safe.
+
+The plane grid is rings × a uniform angle grid, so `ring_factors` splits
+every grid state into a real ring factor and a phase e^{ikφ}; the grid
+helpers (`q_symbol_fock`, `grid_channel_apply`, `resolution_defect`,
+`verify_damping`) run on the ring core of `channel` from those factors.
+`coherent_state_matrix` still gives the dense (n_points, dim) matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln, xlogy
 
-from .channel import luders_image, q_symbols, resolution
+from .channel import ring_luders_image, ring_q_symbols, ring_resolution
 
 DEFAULT_DIM = 40
 DEFAULT_GUARD_MARGIN = 8
@@ -121,6 +127,10 @@ def plane_quadrature(space: FockSpace, radius: float = DEFAULT_RADIUS,
     """Gauss-Legendre nodes in r² on [0, radius²] × uniform angle grid."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if n_radial < 1 or n_angular < 1:
+        raise ValueError(
+            f"need at least 1 radial and 1 angular node, got {n_radial} and {n_angular}"
+        )
     if radius > np.sqrt(space.dim) / 2:
         raise TruncationError(
             f"radius {radius} exceeds sqrt(dim)/2 = {np.sqrt(space.dim) / 2:.3f}"
@@ -139,23 +149,50 @@ def coherent_state_matrix(space: FockSpace, quad: PlaneQuadrature) -> np.ndarray
     return _coherent_rows(space, quad.alphas)
 
 
+def ring_factors(space: FockSpace, quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """(F, W) of a rings × uniform-angle grid, for the ring core in `channel`.
+
+    F[r, k] = e^{−u/2} u^{k/2} / √k! at u = |α|² of ring r is the state at
+    the ring's φ = 0 node; the state at node (r, l) is F[r, k] e^{ikφ_l},
+    φ_l = 2πl/n_φ, and W[r, l] is its weight.  Raises ValueError unless
+    the nodes run ring by ring over a uniform φ-grid that starts at 0.
+    Any n_φ is accepted: the ring core reproduces the grid's sums,
+    aliasing included.
+    """
+    alphas = quad.alphas
+    mags = np.abs(alphas)
+    atol = 1e-12 * max(1.0, mags.max())
+    # the first node off the first ring ends the angle grid
+    n_angular = int(np.argmax(np.abs(mags - mags[0]) > atol)) or len(alphas)
+    if len(alphas) % n_angular:
+        raise ValueError("grid is not rings × a uniform phi grid")
+    alphas = alphas.reshape(-1, n_angular)
+    radii = alphas[:, 0].real
+    roots = np.exp(2j * pi * np.arange(n_angular) / n_angular)
+    if np.any(radii < 0) or not np.allclose(alphas, radii[:, None] * roots, rtol=0, atol=atol):
+        raise ValueError("grid is not rings × a uniform phi grid")
+    factors = _coherent_rows(space, radii).real
+    return factors, quad.weights.reshape(alphas.shape)
+
+
 def q_symbol_fock(space: FockSpace, operator: np.ndarray,
                   quad: PlaneQuadrature) -> np.ndarray:
     """Samples ⟨α_k|B|α_k⟩ on the quadrature nodes."""
-    return q_symbols(coherent_state_matrix(space, quad), operator)
+    factors, weights = ring_factors(space, quad)
+    return ring_q_symbols(factors, weights.shape[1], operator).ravel()
 
 
 def grid_channel_apply(space: FockSpace, quad: PlaneQuadrature,
                        operator: np.ndarray) -> np.ndarray:
     """Σ_k w_k ⟨α_k|B|α_k⟩ |α_k⟩⟨α_k|, the disk-discretized Lüders image."""
-    return luders_image(coherent_state_matrix(space, quad), quad.weights, operator)
+    return ring_luders_image(*ring_factors(space, quad), operator)
 
 
 def resolution_defect(space: FockSpace, quad: PlaneQuadrature,
                       block: int | None = None) -> float:
     """Max-entry deviation of Σ w|α⟩⟨α| from identity on the leading block."""
     block = space.guard_dim if block is None else block
-    rou = resolution(coherent_state_matrix(space, quad), quad.weights)
+    rou = ring_resolution(*ring_factors(space, quad))
     return float(np.abs(rou[:block, :block] - np.eye(space.dim)[:block, :block]).max())
 
 
@@ -240,9 +277,10 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     """
     if xi_points is None:
         xi_points = default_xi_points()
-    psi = coherent_state_matrix(space, quad)
-    source = q_symbols(psi, operator)
-    image = q_symbols(psi, luders_image(psi, quad.weights, operator))
+    factors, weights = ring_factors(space, quad)
+    source = ring_q_symbols(factors, weights.shape[1], operator).ravel()
+    image = ring_q_symbols(factors, weights.shape[1],
+                           ring_luders_image(factors, weights, operator)).ravel()
     src = xi_coefficients(source, quad, xi_points)
     img = xi_coefficients(image, quad, xi_points)
     flagged = np.abs(src.coeffs) < XI_FLOOR

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from luderskit import cli, spin
+from luderskit import channel, cli, fock, spin
 from luderskit.cli import run
 from luderskit.reports import ReportSchemaError, validate_report
 
@@ -55,6 +55,18 @@ def test_spin_command_builds_legendre_blocks_once(monkeypatch):
     monkeypatch.setattr(spin, "harmonic_blocks", counted)
     assert run(["spin", "--two-s", "3"]) == 0
     assert len(calls) == 1
+
+
+def test_fock_command_skips_the_dense_state_matrix(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense state-matrix path called")
+    monkeypatch.setattr(fock, "coherent_state_matrix", refuse)
+    for module in (channel, cli, fock):
+        for name in ("resolution", "q_symbols", "luders_image"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run(["fock", "--dim", "40", "--radius", "3"]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
 
 
 def test_fock_command_passes(tmp_path):

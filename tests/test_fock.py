@@ -18,6 +18,7 @@ from luderskit.fock import (
     plane_quadrature,
     q_symbol_fock,
     resolution_defect,
+    ring_factors,
     verify_damping,
     xi_coefficients,
 )
@@ -158,6 +159,33 @@ def test_quadrature_radius_precondition(space):
         plane_quadrature(space, radius=3.5)
     with pytest.raises(ValueError):
         plane_quadrature(space, radius=-1.0)
+
+
+@pytest.mark.parametrize("nodes", [{"n_radial": 0}, {"n_angular": 0}, {"n_radial": -3}])
+def test_quadrature_rejects_node_counts_below_one(space, nodes, recwarn):
+    with pytest.raises(ValueError, match="at least 1 radial and 1 angular node"):
+        plane_quadrature(space, **nodes)
+    assert not recwarn.list
+
+
+def test_ring_factors_accept_aliasing_and_reject_non_product_grids(space):
+    aliased = plane_quadrature(space, n_radial=5, n_angular=3)  # n_phi far below 2(dim - 1)
+    factors, weights = ring_factors(space, aliased)
+    assert factors.shape == (5, space.dim) and np.all(factors >= 0)
+    assert weights.shape == (5, 3) and np.array_equal(weights.ravel(), aliased.weights)
+    states = coherent_state_matrix(space, aliased)
+    assert np.abs(states[::3] - factors).max() < 1e-15  # the phi = 0 node of each ring
+    assert ring_factors(space, plane_quadrature(space, n_radial=4, n_angular=1))[1].shape == (4, 1)
+    shuffled = np.random.default_rng(0).permutation(len(aliased))
+    scrambled = PlaneQuadrature(aliased.alphas[shuffled], aliased.weights[shuffled],
+                                aliased.radius)
+    with pytest.raises(ValueError, match="rings"):
+        ring_factors(space, scrambled)
+    for turn in (0.1, pi):
+        rotated = PlaneQuadrature(aliased.alphas * np.exp(1j * turn), aliased.weights,
+                                  aliased.radius)
+        with pytest.raises(ValueError, match="rings"):
+            ring_factors(space, rotated)
 
 
 def test_resolution_matches_disk_integral(space, quad):

@@ -1,10 +1,21 @@
-"""Property tests of the spin charge blocks over random spins and grid sizings."""
+"""Property tests of the charge blocks and the ring core over random sizings."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luderskit.channel import charge_block_image, charge_block_spectrum, charge_blocks
+from luderskit import fock, spin
+from luderskit.channel import (
+    charge_block_image,
+    charge_block_spectrum,
+    charge_blocks,
+    luders_image,
+    q_symbols,
+    resolution,
+    ring_luders_image,
+    ring_q_symbols,
+    ring_resolution,
+)
 from luderskit.spin import SpinSpace, expected_spectrum, ring_factors, sphere_quadrature
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -57,3 +68,73 @@ def test_blocks_reject_weights_that_do_not_resolve_identity(two_s):
     factors, ring_weights = ring_factors(space, sphere_quadrature(space))
     with pytest.raises(ValueError, match="unital"):
         charge_blocks(factors, 1.001 * ring_weights)
+
+
+# --- the ring core against the dense core -------------------------------------------
+
+@st.composite
+def fock_grids(draw):
+    """A Fock space of 8..48 levels on a disk grid, aliased or alias-free.
+
+    n_angular lies in 1..3·dim; the grid is alias-free from 2·dim − 1 nodes on.
+    """
+    dim = draw(st.integers(8, 48))
+    space = fock.FockSpace(dim)
+    radius = draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2
+    n_angular = draw(st.one_of(st.integers(1, 2 * dim - 2), st.integers(2 * dim - 1, 3 * dim)))
+    quad = fock.plane_quadrature(space, radius, draw(st.integers(2, 12)), n_angular)
+    factors, weights = fock.ring_factors(space, quad)
+    return fock.coherent_state_matrix(space, quad), quad.weights, factors, weights
+
+
+@st.composite
+def spin_ring_grids(draw):
+    """The spin grids above as dense states and ring factors with node weights."""
+    space, grid = draw(spin_grids())
+    factors, _ = ring_factors(space, grid)
+    return (spin.coherent_state_matrix(space, grid), grid.weights, factors,
+            grid.weights.reshape(len(factors), -1))
+
+
+def random_operator(seed, dim):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def assert_close(actual, expected):
+    assert np.abs(actual - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def check_ring_core_against_dense_core(case, seed):
+    states, node_weights, factors, weights = case
+    operator = random_operator(seed, states.shape[1])
+    symbols = q_symbols(states, operator)
+    assert_close(ring_q_symbols(factors, weights.shape[1], operator).ravel(), symbols)
+    assert_close(ring_resolution(factors, weights), resolution(states, node_weights))
+    values = weights * symbols.reshape(weights.shape)
+    assert_close(ring_resolution(factors, values), resolution(states, values.ravel()))
+    assert_close(ring_luders_image(factors, weights, operator),
+                 luders_image(states, node_weights, operator))
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_ring_core_is_the_dense_core_on_fock_grids(case, seed):
+    check_ring_core_against_dense_core(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_ring_core_is_the_dense_core_on_spin_grids(case, seed):
+    check_ring_core_against_dense_core(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
+    space, grid = case
+    factors, ring_weights = ring_factors(space, grid)
+    operator = random_operator(seed, space.dim)
+    image = charge_block_image(charge_blocks(factors, ring_weights), operator)
+    assert_close(ring_luders_image(factors, grid.weights.reshape(len(factors), -1), operator),
+                 image)
