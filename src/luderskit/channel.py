@@ -13,18 +13,20 @@ adjoint because each POVM element equals its own square root).
 Both concrete families live on a product grid (rings × a uniform angle
 grid) whose states factor as ψ[i, k] = F[r(i), k] e^{ikφ(i)}, up to a
 per-row phase that cancels in |ψ⟩⟨ψ|, with φ(i) on the uniform grid
-2πl/n_φ.  On any such grid, aliased or not, `ring_q_symbols`,
-`ring_resolution` and `ring_luders_image` compute the same quadrature
-sums as `q_symbols`, `resolution` and `luders_image` from the ring
-factors F (n_r × D) and the node weights W (n_r × n_φ), one offset
-diagonal at a time, without the state matrix: O(n_r·D² + n_r·n_φ·D)
-per image against O(n_r·n_φ·D²).  When the angle grid is alias-free
-the channel preserves the U(1) charge q = j − k and acts on each offset
-diagonal b_q = (B[j, j−q])_j by one real symmetric (D−|q|)-square block;
-`charge_blocks`, `charge_block_image` and `charge_block_spectrum` give
-the channel, its image and its spectrum from those blocks: O(D³) memory
-and O(D⁴) time against the superoperator's O(D⁴) and O(D⁶).  The
-superoperator stays as the dense reference.
+2πl/n_φ.  `split_rings` owns that layout: every grid consumer works
+from its ring coordinates and node weights W (n_r × n_φ).  On any such
+grid, aliased or not, `ring_q_symbols`, `ring_resolution` and
+`ring_luders_image` compute the same quadrature sums as `q_symbols`,
+`resolution` and `luders_image` from the ring factors F (n_r × D) and
+W, one offset diagonal at a time, without the state matrix:
+O(n_r·D² + n_r·n_φ·D) per image against O(n_r·n_φ·D²).  When the angle
+grid is alias-free the channel preserves the U(1) charge q = j − k and
+acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
+(D−|q|)-square block; `charge_blocks`, `charge_block_image` and
+`charge_block_spectrum` give the channel, its image and its spectrum
+from those blocks: O(D³) memory and O(D⁴) time against the
+superoperator's O(D⁴) and O(D⁶).  The superoperator stays as the dense
+reference.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ class QuadratureError(ValueError):
     """A projector family fails its resolution-of-unity or weight invariants."""
 
 
+def _square(operator: np.ndarray, dim: int) -> np.ndarray:
+    """B as a complex array; raises ValueError unless it is dim × dim."""
+    operator = np.asarray(operator, dtype=complex)
+    if operator.shape != (dim, dim):
+        raise ValueError(f"operator shape {operator.shape} does not match dimension {dim}")
+    return operator
+
+
 def resolution(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Σ_i w_i |ψ_i⟩⟨ψ_i| for the states in the rows of `states`."""
     return (states.T * weights) @ states.conj()
@@ -52,11 +62,7 @@ def resolution(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def q_symbols(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
     """⟨ψ_i|B|ψ_i⟩ for every row ψ_i of `states`."""
-    operator = np.asarray(operator, dtype=complex)
-    dim = states.shape[1]
-    if operator.shape != (dim, dim):
-        raise ValueError(f"operator shape {operator.shape} does not match dim {dim}")
-    return ((states.conj() @ operator) * states).sum(axis=1)
+    return ((states.conj() @ _square(operator, states.shape[1])) * states).sum(axis=1)
 
 
 def luders_image(states: np.ndarray, weights: np.ndarray,
@@ -164,12 +170,7 @@ def build_luders_channel(family: WeightedProjectorFamily) -> SuperoperatorMatrix
 
 def apply_channel(chan: SuperoperatorMatrix, operator: np.ndarray) -> np.ndarray:
     """Return Λ(B) for a D×D matrix B."""
-    operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (chan.dim, chan.dim):
-        raise ValueError(
-            f"operator shape {operator.shape} does not match dimension {chan.dim}"
-        )
-    return unvec(chan.matrix @ vec(operator), chan.dim)
+    return unvec(chan.matrix @ vec(_square(operator, chan.dim)), chan.dim)
 
 
 def channel_spectrum(chan: SuperoperatorMatrix) -> SpectralReport:
@@ -228,12 +229,6 @@ def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:
 
 # --- U(1) charge blocks ---------------------------------------------------------
 
-def _charge_sector(dim: int, charge: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices (j, j − q) of the offset diagonal of charge q."""
-    rows = np.arange(max(charge, 0), dim + min(charge, 0))
-    return rows, rows - charge
-
-
 def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, bounds): the entries (j, k), j ≥ k, ordered by charge q = j − k.
 
@@ -248,6 +243,21 @@ def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols + charges, cols, bounds
 
 
+def _diagonal_pairs(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, bounds): per `_charge_pairs` entry, Re and Im of B[j, j−q], then of B[j−q, j]."""
+    rows, cols, bounds = _charge_pairs(len(operator))
+    return np.stack([operator[rows, cols], operator[cols, rows]], axis=1).view(float), bounds
+
+
+def _from_diagonal_pairs(entries: np.ndarray, dim: int) -> np.ndarray:
+    """The D×D matrix with B[j, j−q] = entries[p, 0] and B[j−q, j] = entries[p, 1]."""
+    rows, cols, _ = _charge_pairs(dim)
+    out = np.empty((dim, dim), dtype=complex)
+    out[rows, cols] = entries[:, 0]
+    out[cols, rows] = entries[:, 1]
+    return out
+
+
 def _ring_products(factors: np.ndarray):
     """Yield G_q[r, i] = F[r, i + q] F[r, i] for q = 0..D−1, in `_charge_pairs` order."""
     factors = np.asarray(factors, dtype=float)
@@ -256,15 +266,16 @@ def _ring_products(factors: np.ndarray):
         yield factors[:, charge:] * factors[:, :dim - charge]
 
 
-def charge_blocks(factors: np.ndarray, ring_weights: np.ndarray) -> dict:
-    """{q: M_q} for the family ψ[i, k] = F[r(i), k] e^{ikφ(i)} on an alias-free grid.
+def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
+    """{q: M_q} for ψ[r·n_φ + l, k] = F[r, k] e^{ikφ_l} with node weights W, alias-free.
 
-    M_q = G_qᵀ diag(w) G_q with G_q[r, j] = F[r, j] F[r, j−q] acts on the
-    charge-q offset diagonal of B.  M_{−q} is M_q on the same index pairs
-    shifted by q, so one array serves both.  Raises ValueError when M_0
-    is not unital within UNITALITY_TOL (the weights do not resolve I).
+    M_q = G_qᵀ diag(w) G_q with G_q[r, j] = F[r, j] F[r, j−q] and
+    w[r] = Σ_l W[r, l] acts on the charge-q offset diagonal of B.  M_{−q}
+    is M_q on the same index pairs shifted by q, so one array serves both.
+    Raises ValueError when M_0 is not unital within UNITALITY_TOL (the
+    weights do not resolve I).
     """
-    ring_weights = np.asarray(ring_weights, dtype=float)
+    ring_weights = np.asarray(weights, dtype=float).sum(axis=1)
     blocks = {}
     for charge, g in enumerate(_ring_products(factors)):
         blocks[charge] = blocks[-charge] = (g.T * ring_weights) @ g
@@ -275,16 +286,11 @@ def charge_blocks(factors: np.ndarray, ring_weights: np.ndarray) -> dict:
 
 
 def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
-    """Λ(B), offset diagonal by offset diagonal: b_q -> M_q b_q."""
-    dim = blocks[0].shape[0]
-    operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (dim, dim):
-        raise ValueError(f"operator shape {operator.shape} does not match dimension {dim}")
-    image = np.zeros_like(operator)
-    for charge, block in blocks.items():
-        rows, cols = _charge_sector(dim, charge)
-        image[rows, cols] = block @ operator[rows, cols]
-    return image
+    """Λ(B) charge by charge: one product M_q [b_q, b_−q] per q ≥ 0."""
+    dim = len(blocks[0])
+    pairs, bounds = _diagonal_pairs(_square(operator, dim))
+    images = [blocks[charge] @ pairs[bounds[charge]:bounds[charge + 1]] for charge in range(dim)]
+    return _from_diagonal_pairs(np.concatenate(images).view(complex), dim)
 
 
 def charge_block_spectrum(blocks: dict) -> SpectralReport:
@@ -310,6 +316,27 @@ def charge_block_spectrum(blocks: dict) -> SpectralReport:
 
 # --- ring factors: the quadrature sums of a product grid, aliasing included ------
 
+def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, W) of flat polar nodes ρe^{iφ} laid out as rings × a uniform φ-grid.
+
+    n_φ is the length of the first ring; node r·n_φ + l must sit at
+    radii[r]·e^{2πil/n_φ}, radii[r] ≥ 0, and W[r, l] is its weight.
+    Raises ValueError for any other layout.
+    """
+    mags = np.abs(points)
+    atol = 1e-12 * max(1.0, mags.max())
+    # the first node off the first ring ends the angle grid
+    n_angular = int(np.argmax(np.abs(mags - mags[0]) > atol)) or len(points)
+    if len(points) % n_angular == 0:
+        points = points.reshape(-1, n_angular)
+        radii = points[:, 0].real
+        roots = np.exp(2j * pi * np.arange(n_angular) / n_angular)
+        # max-abs, not allclose: this runs on every harmonic transform
+        if np.all(radii >= 0) and np.abs(points - radii[:, None] * roots).max() <= atol:
+            return radii, np.reshape(weights, points.shape)
+    raise ValueError("grid is not rings × a uniform phi grid")
+
+
 def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
     """E[q, l] = e^{−iqφ_l} for q = 0..D−1 and φ_l = 2πl/n_φ."""
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
@@ -324,12 +351,7 @@ def ring_q_symbols(factors: np.ndarray, n_angular: int,
     diagonal at a time, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
     dim = np.shape(factors)[1]
-    operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (dim, dim):
-        raise ValueError(f"operator shape {operator.shape} does not match dim {dim}")
-    rows, cols, bounds = _charge_pairs(dim)
-    # columns: Re and Im of B[j, j−q], then of B[j−q, j]
-    pairs = np.stack([operator[rows, cols], operator[cols, rows]], axis=1).view(float)
+    pairs, bounds = _diagonal_pairs(_square(operator, dim))
     sums = np.stack([g @ pairs[bounds[charge]:bounds[charge + 1]]
                      for charge, g in enumerate(_ring_products(factors))],
                     axis=1).view(complex)
@@ -346,18 +368,13 @@ def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     dim = np.shape(factors)[1]
     if values.ndim != 2 or values.shape[0] != len(factors):
-        raise ValueError(f"values must have shape ({len(factors)}, n_angular), "
-                         f"got {values.shape}")
+        raise ValueError(f"values must have shape ({len(factors)}, n_angular), got {values.shape}")
     phases = _angle_phases(dim, values.shape[1])
     # hats[q, r] holds Re and Im of V̂[r, q], then of V̂[r, −q]
     hats = np.stack([phases.conj() @ values.T, phases @ values.T], axis=2).view(float)
     entries = np.concatenate([g.T @ hats[charge]
                               for charge, g in enumerate(_ring_products(factors))]).view(complex)
-    rows, cols, _ = _charge_pairs(dim)
-    out = np.empty((dim, dim), dtype=complex)
-    out[rows, cols] = entries[:, 0]
-    out[cols, rows] = entries[:, 1]
-    return out
+    return _from_diagonal_pairs(entries, dim)
 
 
 def ring_luders_image(factors: np.ndarray, weights: np.ndarray,

@@ -32,7 +32,6 @@ from .channel import (
     charge_block_image,
     charge_block_spectrum,
     charge_blocks,
-    resolution,
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
@@ -105,25 +104,23 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
         raise UsageError(f"--two-s must lie in 1..{spin.MAX_TWO_S}, got {two_s}")
     space = SpinSpace(two_s)
     grid = spin.sphere_quadrature(space)
+    factors, weights = spin.ring_factors(space, grid)
     report = ReportDocument(
         command="spin",
         parameters={
             "two_s": two_s,
-            "n_theta": two_s + 1,
-            "n_phi": 2 * two_s + 1,
+            "n_theta": weights.shape[0],
+            "n_phi": weights.shape[1],
             "seed": _RNG_SEED,
         },
         version=__version__,
     )
     run = _CheckRunner(report, overrides)
 
-    family = spin.projector_family(space, grid)
     run.numeric("resolution_of_unity", 0.0,
-                np.abs(resolution(family.states, family.weights) - np.eye(space.dim)).max(),
-                1e-12)
+                np.abs(ring_resolution(factors, weights) - np.eye(space.dim)).max(), 1e-12)
 
-    factors, ring_weights = spin.ring_factors(space, grid)
-    blocks = charge_blocks(factors, ring_weights)
+    blocks = charge_blocks(factors, weights)
     spectral = charge_block_spectrum(blocks)
     expected = spin.expected_spectrum(space)
     run.numeric("spectrum_law", 0.0,
@@ -136,15 +133,14 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
 
     rng = np.random.default_rng(_RNG_SEED)
     taus = {l: spin.tau_spin(space, l) for l in range(two_s + 1)}
-    legendre = tuple(spin.harmonic_blocks(two_s, grid.thetas, grid.phis))
-    n_phi = len(grid) // len(factors)
+    legendre = tuple(spin.harmonic_blocks(two_s, *grid.rings[:2]))  # per ring, not per node
     worst = 0.0
     for _ in range(20):
         operator = _random_hermitian(rng, space.dim)
         before = spin.harmonic_coefficients(
-            ring_q_symbols(factors, n_phi, operator).ravel(), grid, space, legendre)
+            ring_q_symbols(factors, weights.shape[1], operator), grid, space, legendre)
         after = spin.harmonic_coefficients(
-            ring_q_symbols(factors, n_phi, charge_block_image(blocks, operator)).ravel(),
+            ring_q_symbols(factors, weights.shape[1], charge_block_image(blocks, operator)),
             grid, space, legendre)
         for (l, m), value in before.coeffs.items():
             worst = max(worst, abs(after[(l, m)] - taus[l] * value))
@@ -165,14 +161,15 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
         )
     space = fock.FockSpace(dim)
     quad = fock.plane_quadrature(space, radius=radius)
+    factors, weights = fock.ring_factors(space, quad)
     beta = 1.0
     report = ReportDocument(
         command="fock",
         parameters={
             "dim": dim,
             "radius": radius,
-            "n_radial": fock.DEFAULT_N_RADIAL,
-            "n_angular": fock.DEFAULT_N_ANGULAR,
+            "n_radial": weights.shape[0],
+            "n_angular": weights.shape[1],
             "beta": beta,
             "seed": _RNG_SEED,
         },
@@ -182,8 +179,6 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
-    factors, weights = fock.ring_factors(space, quad)
-    n_angular = weights.shape[1]
     run.numeric("resolution_of_unity_disk", 0.0,
                 np.abs(ring_resolution(factors, weights)
                        - fock.disk_identity_matrix(space, radius)).max(),
@@ -224,7 +219,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     vb = fock.fock_coherent_state(space, beta)
     proj = np.outer(vb, vb.conj())
-    q_image = ring_q_symbols(factors, n_angular,
+    q_image = ring_q_symbols(factors, weights.shape[1],
                              ring_luders_image(factors, weights, proj)).ravel()
     gaussian = 0.5 * np.exp(-np.abs(quad.alphas - beta) ** 2 / 2)
     window = np.abs(quad.alphas) <= 2.0
@@ -235,8 +230,9 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     for a_pt, b_pt in _label_pairs(rng, dim):
         va = fock.fock_coherent_state(space, a_pt)
         vb2 = fock.fock_coherent_state(space, b_pt)
-        proj_a = np.outer(va, va.conj())
-        lhs = np.vdot(vb2, (q_op @ proj_a - proj_a @ q_op) @ vb2)
+        # ⟨b|[q, P_a]|b⟩ = ⟨b|q|a⟩⟨a|b⟩ − ⟨b|a⟩⟨a|q|b⟩
+        overlap = np.vdot(va, vb2)
+        lhs = np.vdot(vb2, q_op @ va) * overlap - np.conj(overlap) * np.vdot(va, q_op @ vb2)
         rhs = 0.5 * ((a_pt - np.conj(a_pt)) - (b_pt - np.conj(b_pt))) \
             * np.exp(-abs(a_pt - b_pt) ** 2)
         worst = max(worst, abs(lhs - rhs))
@@ -299,8 +295,10 @@ def _parse_overrides(pairs) -> dict:
             raise UsageError(f"--tol-override expects NAME=VALUE, got {pair!r}")
         try:
             overrides[name] = float(value)
+            if not overrides[name] >= 0:  # false for nan too
+                raise ValueError
         except ValueError:
-            raise UsageError(f"tolerance override {pair!r} is not a number") from None
+            raise UsageError(f"tolerance override {pair!r} is not a non-negative number") from None
     return overrides
 
 

@@ -11,10 +11,10 @@ bound, the `fock` command's coherent_overlap_law row reads 5.4e-4 at
 dim 8 and 6.7e-7 at dim 16.  guard_dim marks the sub-block where matrix
 arithmetic is truncation-safe.
 
-The plane grid is rings × a uniform angle grid, so `ring_factors` splits
-every grid state into a real ring factor and a phase e^{ikφ}; the grid
-helpers (`q_symbol_fock`, `grid_channel_apply`, `resolution_defect`,
-`verify_damping`) run on the ring core of `channel` from those factors.
+The plane grid is rings × a uniform angle grid: `ring_factors` splits it
+with `channel.split_rings` into the (F, W) pair of the ring core, which
+the grid helpers (`q_symbol_fock`, `grid_channel_apply`,
+`resolution_defect`, `verify_damping`) run on.
 `coherent_state_matrix` still gives the dense (n_points, dim) matrix.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln, xlogy
 
-from .channel import ring_luders_image, ring_q_symbols, ring_resolution
+from .channel import ring_luders_image, ring_q_symbols, ring_resolution, split_rings
 
 DEFAULT_DIM = 40
 DEFAULT_GUARD_MARGIN = 8
@@ -154,25 +154,11 @@ def ring_factors(space: FockSpace, quad: PlaneQuadrature) -> tuple[np.ndarray, n
 
     F[r, k] = e^{−u/2} u^{k/2} / √k! at u = |α|² of ring r is the state at
     the ring's φ = 0 node; the state at node (r, l) is F[r, k] e^{ikφ_l},
-    φ_l = 2πl/n_φ, and W[r, l] is its weight.  Raises ValueError unless
-    the nodes run ring by ring over a uniform φ-grid that starts at 0.
-    Any n_φ is accepted: the ring core reproduces the grid's sums,
-    aliasing included.
+    φ_l = 2πl/n_φ, and W[r, l] its weight (`channel.split_rings`).  Any
+    n_φ is accepted: the ring core reproduces the grid's sums, aliasing included.
     """
-    alphas = quad.alphas
-    mags = np.abs(alphas)
-    atol = 1e-12 * max(1.0, mags.max())
-    # the first node off the first ring ends the angle grid
-    n_angular = int(np.argmax(np.abs(mags - mags[0]) > atol)) or len(alphas)
-    if len(alphas) % n_angular:
-        raise ValueError("grid is not rings × a uniform phi grid")
-    alphas = alphas.reshape(-1, n_angular)
-    radii = alphas[:, 0].real
-    roots = np.exp(2j * pi * np.arange(n_angular) / n_angular)
-    if np.any(radii < 0) or not np.allclose(alphas, radii[:, None] * roots, rtol=0, atol=atol):
-        raise ValueError("grid is not rings × a uniform phi grid")
-    factors = _coherent_rows(space, radii).real
-    return factors, quad.weights.reshape(alphas.shape)
+    radii, weights = split_rings(quad.alphas, quad.weights)
+    return _coherent_rows(space, radii).real, weights
 
 
 def q_symbol_fock(space: FockSpace, operator: np.ndarray,

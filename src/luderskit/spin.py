@@ -5,18 +5,20 @@ States |n⟩ are labelled by points of the unit sphere; the basis is
 state is the first basis vector.  The product quadrature (Gauss-Legendre
 in cos θ, uniform in φ) integrates every spherical harmonic up to its
 exact degree, which makes the discretized POVM resolve the identity to
-machine precision.
+machine precision.  Grid work runs ring by ring from the split in
+`SphereQuadrature.rings`: `ring_factors` (F, W) and the harmonic transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, pi
 
 import numpy as np
 
-from .channel import WeightedProjectorFamily, q_symbols
+from .channel import WeightedProjectorFamily, q_symbols, split_rings
 
 MAX_TWO_S = 50  # pinned by the tests; raising it is a change of its own
 
@@ -135,6 +137,15 @@ class SphereQuadrature:
     def points(self) -> list[SpherePoint]:
         return [SpherePoint(t, p) for t, p in zip(self.thetas, self.phis)]
 
+    @cached_property
+    def rings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (θ_r, φ_l, W[r, l]) from `channel.split_rings`, θ the radial coordinate."""
+        thetas, weights = split_rings(self.thetas * np.exp(1j * self.phis), self.weights)
+        phis = 2 * pi * np.arange(weights.shape[1]) / weights.shape[1]
+        for arr in (thetas, phis, weights):
+            arr.setflags(write=False)
+        return thetas, phis, weights
+
 
 def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
                       n_phi: int | None = None) -> SphereQuadrature:
@@ -163,27 +174,19 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
 
 
 def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """(F, w_ring) of a product grid, for `channel.charge_blocks`.
+    """(F, W) of a product grid, for `channel.charge_blocks` and the ring core.
 
     F[r, k] is the state at ring r and φ = 0, real and non-negative; the
-    state at angle φ is e^{−isφ} F[r, k] e^{ikφ}.  w_ring sums the weights
-    of each ring.  Raises ValueError unless the grid is rings × a uniform
-    φ-grid with equal weights per ring and n_φ > 2·two_s, the bound that
-    makes the φ-sum an exact Kronecker delta on the charge.
+    state at angle φ is e^{−isφ} F[r, k] e^{ikφ}; W from `grid.rings`.
+    Raises ValueError unless W has equal weights per ring and n_φ > 2·two_s,
+    the bound that makes the φ-sum an exact Kronecker delta on the charge.
     """
-    n_phi = int(np.count_nonzero(grid.thetas == grid.thetas[0]))
-    if n_phi <= 2 * space.two_s:
-        raise ValueError(f"need more than {2 * space.two_s} phi nodes, got {n_phi}")
-    if len(grid) % n_phi:
-        raise ValueError("grid is not rings × a uniform phi grid")
-    thetas, phis, weights = (np.reshape(a, (-1, n_phi))
-                             for a in (grid.thetas, grid.phis, grid.weights))
-    if (np.any(thetas != thetas[:, :1])
-            or not np.allclose(phis, 2 * pi * np.arange(n_phi) / n_phi, rtol=0, atol=1e-12)
-            or not np.allclose(weights, weights[:, :1], rtol=1e-12, atol=0)):
-        raise ValueError("grid is not rings × a uniform phi grid")
-    factors = _coherent_rows(space, thetas[:, 0], np.zeros(len(thetas))).real
-    return factors, weights.sum(axis=1)
+    thetas, _, weights = grid.rings
+    if weights.shape[1] <= 2 * space.two_s:
+        raise ValueError(f"need more than {2 * space.two_s} phi nodes, got {weights.shape[1]}")
+    if np.abs(weights - weights[:, :1]).max() > 1e-12 * weights.max():
+        raise ValueError("grid weights vary along a ring")
+    return _coherent_rows(space, thetas, np.zeros(len(thetas))).real, weights
 
 
 def q_symbol_spin(space: SpinSpace, operator: np.ndarray,
@@ -249,38 +252,34 @@ def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
                           space: SpinSpace, blocks=None) -> HarmonicCoefficients:
     """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m.
 
-    `blocks` holds the triples of harmonic_blocks(two_s, grid.thetas,
-    grid.phis), for callers that expand many symbols on one grid; they are
-    built here when omitted.
+    Each phase is summed against W∘Q over φ first, one value per ring.
+    `blocks` holds harmonic_blocks(two_s, θ_r, φ_l) of `grid.rings`, for
+    callers that expand many symbols on one grid; built here when omitted.
     """
-    lmax = space.two_s
     if grid.exact_degree < 2 * space.two_s:
-        raise ValueError(
-            f"grid exact degree {grid.exact_degree} is below the required "
-            f"{2 * space.two_s}; coefficients would alias"
-        )
-    scale = np.sqrt(4 * pi / (space.two_s + 1))
-    wq = grid.weights * np.asarray(samples)
+        raise ValueError(f"grid exact degree {grid.exact_degree} is below the required "
+                         f"{2 * space.two_s}; coefficients would alias")
+    thetas, phis, weights = grid.rings
+    wq = np.sqrt(4 * pi / (space.two_s + 1)) * weights * np.reshape(samples, weights.shape)
     coeffs = {}
     if blocks is None:
-        blocks = harmonic_blocks(lmax, grid.thetas, grid.phis)
+        blocks = harmonic_blocks(space.two_s, thetas, phis)
     for m, block, phase in blocks:
-        weighted = scale * wq * phase.conj()  # two real matmuls keep the block real
-        column = weighted.real @ block + 1j * (weighted.imag @ block)
+        ring = wq @ phase.conj()
+        column = ring.real @ block + 1j * (ring.imag @ block)  # the block stays real
         coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(column))
     return HarmonicCoefficients(space.two_s, coeffs)
 
 
 def reconstruct_q_symbol(coeffs: HarmonicCoefficients,
                          grid: SphereQuadrature) -> np.ndarray:
-    """Invert harmonic_coefficients: Q(n_k) = sqrt(4π/(2s+1)) Σ B_lm Y_lm(n_k)."""
+    """Invert harmonic_coefficients: Q(n_k) = sqrt(4π/(2s+1)) Σ B_lm Y_lm(n_k), ring by ring."""
     lmax = coeffs.two_s
-    scale = np.sqrt(4 * pi / (lmax + 1))
-    out = np.zeros(len(grid), dtype=complex)
-    for m, block, phase in harmonic_blocks(lmax, grid.thetas, grid.phis):
+    out = np.zeros(grid.rings[2].shape, dtype=complex)
+    for m, block, phase in harmonic_blocks(lmax, *grid.rings[:2]):
         c_m = np.array([coeffs[(l, m)] for l in range(abs(m), lmax + 1)])
-        out += phase * (block @ c_m.real + 1j * (block @ c_m.imag))
-    return scale * out
+        out += np.outer(block @ c_m.real + 1j * (block @ c_m.imag), phase)
+    return np.sqrt(4 * pi / (lmax + 1)) * out.ravel()
 
 
 # --- damping factors ----------------------------------------------------------

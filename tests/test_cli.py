@@ -57,6 +57,31 @@ def test_spin_command_builds_legendre_blocks_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_spin_command_builds_no_state_matrix_or_projector_family(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-node spin path called")
+    monkeypatch.setattr(spin, "projector_family", refuse)
+    monkeypatch.setattr(spin, "coherent_state_matrix", refuse)
+    for module in (channel, cli, spin):
+        for name in ("resolution", "q_symbols", "luders_image"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run(["spin", "--two-s", "3"]) == 0
+    assert "5/5 checks passed" in capsys.readouterr().out
+
+
+def test_spin_command_builds_legendre_blocks_on_the_rings(monkeypatch):
+    sizes = []
+    original = spin.harmonic_blocks
+
+    def recorded(lmax, thetas, phis):
+        sizes.append((len(thetas), len(phis)))
+        return original(lmax, thetas, phis)
+    monkeypatch.setattr(spin, "harmonic_blocks", recorded)
+    assert run(["spin", "--two-s", "4"]) == 0
+    assert sizes == [(5, 9)]  # two_s + 1 rings, 2·two_s + 1 phi nodes
+
+
 def test_fock_command_skips_the_dense_state_matrix(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("dense state-matrix path called")
@@ -148,6 +173,13 @@ def test_tolerance_override_malformed_or_unknown():
     assert run(["spin", "--two-s", "2", "--tol-override", "spectrum_law"]) == 2
     assert run(["spin", "--two-s", "2", "--tol-override", "nope=1e-3"]) == 2
     assert run(["spin", "--two-s", "2", "--tol-override", "spectrum_law=abc"]) == 2
+
+
+def test_tolerance_override_rejects_nan_and_negative_values(capsys):
+    for value in ("nan", "-1", "-inf"):
+        assert run(["spin", "--two-s", "2", "--tol-override", f"spectrum_law={value}"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+    assert run(["spin", "--two-s", "2", "--tol-override", "spectrum_law=inf"]) == 0
 
 
 def test_reports_byte_stable_without_timestamp(tmp_path):

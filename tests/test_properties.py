@@ -1,4 +1,4 @@
-"""Property tests of the charge blocks and the ring core over random sizings."""
+"""Property tests of the grid split, the charge blocks and the ring core over random sizings."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from luderskit.channel import (
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
+    split_rings,
 )
 from luderskit.spin import SpinSpace, expected_spectrum, ring_factors, sphere_quadrature
 
@@ -138,3 +139,55 @@ def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
     image = charge_block_image(charge_blocks(factors, ring_weights), operator)
     assert_close(ring_luders_image(factors, grid.weights.reshape(len(factors), -1), operator),
                  image)
+
+
+# --- the one split and the ring-by-ring harmonic transform ----------------------------
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_ring_harmonic_coefficients_are_the_per_node_sum(case, seed):
+    space, grid = case
+    samples = spin.q_symbol_spin(space, random_operator(seed, space.dim), grid)
+    coeffs = spin.harmonic_coefficients(samples, grid, space)
+    scale = np.sqrt(4 * np.pi / space.dim)
+    direct = {(l, m): scale * np.sum(grid.weights * samples
+                                     * spin.sph_harm_values(l, m, grid.thetas, grid.phis).conj())
+              for l in range(space.two_s + 1) for m in range(-l, l + 1)}
+    assert set(coeffs.coeffs) == set(direct)
+    largest = max(abs(value) for value in direct.values())
+    assert max(abs(coeffs[key] - value) for key, value in direct.items()) <= 1e-12 * max(1.0, largest)
+
+
+@st.composite
+def split_cases(draw):
+    """Flat polar nodes of a spin or disk grid (at least 2 phi nodes), their rings and W."""
+    if draw(st.booleans()):
+        space, grid = draw(spin_grids())
+        n_theta = len(np.unique(grid.thetas))
+        thetas = np.arccos(np.polynomial.legendre.leggauss(n_theta)[0])
+        return grid.thetas * np.exp(1j * grid.phis), grid.weights, thetas, n_theta
+    dim = draw(st.integers(8, 48))
+    space = fock.FockSpace(dim)
+    radius = draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2
+    n_radial = draw(st.integers(2, 12))
+    quad = fock.plane_quadrature(space, radius, n_radial, draw(st.integers(2, 3 * dim)))
+    u = 0.5 * (np.polynomial.legendre.leggauss(n_radial)[0] + 1.0) * radius**2
+    return quad.alphas, quad.weights, np.sqrt(u), n_radial
+
+
+@DETERMINISTIC
+@given(split_cases(), st.integers(0, 2**32 - 1))
+def test_split_rings_recovers_the_rings_and_rejects_permuted_grids(case, seed):
+    points, weights, radii, n_rings = case
+    found, ring_weights = split_rings(points, weights)
+    assert np.abs(found - radii).max() <= 1e-12 * max(1.0, radii.max())
+    assert ring_weights.shape == (n_rings, len(points) // n_rings)
+    assert np.array_equal(ring_weights.ravel(), weights)
+    # swap two neighbours on one ring: a permutation no rings layout allows
+    rng = np.random.default_rng(seed)
+    n_phi = ring_weights.shape[1]
+    first = rng.integers(n_rings) * n_phi + rng.integers(n_phi - 1)
+    order = np.arange(len(points))
+    order[[first, first + 1]] = order[[first + 1, first]]
+    with pytest.raises(ValueError, match="rings"):
+        split_rings(points[order], weights[order])

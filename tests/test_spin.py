@@ -187,6 +187,25 @@ def test_ring_factors_reject_aliasing_and_non_product_grids():
     assert abs(ring_weights.sum() - space.dim) < 1e-12
 
 
+def test_ring_factors_reject_weights_that_vary_along_a_ring():
+    space = SpinSpace(3)
+    grid = sphere_quadrature(space)
+    tilted = grid.weights * (1 + 1e-6 * np.cos(grid.phis))  # same total per ring
+    with pytest.raises(ValueError, match="vary along a ring"):
+        ring_factors(space, SphereQuadrature(grid.thetas, grid.phis, tilted, grid.exact_degree))
+
+
+def test_rings_are_split_once_and_read_only():
+    space = SpinSpace(4)
+    grid = sphere_quadrature(space)
+    assert grid.rings is grid.rings
+    thetas, phis, weights = grid.rings
+    assert (len(thetas), len(phis), weights.shape) == (5, 9, (5, 9))
+    for arr in grid.rings:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_points_property_round_trips():
     grid = sphere_quadrature(SpinSpace(1))
     points = grid.points
@@ -314,6 +333,19 @@ def test_harmonic_coefficients_match_direct_quadrature(two_s):
             assert abs(coeffs[(l, m)] - direct) < 1e-12, (l, m)
             expected_keys.add((l, m))
     assert set(coeffs.coeffs) == expected_keys
+
+
+def test_harmonic_transform_rejects_grids_that_are_not_rings():
+    space = SpinSpace(3)
+    grid = sphere_quadrature(space)
+    shuffled = np.random.default_rng(1).permutation(len(grid))
+    scrambled = SphereQuadrature(grid.thetas[shuffled], grid.phis[shuffled],
+                                 grid.weights[shuffled], grid.exact_degree)
+    samples = np.ones(len(grid))
+    with pytest.raises(ValueError, match="rings"):
+        harmonic_coefficients(samples, scrambled, space)
+    with pytest.raises(ValueError, match="rings"):
+        reconstruct_q_symbol(harmonic_coefficients(samples, grid, space), scrambled)
 
 
 def test_coarse_grid_rejected_for_coefficients():
