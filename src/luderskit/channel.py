@@ -32,6 +32,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -41,6 +42,7 @@ RESOLUTION_TOL = 1e-10
 UNITALITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 FIXED_POINT_TOL = 1e-7  # eigenvalue window around 1; spectral gaps exceed 1e-1
+TABLE_CACHE_SIZE = 16  # per-size index and phase tables kept by the ring core
 
 
 class QuadratureError(ValueError):
@@ -229,8 +231,14 @@ def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:
 
 # --- U(1) charge blocks ---------------------------------------------------------
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, bounds): the entries (j, k), j ≥ k, ordered by charge q = j − k.
+    """Read-only (rows, cols, bounds): the entries (j, k), j ≥ k, ordered by charge q = j − k.
 
     Charge q owns the entries bounds[q]:bounds[q + 1], which run along its
     offset diagonal; entry p also stands for the entry (cols_p, rows_p) of
@@ -240,7 +248,7 @@ def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bounds = np.r_[0, np.cumsum(lengths)]
     charges = np.repeat(np.arange(dim), lengths)
     cols = np.arange(bounds[-1]) - bounds[charges]
-    return cols + charges, cols, bounds
+    return _frozen(cols + charges), _frozen(cols), _frozen(bounds)
 
 
 def _diagonal_pairs(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,10 +345,11 @@ def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     raise ValueError("grid is not rings × a uniform phi grid")
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
-    """E[q, l] = e^{−iqφ_l} for q = 0..D−1 and φ_l = 2πl/n_φ."""
+    """Read-only E[q, l] = e^{−iqφ_l} for q = 0..D−1 and φ_l = 2πl/n_φ."""
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
-    return roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
+    return _frozen(roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular])
 
 
 def ring_q_symbols(factors: np.ndarray, n_angular: int,

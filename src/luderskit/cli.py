@@ -61,12 +61,11 @@ def _largest_coefficient(poly) -> float:
 
 
 def _label_pairs(rng, dim):
-    """Random label pairs with |α| < min(2, sqrt(dim)/2), inside check_label's dim/4."""
+    """Labels a, b (arrays of 50) with |α| < min(2, sqrt(dim)/2), inside check_label's dim/4."""
     bound = min(2.0, np.sqrt(dim) / 2)
-    for _ in range(50):
-        a_pt = rng.uniform(0, bound) * np.exp(2j * np.pi * rng.uniform())
-        b_pt = rng.uniform(0, bound) * np.exp(2j * np.pi * rng.uniform())
-        yield a_pt, b_pt
+    draws = rng.uniform(size=(50, 2, 2))  # per pair: |a|, arg a, |b|, arg b
+    labels = bound * draws[..., 0] * np.exp(2j * np.pi * draws[..., 1])
+    return labels[:, 0], labels[:, 1]
 
 
 class _CheckRunner:
@@ -132,18 +131,14 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     run.numeric("fixed_point_identity", 0.0, np.abs(residual).max(), 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
-    taus = {l: spin.tau_spin(space, l) for l in range(two_s + 1)}
-    legendre = tuple(spin.harmonic_blocks(two_s, *grid.rings[:2]))  # per ring, not per node
-    worst = 0.0
-    for _ in range(20):
-        operator = _random_hermitian(rng, space.dim)
-        before = spin.harmonic_coefficients(
-            ring_q_symbols(factors, weights.shape[1], operator), grid, space, legendre)
-        after = spin.harmonic_coefficients(
-            ring_q_symbols(factors, weights.shape[1], charge_block_image(blocks, operator)),
-            grid, space, legendre)
-        for (l, m), value in before.coeffs.items():
-            worst = max(worst, abs(after[(l, m)] - taus[l] * value))
+    operators = [_random_hermitian(rng, space.dim) for _ in range(20)]
+    operators += [charge_block_image(blocks, operator) for operator in operators]
+    symbols = np.array([ring_q_symbols(factors, weights.shape[1], operator).ravel()
+                        for operator in operators])
+    # rows 0..19 expand B, rows 20..39 expand Λ(B)
+    coeffs = spin.harmonic_coefficients(symbols, grid, space).coeffs
+    worst = max(np.abs(c[20:] - spin.tau_spin(space, l) * c[:20]).max()
+                for (l, _), c in coeffs.items())
     run.numeric("harmonic_damping", 0.0, worst, 1e-9)
 
     run.finish()
@@ -185,22 +180,16 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
                 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
-    worst = 0.0
-    for a_pt, b_pt in _label_pairs(rng, dim):
-        va = fock.fock_coherent_state(space, a_pt)
-        vb = fock.fock_coherent_state(space, b_pt)
-        worst = max(worst, abs(abs(np.vdot(va, vb)) ** 2
-                               - np.exp(-abs(a_pt - b_pt) ** 2)))
-    run.numeric("coherent_overlap_law", 0.0, worst, 1e-9)
+    a_pts, b_pts = _label_pairs(rng, dim)
+    va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
+    overlaps = (va.conj() * vb).sum(axis=1)
+    run.numeric("coherent_overlap_law", 0.0,
+                np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
-    worst = 0.0
-    for m in range(5):
-        for n in range(5 - m):
-            image = ring_luders_image(
-                factors, weights,
-                np.linalg.matrix_power(space.adag, m) @ np.linalg.matrix_power(space.a, n))
-            prediction = fock.disk_monomial_image(space, m, n, radius)
-            worst = max(worst, np.abs(image - prediction).max())
+    worst = max(np.abs(ring_luders_image(factors, weights, np.linalg.matrix_power(space.adag, m)
+                                         @ np.linalg.matrix_power(space.a, n))
+                       - fock.disk_monomial_image(space, m, n, radius)).max()
+                for m in range(5) for n in range(5 - m))
     run.numeric("grid_vs_symbolic_disk", 0.0, worst, 1e-9)
 
     lam_q2 = ordering.luders_symbolic(ordering.normal_order("q^2"))
@@ -226,17 +215,15 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("q_projector_symbol", 0.0,
                 np.abs(q_image - gaussian)[window].max(), 2e-3)
 
-    worst = 0.0
-    for a_pt, b_pt in _label_pairs(rng, dim):
-        va = fock.fock_coherent_state(space, a_pt)
-        vb2 = fock.fock_coherent_state(space, b_pt)
-        # ⟨b|[q, P_a]|b⟩ = ⟨b|q|a⟩⟨a|b⟩ − ⟨b|a⟩⟨a|q|b⟩
-        overlap = np.vdot(va, vb2)
-        lhs = np.vdot(vb2, q_op @ va) * overlap - np.conj(overlap) * np.vdot(va, q_op @ vb2)
-        rhs = 0.5 * ((a_pt - np.conj(a_pt)) - (b_pt - np.conj(b_pt))) \
-            * np.exp(-abs(a_pt - b_pt) ** 2)
-        worst = max(worst, abs(lhs - rhs))
-    run.numeric("commutator_formula", 0.0, worst, 1e-8)
+    a_pts, b_pts = _label_pairs(rng, dim)
+    va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
+    # ⟨b|[q, P_a]|b⟩ = ⟨b|q|a⟩⟨a|b⟩ − ⟨b|a⟩⟨a|q|b⟩, one row per label pair
+    overlaps = (va.conj() * vb).sum(axis=1)
+    lhs = ((vb.conj() * (va @ q_op.T)).sum(axis=1) * overlaps
+           - overlaps.conj() * (va.conj() * (vb @ q_op.T)).sum(axis=1))
+    rhs = 0.5 * ((a_pts - a_pts.conj()) - (b_pts - b_pts.conj())) \
+        * np.exp(-np.abs(a_pts - b_pts) ** 2)
+    run.numeric("commutator_formula", 0.0, np.abs(lhs - rhs).max(), 1e-8)
 
     damping = fock.verify_damping(space, proj, quad)
     run.numeric("damping_ratio_gap", 0.0, damping.max_deviation, 0.75)

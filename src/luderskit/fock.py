@@ -2,9 +2,9 @@
 
 The disk quadrature realizes the coherent-state POVM integral over
 |α| <= radius only, so identity-type statements hold on the low Fock
-levels that disk actually populates; the analytic disk-limit predictions
-below (regularized incomplete-gamma factors) are the right comparison
-targets for grid output, while infinite-plane statements carry an
+levels that disk actually populates; the closed-form disk-limit images
+below (entries times regularized incomplete-gamma factors) are the right
+comparison targets for grid output, while infinite-plane statements carry an
 irreducible e^(-R²)-scale gap.  States with |α|² <= dim/4 still lose
 measurable mass to truncation at small dim: with labels drawn up to that
 bound, the `fock` command's coherent_overlap_law row reads 5.4e-4 at
@@ -15,7 +15,8 @@ The plane grid is rings × a uniform angle grid: `ring_factors` splits it
 with `channel.split_rings` into the (F, W) pair of the ring core, which
 the grid helpers (`q_symbol_fock`, `grid_channel_apply`,
 `resolution_defect`, `verify_damping`) run on.
-`coherent_state_matrix` still gives the dense (n_points, dim) matrix.
+`coherent_state_matrix` still gives the dense (n_points, dim) matrix, and
+`fock_coherent_state` one row per label of an array of labels.
 """
 
 from __future__ import annotations
@@ -67,27 +68,27 @@ class FockSpace:
     def adag(self) -> np.ndarray:
         return self._a.conj().T
 
-    def check_label(self, alpha: complex):
-        if abs(alpha) ** 2 > self.dim / 4:
-            raise TruncationError(
-                f"|alpha|^2 = {abs(alpha) ** 2:.3f} exceeds dim/4 = {self.dim / 4}"
-            )
+    def check_label(self, alpha):
+        """Raise TruncationError unless max |α|² <= dim/4 over a label or an array of labels."""
+        largest = np.max(np.abs(alpha) ** 2, initial=0.0)
+        if largest > self.dim / 4:
+            raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds dim/4 = {self.dim / 4}")
 
 
 def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
-    """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, one per label α."""
+    """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, on a new last axis of the labels α."""
     k = np.arange(space.dim)
-    mags = np.abs(alphas)[:, None]
+    mags = np.abs(alphas)[..., None]
     # log-domain magnitudes avoid factorial overflow at high dim; xlogy(0, 0) = 0 gives |0⟩
-    log_mag = -mags**2 / 2 + xlogy(k[None, :], mags) - gammaln(k + 1)[None, :] / 2
-    phases = np.exp(1j * k[None, :] * np.angle(alphas)[:, None])
+    log_mag = -mags**2 / 2 + xlogy(k, mags) - gammaln(k + 1) / 2
+    phases = np.exp(1j * k * np.angle(alphas)[..., None])
     return np.exp(log_mag) * phases
 
 
-def fock_coherent_state(space: FockSpace, alpha: complex) -> np.ndarray:
-    """The coherent state |α⟩ on the truncated space."""
+def fock_coherent_state(space: FockSpace, alpha) -> np.ndarray:
+    """|α⟩ on the truncated space: 1-D for a scalar label, one row per label for an array."""
     space.check_label(alpha)
-    return _coherent_rows(space, np.array([complex(alpha)]))[0]
+    return _coherent_rows(space, np.asarray(alpha, dtype=complex))
 
 
 def displacement_matrix(space: FockSpace, alpha: complex) -> np.ndarray:
@@ -190,18 +191,19 @@ def disk_identity_matrix(space: FockSpace, radius: float) -> np.ndarray:
 
 
 def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
-    """Continuum disk-channel image of a†^m a^n.
+    """Continuum disk-channel image of a†^m a^n, from its closed form.
 
-    Over the whole plane the image is a^n a†^m; restricting the integral
-    to |α| <= R multiplies each nonzero entry (j, k), j = k + m - n, by
-    the regularized incomplete gamma P(m + k + 1, R²).
+    Over the whole plane the image is a^n a†^m; the disk |α| <= R scales
+    entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
+    For max(n − m, 0) <= k < dim − m that entry is ∏_{i=1..m} √(k+i) ·
+    ∏_{i=0..n−1} √(k+m−i) · P, multiplied in floats (integer products overflow int64).
     """
-    exact = np.linalg.matrix_power(space.a, n) @ np.linalg.matrix_power(space.adag, m)
-    out = np.zeros_like(exact)
-    for kk in range(space.dim):
-        j = kk + m - n
-        if 0 <= j < space.dim:
-            out[j, kk] = exact[j, kk] * gammainc(m + kk + 1, radius**2)
+    k = np.arange(max(n - m, 0), space.dim - m)
+    values = (np.sqrt(k[:, None] + np.arange(1, m + 1)).prod(axis=1)
+              * np.sqrt(k[:, None] + m - np.arange(n)).prod(axis=1)
+              * gammainc(m + k + 1, radius**2))
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[k + m - n, k] = values
     return out
 
 

@@ -6,7 +6,8 @@ state is the first basis vector.  The product quadrature (Gauss-Legendre
 in cos θ, uniform in φ) integrates every spherical harmonic up to its
 exact degree, which makes the discretized POVM resolve the identity to
 machine precision.  Grid work runs ring by ring from the split in
-`SphereQuadrature.rings`: `ring_factors` (F, W) and the harmonic transform.
+`SphereQuadrature.rings`: `ring_factors` (F, W) and the harmonic
+transform, which expands a whole stack of symbols in one pass.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class HarmonicCoefficients:
-    """Expansion coefficients B_lm of a Q-symbol, 0 <= l <= 2s, |m| <= l."""
+    """Coefficients B_lm of a Q-symbol, 0 <= l <= 2s, |m| <= l: scalars, or arrays over a stack."""
 
     two_s: int
     coeffs: dict
@@ -249,25 +250,26 @@ class HarmonicCoefficients:
 
 
 def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
-                          space: SpinSpace, blocks=None) -> HarmonicCoefficients:
+                          space: SpinSpace) -> HarmonicCoefficients:
     """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m.
 
-    Each phase is summed against W∘Q over φ first, one value per ring.
-    `blocks` holds harmonic_blocks(two_s, θ_r, φ_l) of `grid.rings`, for
-    callers that expand many symbols on one grid; built here when omitted.
+    `samples` has shape (..., n_nodes), the flat node axis last as from
+    `q_symbol_spin`; each B_lm has the leading shape, so a stack of symbols
+    shares one pass over the Legendre blocks (a ring-shaped (n_r, n_φ)
+    array raises ValueError).  Each phase is summed against W∘Q over φ
+    first, one value per ring.
     """
     if grid.exact_degree < 2 * space.two_s:
         raise ValueError(f"grid exact degree {grid.exact_degree} is below the required "
                          f"{2 * space.two_s}; coefficients would alias")
     thetas, phis, weights = grid.rings
-    wq = np.sqrt(4 * pi / (space.two_s + 1)) * weights * np.reshape(samples, weights.shape)
+    wq = np.sqrt(4 * pi / (space.two_s + 1)) * weights * np.reshape(
+        samples, np.shape(samples)[:-1] + weights.shape)
     coeffs = {}
-    if blocks is None:
-        blocks = harmonic_blocks(space.two_s, thetas, phis)
-    for m, block, phase in blocks:
+    for m, block, phase in harmonic_blocks(space.two_s, thetas, phis):
         ring = wq @ phase.conj()
         column = ring.real @ block + 1j * (ring.imag @ block)  # the block stays real
-        coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(column))
+        coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(np.moveaxis(column, -1, 0)))
     return HarmonicCoefficients(space.two_s, coeffs)
 
 

@@ -57,6 +57,30 @@ def test_spin_command_builds_legendre_blocks_once(monkeypatch):
     assert len(calls) == 1
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_spin_command_expands_all_harmonics_in_one_call(monkeypatch):
+    calls = counting(monkeypatch, spin, "harmonic_coefficients")
+    assert run(["spin", "--two-s", "3"]) == 0
+    assert len(calls) == 1
+
+
+def test_fock_command_builds_label_states_as_matrices(monkeypatch):
+    calls = counting(monkeypatch, fock, "fock_coherent_state")
+    assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
+    assert len(calls) <= 5
+
+
 def test_spin_command_builds_no_state_matrix_or_projector_family(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("per-node spin path called")

@@ -86,6 +86,24 @@ def test_coherent_norm_under_precondition(space):
         assert np.linalg.norm(fock_coherent_state(space, alpha)) >= 1 - 1e-10
 
 
+def test_label_array_gives_the_single_label_states_exactly(space):
+    rng = np.random.default_rng(21)
+    labels = rng.uniform(0, np.sqrt(space.dim) / 2, size=(4, 3)) \
+        * np.exp(2j * pi * rng.uniform(size=(4, 3)))
+    states = fock_coherent_state(space, labels)
+    assert states.shape == (4, 3, space.dim)
+    for index in np.ndindex(labels.shape):
+        assert np.array_equal(states[index], fock_coherent_state(space, labels[index]))
+
+
+def test_label_array_truncation_error_when_any_label_is_too_large(space):
+    labels = np.full(6, 1.0 + 0.5j)
+    fock_coherent_state(space, labels)
+    labels[4] = 3.2  # |alpha|^2 = 10.24 > dim/4 = 10
+    with pytest.raises(TruncationError):
+        fock_coherent_state(space, labels)
+
+
 def test_coherent_truncation_error(space):
     with pytest.raises(TruncationError):
         fock_coherent_state(space, 3.5)  # |alpha|^2 = 12.25 > 10

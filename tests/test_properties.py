@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc
 
 from luderskit import fock, spin
 from luderskit.channel import (
@@ -156,6 +157,51 @@ def test_ring_harmonic_coefficients_are_the_per_node_sum(case, seed):
     assert set(coeffs.coeffs) == set(direct)
     largest = max(abs(value) for value in direct.values())
     assert max(abs(coeffs[key] - value) for key, value in direct.items()) <= 1e-12 * max(1.0, largest)
+
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_harmonic_coefficients_are_the_single_symbol_ones(case, seed):
+    space, grid = case
+    stack = np.array([spin.q_symbol_spin(space, random_operator(seed + i, space.dim), grid)
+                      for i in range(3)])
+    stacked = spin.harmonic_coefficients(stack, grid, space)
+    singles = [spin.harmonic_coefficients(samples, grid, space) for samples in stack]
+    assert set(stacked.coeffs) == set(singles[0].coeffs)
+    for key, values in stacked.coeffs.items():
+        expected = np.array([single[key] for single in singles])
+        assert values.shape == (3,)
+        assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+    column = spin.harmonic_coefficients(stack[:, None, :], grid, space)
+    assert column[(0, 0)].shape == (3, 1)
+    with pytest.raises(ValueError):  # ring-shaped, not one flat symbol
+        spin.harmonic_coefficients(stack[0].reshape(grid.rings[2].shape), grid, space)
+
+
+# --- the closed-form disk reference ------------------------------------------------
+
+def dense_disk_monomial(space, m, n, radius):
+    """Oracle: a^n a†^m by dense matrix powers, column k scaled by P(m + k + 1, R²)."""
+    exact = np.linalg.matrix_power(space.a, n) @ np.linalg.matrix_power(space.adag, m)
+    return exact * gammainc(m + np.arange(space.dim) + 1, radius**2)
+
+
+@st.composite
+def disk_monomials(draw):
+    """dim 2..48, a radius up to sqrt(dim), and exponents m, n in 0..dim + 1."""
+    dim = draw(st.integers(2, 48))
+    radius = draw(st.floats(0.01, 1.0)) * np.sqrt(dim)
+    return fock.FockSpace(dim), draw(st.integers(0, dim + 1)), draw(st.integers(0, dim + 1)), radius
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(disk_monomials())
+def test_closed_form_disk_image_is_the_dense_product(case):
+    space, m, n, radius = case
+    closed = fock.disk_monomial_image(space, m, n, radius)
+    expected = dense_disk_monomial(space, m, n, radius)
+    assert closed.shape == expected.shape
+    assert np.all(np.abs(closed - expected) <= 1e-13 * np.abs(expected) + np.finfo(float).tiny)
 
 
 @st.composite
