@@ -6,7 +6,7 @@ particle channel against analytic disk-limit predictions and the exact
 symbolic map, and `order` runs the exact ordering engine on an operator
 expression.  Exit status 0 means every check passed; 1 means a check
 failed; 2 means the invocation itself was invalid (bad sizing, malformed
-expression or override).
+expression or override, or an expression past the degree cap).
 
 Grid tolerances in `fock` were fixed by oracle runs at the default
 sizing (dim=40, radius=3): comparisons against disk-limit predictions
@@ -36,7 +36,7 @@ from .channel import (
     ring_q_symbols,
     ring_resolution,
 )
-from .expr import ParseError
+from .expr import MAX_DEGREE, ParseError
 from .reports import ReportDocument, ReportSchemaError
 from .spin import SpinSpace
 
@@ -241,11 +241,12 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
     anti = ordering.anti_normal_order(poly)
     luders = ordering.luders_symbolic(poly)
     well = ordering.is_well_ordered(poly)
+    normal_form = poly.to_source()
     report = ReportDocument(
         command="order",
         parameters={
             "expression": expression,
-            "normal_form": poly.to_source(),
+            "normal_form": normal_form,
             "anti_normal_form": anti.to_source(),
             "luders_image": luders.to_source(),
             "well_ordered": "true" if well else "false",
@@ -255,8 +256,8 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
     )
     run = _CheckRunner(report, overrides)
 
-    reparsed = ordering.normal_order(poly.to_source())
-    run.textual("parse_round_trip", poly.to_source(), reparsed.to_source())
+    reparsed = ordering.normal_order(normal_form)
+    run.textual("parse_round_trip", normal_form, reparsed.to_source())
 
     run.numeric("ordering_round_trip", 0.0, _largest_coefficient(anti.to_normal() - poly), 0)
 
@@ -315,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_fock)
 
     p_order = sub.add_parser("order", help="run the exact ordering engine")
-    p_order.add_argument("expression", help="operator expression, e.g. 'q^2 - p^2'")
+    p_order.add_argument("expression", help="operator expression, e.g. 'q^2 - p^2'; "
+                         f"exponents and degrees up to {MAX_DEGREE}")
     p_order.add_argument("--fixed-space", type=int, metavar="N",
                          help="also enumerate the invariant space of degree <= N")
     common(p_order)
@@ -357,7 +359,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"error: cannot parse expression: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (UsageError, ReportSchemaError) as exc:
+    except (UsageError, ReportSchemaError, ordering.DegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -18,6 +18,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Largest exponent the parser accepts and largest degree of any product the
+# ordering engine forms; a product's cost grows steeply with its degree (the
+# README gives measured costs).
+MAX_DEGREE = 64
+
 
 class ParseError(ValueError):
     """Raised on malformed expression text; carries the offending position."""
@@ -49,13 +54,6 @@ class ComplexRational:
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        # A real factor skips the products with its zero imaginary part.
-        if not other.im:
-            if not self.im:
-                return ComplexRational(self.re * other.re, self.im)
-            return ComplexRational(self.re * other.re, self.im * other.re)
-        if not self.im:
-            return ComplexRational(self.re * other.re, self.re * other.im)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -229,8 +227,12 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "number" or "." in value:
             raise ParseError("exponent must be a nonnegative integer", pos)
+        # lengths first, so a long digit string is refused without converting it
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+            raise ParseError(f"exponent {value} exceeds the degree cap {MAX_DEGREE}", pos)
         self.advance()
-        return int(value)
+        return int(digits)
 
     def parse_atom(self) -> ExprNode:
         kind, value, pos = self.advance()

@@ -4,6 +4,10 @@ Coefficients live in the complex rationals, so every ordering identity,
 the Lüders rewrite a†^m a^n -> a^n a†^m, and the fixed-space kernel are
 computed without rounding.  Position and momentum enter through
 q = (a + a†)/2 and p = (a - a†)/2i.
+
+A polynomial is stored as Gaussian-integer numerators over one positive
+denominator, so the engine's products and sums run on plain ints and
+reduce by one gcd per result.
 """
 
 from __future__ import annotations
@@ -11,21 +15,20 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .expr import (
     Add,
     ComplexRational,
     ExprNode,
     Literal,
+    MAX_DEGREE,
     Mul,
     Neg,
     ONE,
     Pow,
     Sub,
     Symbol,
-    ZERO,
     I_UNIT,
     parse_expression,
 )
@@ -35,6 +38,10 @@ MAX_FIXED_SPACE_DEGREE = 12
 
 _HALF = ComplexRational.real(Fraction(1, 2))
 _NEG_HALF_I = ComplexRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
+
+
+class DegreeError(ValueError):
+    """Raised before forming a product whose degree would exceed MAX_DEGREE."""
 
 
 def reordering_coefficients(m: int, n: int) -> dict[tuple[int, int], int]:
@@ -55,47 +62,93 @@ def _swapped_word(m: int, n: int, sign: int):
     sign = +1 normal-orders a^m a†^n with reordering_coefficients(m, n);
     sign = -1 anti-normal-orders its mirror,
     a†^m a^n = Σ_s (-1)^s s! C(m,s) C(n,s) a^(n-s) a†^(m-s).
-    Terms are ((power of y, power of x), coefficient), s = m - (power of x).
+    Terms are ((power of y, power of x), integer weight), s = m - (power of x).
     """
     return tuple(
-        ((y, x), ComplexRational.real(sign ** (m - x) * w))
+        ((y, x), sign ** (m - x) * w)
         for (y, x), w in reordering_coefficients(m, n).items()
     )
 
 
-def _collect(terms) -> dict[tuple[int, int], ComplexRational]:
-    """Sum the coefficients of equal keys over (key, coefficient) pairs."""
-    out: dict[tuple[int, int], ComplexRational] = {}
-    for key, c in terms:
-        out[key] = out.get(key, ZERO) + c
+def _swapped_sum(words, sign: int) -> dict[tuple[int, int], list[int]]:
+    """Σ c · y^i (x^m y^n swapped) x^j over words ((i, j), (m, n), (re, im)), keyed (y, x) powers.
+
+    c = re + i·im is a Gaussian integer; the sums come back unreduced as
+    [re, im] lists.  A word with (m, n) = (0, 0) adds c at (i, j) unchanged.
+    """
+    out: dict[tuple[int, int], list[int]] = {}
+    get = out.get
+    for (i, j), (m, n), (re, im) in words:
+        for (y, x), w in _swapped_word(m, n, sign):
+            key = (i + y, x + j)
+            acc = get(key)
+            if acc is None:
+                out[key] = [re * w, im * w]
+            else:
+                acc[0] += re * w
+                acc[1] += im * w
     return out
 
 
-def _swapped_sum(words, sign: int) -> dict[tuple[int, int], ComplexRational]:
-    """Σ c · y^i (x^m y^n swapped) x^j over words ((i, j), (m, n), c), keyed (y, x) powers."""
-    return _collect(
-        ((i + y, x + j), c * w)
-        for (i, j), (m, n), c in words
-        for (y, x), w in _swapped_word(m, n, sign)
-    )
+def _gaussian(c: ComplexRational) -> tuple[int, int, int]:
+    """c as (re, im, den): a Gaussian-integer numerator over the lcm of its denominators."""
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator), den)
 
 
 class _OrderedPolynomial:
-    """Sparse exact polynomial: terms[(m, n)] weights one ordered word, zero terms dropped."""
+    """Sparse exact polynomial: num[(m, n)] / den weights one ordered word.
 
-    __slots__ = ("terms",)
+    Each numerator is a Gaussian integer (re, im) over the shared positive
+    denominator `den`, in lowest terms (den and all numerators have gcd 1)
+    with zero terms dropped, so equal polynomials have equal storage.
+    `terms` is the {(m, n): ComplexRational} view, built on demand.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: dict[tuple[int, int], ComplexRational] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+        # over the lcm of the reduced coefficient denominators no common factor is left
+        parts = {k: _gaussian(c) for k, c in (terms or {}).items() if not c.is_zero()}
+        den = lcm(*(d for _, _, d in parts.values()))
+        self.num = {k: (re * (den // d), im * (den // d)) for k, (re, im, d) in parts.items()}
+        self.den = den
+
+    @classmethod
+    def _stored(cls, num: dict, den: int):
+        """A polynomial over storage already in lowest terms."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
+    def _reduced(cls, sums: dict, den: int):
+        """A polynomial from unreduced numerator sums {key: (re, im)} over den, by one gcd."""
+        g = den
+        for re, im in sums.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                return cls._stored({k: (re, im) for k, (re, im) in sums.items() if re or im}, den)
+        return cls._stored(
+            {k: (re // g, im // g) for k, (re, im) in sums.items() if re or im}, den // g)
+
+    @property
+    def terms(self) -> dict[tuple[int, int], ComplexRational]:
+        den = self.den
+        return {k: ComplexRational(Fraction(re, den), Fraction(im, den))
+                for k, (re, im) in self.num.items()}
 
     def coefficient(self, m: int, n: int) -> ComplexRational:
-        return self.terms.get((m, n), ZERO)
+        re, im = self.num.get((m, n), (0, 0))
+        return ComplexRational(Fraction(re, self.den), Fraction(im, self.den))
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_source()})"
@@ -117,30 +170,36 @@ class NormalPolynomial(_OrderedPolynomial):
         return cls({(m, n): coeff})
 
     def __add__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        return NormalPolynomial(_collect(chain(self.terms.items(), other.terms.items())))
+        return _signed_sum(((self, 1), (other, 1)))
 
     def __sub__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        return self + other.scaled(-ONE)
+        return _signed_sum(((self, 1), (other, -1)))
+
+    def __neg__(self) -> "NormalPolynomial":
+        return NormalPolynomial._stored(
+            {k: (-re, -im) for k, (re, im) in self.num.items()}, self.den)
 
     def scaled(self, coeff: ComplexRational) -> "NormalPolynomial":
-        return NormalPolynomial({k: v * coeff for k, v in self.terms.items()})
+        cr, ci, d = _gaussian(coeff)
+        return NormalPolynomial._reduced(
+            {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self.num.items()},
+            self.den * d)
 
     def __mul__(self, other: "NormalPolynomial") -> "NormalPolynomial":
         # (a†^m1 a^n1)(a†^m2 a^n2) = a†^m1 (a^n1 a†^m2) a^n2, middle word normal-ordered
-        return NormalPolynomial(_swapped_sum(
-            (((m1, n2), (n1, m2), c1 * c2)
-             for (m1, n1), c1 in self.terms.items()
-             for (m2, n2), c2 in other.terms.items()),
+        return NormalPolynomial._reduced(_swapped_sum(
+            (((m1, n2), (n1, m2), (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+             for (m1, n1), (r1, i1) in self.num.items()
+             for (m2, n2), (r2, i2) in other.num.items()),
             1,
-        ))
+        ), self.den * other.den)
 
     def degree(self) -> int:
-        return max((m + n for m, n in self.terms), default=0)
+        return max((m + n for m, n in self.num), default=0)
 
     def adjoint(self) -> "NormalPolynomial":
-        return NormalPolynomial(
-            {(n, m): c.conjugate() for (m, n), c in self.terms.items()}
-        )
+        return NormalPolynomial._stored(
+            {(n, m): (re, -im) for (m, n), (re, im) in self.num.items()}, self.den)
 
     def is_hermitian(self) -> bool:
         return self == self.adjoint()
@@ -169,8 +228,19 @@ class AntiNormalPolynomial(_OrderedPolynomial):
         return _poly_source(self.sorted_terms(), creation_first=False)
 
     def to_normal(self) -> NormalPolynomial:
-        return NormalPolynomial(_swapped_sum(
-            (((0, 0), key, c) for key, c in self.terms.items()), 1))
+        return NormalPolynomial._reduced(_swapped_sum(
+            (((0, 0), key, c) for key, c in self.num.items()), 1), self.den)
+
+
+def _signed_sum(signed) -> NormalPolynomial:
+    """Σ sign · poly over (poly, ±1) pairs, on the lcm of their denominators."""
+    signed = tuple(signed)
+    den = lcm(*(poly.den for poly, _ in signed))
+    words = []
+    for poly, sign in signed:
+        f = sign * (den // poly.den)
+        words.extend((key, (0, 0), (f * re, f * im)) for key, (re, im) in poly.num.items())
+    return NormalPolynomial._reduced(_swapped_sum(words, 1), den)
 
 
 def _poly_source(sorted_terms, creation_first: bool) -> str:
@@ -185,9 +255,9 @@ def _poly_source(sorted_terms, creation_first: bool) -> str:
         coeff_str = str(coeff)
         if not ops:
             body = coeff_str
-        elif coeff == ONE:
+        elif coeff_str == "1":  # the string compare spares two Fraction compares per term
             body = "*".join(ops)
-        elif coeff == -ONE:
+        elif coeff_str == "-1":
             body = "-" + "*".join(ops)
         else:
             body = "*".join([coeff_str] + ops)
@@ -231,47 +301,60 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
     if isinstance(node, Symbol):
         return _SYMBOL_POLYS[node.name]
     if isinstance(node, Neg):
-        return _eval_node(node.operand).scaled(-ONE)
+        return -_eval_node(node.operand)
     if isinstance(node, (Add, Sub)):
         return _eval_sum(node)
     if isinstance(node, Mul):
-        return _eval_node(node.lhs) * _eval_node(node.rhs)
+        lhs, rhs = _eval_node(node.lhs), _eval_node(node.rhs)
+        _check_degree(lhs.degree() + rhs.degree())
+        return lhs * rhs
     if isinstance(node, Pow):
-        base = _eval_node(node.base)
+        base, k = _eval_node(node.base), node.exponent
+        _check_degree(base.degree() * k)
+        if len(base.num) == 1 and 0 in next(iter(base.num)):
+            # c·a†^m or c·a^n: its power needs no reordering, only c^k
+            (m, n), (re, im) = next(iter(base.num.items()))
+            cre, cim = 1, 0
+            for _ in range(k):
+                cre, cim = cre * re - cim * im, cre * im + cim * re
+            return NormalPolynomial._reduced({(m * k, n * k): (cre, cim)}, base.den ** k)
         out = NormalPolynomial.identity()
-        for _ in range(node.exponent):
+        for _ in range(k):
             out = out * base
         return out
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _check_degree(degree: int):
+    """Refuse a product of this degree before forming it; its cost grows with the degree."""
+    if degree > MAX_DEGREE:
+        raise DegreeError(f"a product of degree {degree} exceeds the degree cap {MAX_DEGREE}")
+
+
 def _eval_sum(node: Add | Sub) -> NormalPolynomial:
-    """Evaluate a left-nested chain of + and - into one term dict, without recursion.
+    """Evaluate a left-nested chain of + and - as one signed sum, without recursion.
 
     The parser nests a sum of N terms N deep, so recursing down the chain
     would overflow the interpreter stack for long normal forms.
     """
     operands = []
     while isinstance(node, (Add, Sub)):
-        operands.append((node.rhs, isinstance(node, Sub)))
+        operands.append((node.rhs, -1 if isinstance(node, Sub) else 1))
         node = node.lhs
-    operands.append((node, False))
-    return NormalPolynomial(_collect(
-        (key, -c if negate else c)
-        for operand, negate in reversed(operands)
-        for key, c in _eval_node(operand).terms.items()
-    ))
+    operands.append((node, 1))
+    return _signed_sum((_eval_node(operand), sign) for operand, sign in reversed(operands))
 
 
 def anti_normal_order(poly: NormalPolynomial) -> AntiNormalPolynomial:
     """Rewrite a normal-ordered polynomial with all a† pushed to the right."""
-    return AntiNormalPolynomial(_swapped_sum(
-        (((0, 0), key, c) for key, c in poly.terms.items()), -1))
+    return AntiNormalPolynomial._reduced(_swapped_sum(
+        (((0, 0), key, c) for key, c in poly.num.items()), -1), poly.den)
 
 
 def luders_symbolic(poly: NormalPolynomial) -> NormalPolynomial:
     """Image under the coherent-state Lüders map: a†^m a^n -> a^n a†^m."""
-    return AntiNormalPolynomial({(n, m): c for (m, n), c in poly.terms.items()}).to_normal()
+    return AntiNormalPolynomial._stored(
+        {(n, m): c for (m, n), c in poly.num.items()}, poly.den).to_normal()
 
 
 def is_well_ordered(poly: NormalPolynomial) -> bool:
@@ -283,7 +366,7 @@ def is_well_ordered(poly: NormalPolynomial) -> bool:
     This is equivalent to invariance under the Lüders map.
     """
     anti = anti_normal_order(poly)
-    return poly.terms == {(n, m): c for (m, n), c in anti.terms.items()}
+    return poly.den == anti.den and poly.num == {(n, m): c for (m, n), c in anti.num.items()}
 
 
 # --- invariant family and fixed-space enumeration ----------------------------

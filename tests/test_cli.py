@@ -2,11 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from luderskit import channel, cli, fock, spin
 from luderskit.cli import run
+from luderskit.expr import MAX_DEGREE
 from luderskit.reports import ReportSchemaError, validate_report
 
 
@@ -187,6 +189,35 @@ def test_order_parse_error_distinct_exit_code(capsys):
     assert run(["order", "q +"]) == 2
     assert "parse" in capsys.readouterr().err.lower()
     assert run(["order", "a^x"]) == 2
+
+
+@pytest.mark.parametrize("text", ["a^100000", "(a^60)^60", "2^100000", "a^2000000000000000000000"])
+def test_order_refuses_degrees_past_the_cap_fast(capsys, text):
+    start = time.perf_counter()
+    assert run(["order", text]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "degree cap" in capsys.readouterr().err
+
+
+def test_order_degree_cap_boundary(capsys):
+    assert run(["order", f"a^{MAX_DEGREE}"]) == 0
+    assert run(["order", f"ad^{MAX_DEGREE}*id"]) == 0
+    assert run(["order", f"a^{MAX_DEGREE + 1}"]) == 2
+    assert "parse" in capsys.readouterr().err
+    assert run(["order", f"ad^{MAX_DEGREE}*a"]) == 2
+    assert f"degree {MAX_DEGREE + 1} exceeds" in capsys.readouterr().err
+
+
+def test_order_renders_the_normal_form_once(monkeypatch):
+    from luderskit import ordering
+
+    calls = []
+    original = ordering.NormalPolynomial.to_source
+    monkeypatch.setattr(ordering.NormalPolynomial, "to_source",
+                        lambda poly: calls.append(poly) or original(poly))
+    assert run(["order", "q^2 - p^2"]) == 0
+    # the normal form, the Lüders image and the re-parsed normal form
+    assert len(calls) == 3
 
 
 def test_tolerance_override_tightening_causes_check_failure():

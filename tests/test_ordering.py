@@ -6,10 +6,11 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from luderskit.expr import I_UNIT, ComplexRational
+from luderskit.expr import I_UNIT, MAX_DEGREE, ComplexRational
 from luderskit.fock import FockSpace, plane_quadrature, grid_channel_apply, disk_monomial_image
 from luderskit.ordering import (
     AntiNormalPolynomial,
+    DegreeError,
     NormalPolynomial,
     anti_normal_order,
     decompose_in_family,
@@ -310,3 +311,28 @@ def test_canonical_printing_order():
     anti = anti_normal_order(normal_order("a*ad"))
     assert isinstance(anti, AntiNormalPolynomial)
     assert anti.to_source() == "a*ad"
+
+
+@pytest.mark.parametrize("text", ["(a^60)^60", "q^40*q^40", "(q^33)^2", "(ad^20*a^20)^2"])
+def test_degree_cap_refuses_the_product_before_forming_it(monkeypatch, text):
+    formed = []
+    original = NormalPolynomial.__mul__
+
+    def recording(self, other):
+        formed.append(self.degree() + other.degree())
+        return original(self, other)
+
+    monkeypatch.setattr(NormalPolynomial, "__mul__", recording)
+    with pytest.raises(DegreeError, match="degree cap"):
+        normal_order(text)
+    assert max(formed, default=0) <= MAX_DEGREE
+
+
+def test_storage_is_one_denominator_in_lowest_terms():
+    poly = normal_order("1/6*ad + 1/4*i*a + 3")
+    assert (poly.den, poly.num) == (12, {(1, 0): (2, 0), (0, 1): (0, 3), (0, 0): (36, 0)})
+    # (1 + i)/2 squared is i/2: the numerator (0, 2) over 4 reduces
+    assert normal_order("(1/2 + 1/2*i)^2").num == {(0, 0): (0, 1)}
+    assert normal_order("(1/2 + 1/2*i)^2").den == 2
+    zero = normal_order("2/3*q - 2/3*q")
+    assert (zero.den, zero.num, zero.terms) == (1, {}, {})

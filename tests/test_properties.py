@@ -1,4 +1,7 @@
-"""Property tests of the grid split, the charge blocks and the ring core over random sizings."""
+"""Property tests of the grid split, the charge blocks, the ring core and the exact ordering engine."""
+
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -17,6 +20,29 @@ from luderskit.channel import (
     ring_q_symbols,
     ring_resolution,
     split_rings,
+)
+from luderskit.expr import (
+    MAX_DEGREE,
+    Add,
+    ComplexRational,
+    I_UNIT,
+    Literal,
+    Mul,
+    Neg,
+    OPERATOR_SYMBOLS,
+    ParseError,
+    Pow,
+    Sub,
+    Symbol,
+    parse_expression,
+    to_source,
+)
+from luderskit.ordering import (
+    NormalPolynomial,
+    anti_normal_order,
+    is_well_ordered,
+    luders_symbolic,
+    normal_order,
 )
 from luderskit.spin import SpinSpace, expected_spectrum, ring_factors, sphere_quadrature
 
@@ -237,3 +263,158 @@ def test_split_rings_recovers_the_rings_and_rejects_permuted_grids(case, seed):
     order[[first, first + 1]] = order[[first + 1, first]]
     with pytest.raises(ValueError, match="rings"):
         split_rings(points[order], weights[order])
+
+
+# --- the exact ordering engine -------------------------------------------------------
+
+_ZERO = ComplexRational()
+_ONE = ComplexRational.real(1)
+_HALF = ComplexRational.real(Fraction(1, 2))
+_HALF_I = ComplexRational(Fraction(0), Fraction(1, 2))
+
+LEAVES = st.one_of(  # the ladder symbols twice, so most trees are not scalars
+    st.sampled_from(OPERATOR_SYMBOLS).map(Symbol),
+    st.sampled_from(("q", "p", "a", "ad")).map(Symbol),
+    st.just(Literal(I_UNIT)),
+    st.builds(lambda p, q: Literal(ComplexRational.real(Fraction(p, q))),
+              st.integers(0, 12), st.integers(1, 12)),
+)
+SCALAR_LEAVES = st.one_of(st.just(Symbol("id")), LEAVES.filter(lambda leaf: isinstance(leaf, Literal)))
+
+
+@st.composite
+def expressions(draw, depth=4, degree=8):
+    """A tree of at most `depth` operator levels whose normal form has degree <= `degree`.
+
+    Leaves are the parser's own: symbols, i and nonnegative rationals.
+    Exponents are 0..6.
+    """
+    if depth == 0 or (depth < 4 and draw(st.integers(0, 3)) == 0):
+        return draw(LEAVES if degree else SCALAR_LEAVES)
+    kind = draw(st.sampled_from(("neg", "add", "sub", "mul", "mul", "pow", "pow")))
+    if kind == "neg":
+        return Neg(draw(expressions(depth - 1, degree)))
+    if kind == "pow":
+        k = draw(st.integers(0, 6))
+        return Pow(draw(expressions(depth - 1, degree // k if k else degree)), k)
+    if kind == "mul":
+        left = draw(st.integers(0, degree))
+        return Mul(draw(expressions(depth - 1, left)), draw(expressions(depth - 1, degree - left)))
+    operator = Add if kind == "add" else Sub
+    return operator(draw(expressions(depth - 1, degree)), draw(expressions(depth - 1, degree)))
+
+
+# Oracle: the normal form on ComplexRational arithmetic, {(m, n): coefficient of a†^m a^n}.
+_ORACLE_SYMBOLS = {
+    "a": {(0, 1): _ONE},
+    "ad": {(1, 0): _ONE},
+    "id": {(0, 0): _ONE},
+    "q": {(1, 0): _HALF, (0, 1): _HALF},
+    "p": {(1, 0): _HALF_I, (0, 1): -_HALF_I},  # (a - a†)/2i
+}
+
+
+ENGINE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def oracle_product(lhs: dict, rhs: dict) -> dict:
+    """(a†^m1 a^n1)(a†^m2 a^n2) with a^n1 a†^m2 = Σ_s s! C(n1,s) C(m2,s) a†^(m2-s) a^(n1-s)."""
+    out = {}
+    for (m1, n1), c1 in lhs.items():
+        for (m2, n2), c2 in rhs.items():
+            for s in range(min(n1, m2) + 1):
+                weight = ComplexRational.real(factorial(s) * comb(n1, s) * comb(m2, s))
+                key = (m1 + m2 - s, n1 + n2 - s)
+                out[key] = out.get(key, _ZERO) + c1 * c2 * weight
+    return out
+
+
+def oracle_normal_form(node) -> dict:
+    if isinstance(node, Literal):
+        out = {(0, 0): node.value}
+    elif isinstance(node, Symbol):
+        out = _ORACLE_SYMBOLS[node.name]
+    elif isinstance(node, Neg):
+        out = {k: -c for k, c in oracle_normal_form(node.operand).items()}
+    elif isinstance(node, (Add, Sub)):
+        out = dict(oracle_normal_form(node.lhs))
+        for key, c in oracle_normal_form(node.rhs).items():
+            out[key] = out.get(key, _ZERO) + (-c if isinstance(node, Sub) else c)
+    elif isinstance(node, Mul):
+        out = oracle_product(oracle_normal_form(node.lhs), oracle_normal_form(node.rhs))
+    else:
+        base = oracle_normal_form(node.base)
+        out = {(0, 0): _ONE}
+        for _ in range(node.exponent):
+            out = oracle_product(out, base)
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@ENGINE
+@given(expressions())
+def test_normal_order_is_the_complex_rational_oracle(node):
+    assert normal_order(node).terms == oracle_normal_form(node)
+
+
+@ENGINE
+@given(expressions())
+def test_normal_form_text_normal_orders_to_itself(node):
+    poly = normal_order(node)
+    assert normal_order(poly.to_source()) == poly
+
+
+@ENGINE
+@given(expressions())
+def test_anti_normal_order_round_trips(node):
+    poly = normal_order(node)
+    assert anti_normal_order(poly).to_normal() == poly
+
+
+@ENGINE
+@given(expressions())
+def test_well_ordered_iff_luders_invariant_on_random_trees(node):
+    poly = normal_order(node)
+    for case in (poly, poly + poly.adjoint()):
+        assert is_well_ordered(case) == (luders_symbolic(case) == case)
+
+
+@ENGINE
+@given(expressions(), st.integers(-9, 9).filter(bool), st.integers(1, 9), st.integers(-9, 9))
+def test_equal_polynomials_hash_equal(node, re, den, im):
+    poly = normal_order(node)
+    scale = ComplexRational(Fraction(re, den), Fraction(im, den))
+    inverse_scale = ComplexRational(Fraction(re * den, re * re + im * im),
+                                    Fraction(-im * den, re * re + im * im))
+    for same in (normal_order(poly.to_source()), NormalPolynomial(poly.terms),
+                 poly + poly - poly, poly.scaled(scale).scaled(inverse_scale)):
+        assert same == poly
+        assert hash(same) == hash(poly)
+
+
+@ENGINE
+@given(expressions())
+def test_to_source_parses_back_to_the_tree(node):
+    assert parse_expression(to_source(node)) == node
+
+
+@ENGINE
+@given(expressions(), st.data())
+def test_parse_error_points_at_an_inserted_character(node, data):
+    text = to_source(node)
+    index = data.draw(st.integers(0, len(text)))
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(text[:index] + "#" + text[index:])
+    assert excinfo.value.position == index
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(text + " *")
+    assert excinfo.value.position == len(text) + 2
+
+
+@ENGINE
+@given(expressions(), st.one_of(st.integers(MAX_DEGREE + 1, 10**6).map(str),
+                                st.integers(5000, 6000).map(lambda n: "9" * n)))
+def test_parse_error_points_at_an_exponent_past_the_cap(node, exponent):
+    prefix = to_source(node) + " + "
+    with pytest.raises(ParseError, match="degree cap") as excinfo:
+        parse_expression(f"{prefix}a^{exponent}")
+    assert excinfo.value.position == len(prefix) + 2
