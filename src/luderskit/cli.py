@@ -6,7 +6,8 @@ particle channel against analytic disk-limit predictions and the exact
 symbolic map, and `order` runs the exact ordering engine on an operator
 expression.  Exit status 0 means every check passed; 1 means a check
 failed; 2 means the invocation itself was invalid (bad sizing, malformed
-expression or override, or an expression past the degree cap).
+expression or override, or an expression past the degree cap, the digit
+limit or the nesting limit).
 
 Grid tolerances in `fock` were fixed by oracle runs at the default
 sizing (dim=40, radius=3): comparisons against disk-limit predictions
@@ -137,8 +138,8 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
                         for operator in operators])
     # rows 0..19 expand B, rows 20..39 expand Λ(B)
     coeffs = spin.harmonic_coefficients(symbols, grid, space).coeffs
-    worst = max(np.abs(c[20:] - spin.tau_spin(space, l) * c[:20]).max()
-                for (l, _), c in coeffs.items())
+    taus = [spin.tau_spin(space, l) for l in range(space.dim)]
+    worst = max(np.abs(c[20:] - taus[l] * c[:20]).max() for (l, _), c in coeffs.items())
     run.numeric("harmonic_damping", 0.0, worst, 1e-9)
 
     run.finish()
@@ -186,8 +187,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("coherent_overlap_law", 0.0,
                 np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
-    worst = max(np.abs(ring_luders_image(factors, weights, np.linalg.matrix_power(space.adag, m)
-                                         @ np.linalg.matrix_power(space.a, n))
+    worst = max(np.abs(ring_luders_image(factors, weights, space.ladder_word(m, n))
                        - fock.disk_monomial_image(space, m, n, radius)).max()
                 for m in range(5) for n in range(5 - m))
     run.numeric("grid_vs_symbolic_disk", 0.0, worst, 1e-9)
@@ -207,13 +207,11 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("lambda_q2_grid_disk", 0.0, np.abs(grid_image - disk_pred).max(), 1e-9)
 
     vb = fock.fock_coherent_state(space, beta)
-    proj = np.outer(vb, vb.conj())
-    q_image = ring_q_symbols(factors, weights.shape[1],
-                             ring_luders_image(factors, weights, proj)).ravel()
+    damping = fock.verify_damping(space, np.outer(vb, vb.conj()), quad)
     gaussian = 0.5 * np.exp(-np.abs(quad.alphas - beta) ** 2 / 2)
     window = np.abs(quad.alphas) <= 2.0
     run.numeric("q_projector_symbol", 0.0,
-                np.abs(q_image - gaussian)[window].max(), 2e-3)
+                np.abs(damping.image_symbols - gaussian)[window].max(), 2e-3)
 
     a_pts, b_pts = _label_pairs(rng, dim)
     va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
@@ -225,7 +223,6 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
         * np.exp(-np.abs(a_pts - b_pts) ** 2)
     run.numeric("commutator_formula", 0.0, np.abs(lhs - rhs).max(), 1e-8)
 
-    damping = fock.verify_damping(space, proj, quad)
     run.numeric("damping_ratio_gap", 0.0, damping.max_deviation, 0.75)
 
     run.finish()
@@ -235,8 +232,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 # --- order ---------------------------------------------------------------------
 
 def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> ReportDocument:
-    if fixed_space is not None and not 0 <= fixed_space <= ordering.MAX_FIXED_SPACE_DEGREE:
-        raise UsageError(f"--fixed-space must lie in 0..{ordering.MAX_FIXED_SPACE_DEGREE}")
+    if fixed_space is not None and not 0 <= fixed_space <= MAX_DEGREE:
+        raise UsageError(f"--fixed-space must lie in 0..{MAX_DEGREE}")
     poly = ordering.normal_order(expression)  # ParseError propagates to main
     anti = ordering.anti_normal_order(poly)
     luders = ordering.luders_symbolic(poly)
@@ -319,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("expression", help="operator expression, e.g. 'q^2 - p^2'; "
                          f"exponents and degrees up to {MAX_DEGREE}")
     p_order.add_argument("--fixed-space", type=int, metavar="N",
-                         help="also enumerate the invariant space of degree <= N")
+                         help="also enumerate the invariant space of degree <= N, "
+                         f"0..{MAX_DEGREE}")
     common(p_order)
     return parser
 

@@ -23,6 +23,16 @@ from fractions import Fraction
 # README gives measured costs).
 MAX_DEGREE = 64
 
+# Deepest nesting of parentheses and unary minus signs the parser accepts.
+# Parsing and evaluating take up to about 5 interpreter frames per level: at
+# 100 levels the deepest inputs run in 500 frames, half of CPython's default
+# recursion limit, which leaves the rest to the caller's own stack.
+MAX_NESTING = 100
+
+# Most digits in one number literal: below CPython's default 4,300-digit limit
+# on int conversion, which would raise ValueError instead of a ParseError.
+MAX_NUMBER_DIGITS = 4000
+
 
 class ParseError(ValueError):
     """Raised on malformed expression text; carries the offending position."""
@@ -86,7 +96,6 @@ class ComplexRational:
         return f"({_frac_str(self.re)} {sign} {imag})"
 
 
-ZERO = ComplexRational()
 ONE = ComplexRational.real(1)
 I_UNIT = ComplexRational.imag_unit()
 
@@ -168,6 +177,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -182,6 +192,16 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
+
+    def nested(self, parse, pos: int) -> ExprNode:
+        """parse() one level deeper, refusing nesting past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"more than {MAX_NESTING} nested parentheses and unary minus signs", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> ExprNode:
         node = self.parse_expr()
@@ -212,10 +232,10 @@ class _Parser:
                 return node
 
     def parse_factor(self) -> ExprNode:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.parse_factor())
+            return Neg(self.nested(self.parse_factor, pos))
         node = self.parse_atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
@@ -245,12 +265,13 @@ class _Parser:
         if kind == "number":
             return Literal(ComplexRational.real(self.parse_rational_tail(value, pos)))
         if kind == "op" and value == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, pos)
             self.expect_op(")")
             return node
         raise ParseError(f"expected an atom, got {value!r}" if value else "unexpected end of input", pos)
 
     def parse_rational_tail(self, text: str, pos: int) -> Fraction:
+        _check_digits(text, pos)
         if "." in text:
             return Fraction(text)  # exact decimal
         kind, value, _ = self.peek()
@@ -259,11 +280,19 @@ class _Parser:
             dkind, dvalue, dpos = self.peek()
             if dkind != "number" or "." in dvalue:
                 raise ParseError("denominator must be a positive integer", dpos)
+            _check_digits(dvalue, dpos)
             self.advance()
             if int(dvalue) == 0:
                 raise ParseError("zero denominator", dpos)
             return Fraction(int(text), int(dvalue))
         return Fraction(int(text))
+
+
+def _check_digits(number: str, pos: int):
+    """Refuse a number literal of more than MAX_NUMBER_DIGITS digits before converting it."""
+    digits = len(number) - number.count(".")
+    if digits > MAX_NUMBER_DIGITS:
+        raise ParseError(f"number of {digits} digits exceeds the limit {MAX_NUMBER_DIGITS}", pos)
 
 
 def parse_expression(text: str) -> ExprNode:

@@ -68,11 +68,23 @@ class FockSpace:
     def adag(self) -> np.ndarray:
         return self._a.conj().T
 
+    def ladder_word(self, m: int, n: int) -> np.ndarray:
+        """The truncated a†^m a^n: entry (j + m, j + n) is run(j, m) · run(j, n) (`_sqrt_run`)."""
+        j = np.arange(self.dim - max(m, n))
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[j + m, j + n] = _sqrt_run(j, m) * _sqrt_run(j, n)
+        return out
+
     def check_label(self, alpha):
         """Raise TruncationError unless max |α|² <= dim/4 over a label or an array of labels."""
         largest = np.max(np.abs(alpha) ** 2, initial=0.0)
         if largest > self.dim / 4:
             raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds dim/4 = {self.dim / 4}")
+
+
+def _sqrt_run(start: np.ndarray, length: int) -> np.ndarray:
+    """run(j, length) = ∏_{i=1..length} √(j + i) for each j, in floats (ints overflow int64)."""
+    return np.sqrt(start[:, None] + np.arange(1, length + 1)).prod(axis=1)
 
 
 def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
@@ -195,13 +207,11 @@ def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.n
 
     Over the whole plane the image is a^n a†^m; the disk |α| <= R scales
     entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
-    For max(n − m, 0) <= k < dim − m that entry is ∏_{i=1..m} √(k+i) ·
-    ∏_{i=0..n−1} √(k+m−i) · P, multiplied in floats (integer products overflow int64).
+    For max(n − m, 0) <= k < dim − m that entry is run(k, m) · run(k + m − n, n) · P,
+    the √-runs of `_sqrt_run`.
     """
     k = np.arange(max(n - m, 0), space.dim - m)
-    values = (np.sqrt(k[:, None] + np.arange(1, m + 1)).prod(axis=1)
-              * np.sqrt(k[:, None] + m - np.arange(n)).prod(axis=1)
-              * gammainc(m + k + 1, radius**2))
+    values = _sqrt_run(k, m) * _sqrt_run(k + m - n, n) * gammainc(m + k + 1, radius**2)
     out = np.zeros((space.dim, space.dim), dtype=complex)
     out[k + m - n, k] = values
     return out
@@ -242,6 +252,8 @@ def default_xi_points() -> np.ndarray:
 class DampingReport:
     """Pointwise ratio B_ξ(Q_Λ(B)) / B_ξ(Q_B) against the Gaussian e^(-|ξ|²)."""
 
+    source_symbols: np.ndarray  # Q_B on the quadrature nodes
+    image_symbols: np.ndarray   # Q_Λ(B) on the quadrature nodes
     xi_points: np.ndarray
     source_coeffs: np.ndarray
     image_coeffs: np.ndarray
@@ -276,6 +288,8 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     expected = np.exp(-np.abs(src.xi_points) ** 2)
     deviations = np.where(flagged, np.nan, np.abs(ratios - expected))
     return DampingReport(
+        source_symbols=source,
+        image_symbols=image,
         xi_points=src.xi_points,
         source_coeffs=src.coeffs,
         image_coeffs=img.coeffs,

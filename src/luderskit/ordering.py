@@ -33,9 +33,6 @@ from .expr import (
     parse_expression,
 )
 
-# degree cap for exact fixed-space enumeration
-MAX_FIXED_SPACE_DEGREE = 12
-
 _HALF = ComplexRational.real(Fraction(1, 2))
 _NEG_HALF_I = ComplexRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
 
@@ -305,9 +302,7 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
     if isinstance(node, (Add, Sub)):
         return _eval_sum(node)
     if isinstance(node, Mul):
-        lhs, rhs = _eval_node(node.lhs), _eval_node(node.rhs)
-        _check_degree(lhs.degree() + rhs.degree())
-        return lhs * rhs
+        return _eval_product(node)
     if isinstance(node, Pow):
         base, k = _eval_node(node.base), node.exponent
         _check_degree(base.degree() * k)
@@ -343,6 +338,20 @@ def _eval_sum(node: Add | Sub) -> NormalPolynomial:
         node = node.lhs
     operands.append((node, 1))
     return _signed_sum((_eval_node(operand), sign) for operand, sign in reversed(operands))
+
+
+def _eval_product(node: Mul) -> NormalPolynomial:
+    """Evaluate a left-nested chain of * left to right, without recursion, as `_eval_sum` does."""
+    factors = []
+    while isinstance(node, Mul):
+        factors.append(node.rhs)
+        node = node.lhs
+    out = _eval_node(node)
+    for factor in reversed(factors):
+        rhs = _eval_node(factor)
+        _check_degree(out.degree() + rhs.degree())
+        out = out * rhs
+    return out
 
 
 def anti_normal_order(poly: NormalPolynomial) -> AntiNormalPolynomial:
@@ -454,10 +463,8 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
     2*max_degree + 1) by 1, a†^n + a^n and i·a†^n - i·a^n, which are
     returned with their family coordinates.
     """
-    if max_degree < 0 or max_degree > MAX_FIXED_SPACE_DEGREE:
-        raise ValueError(
-            f"max_degree must be in 0..{MAX_FIXED_SPACE_DEGREE}, got {max_degree}"
-        )
+    if max_degree < 0 or max_degree > MAX_DEGREE:
+        raise ValueError(f"max_degree must be in 0..{MAX_DEGREE}, got {max_degree}")
     for m in range(max_degree + 1):
         for n in range(max_degree - m + 1):
             word = NormalPolynomial.monomial(m, n)
@@ -474,7 +481,7 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
 
 
 def to_matrix(poly: NormalPolynomial, space):
-    """Realize a polynomial on a truncated Fock space as a dense matrix.
+    """Realize a polynomial on a truncated Fock space as Σ c · `space.ladder_word(m, n)`.
 
     The polynomial degree may not exceed the space's guard margin
     (dim - guard_dim), so that matrix elements inside the guard block are
@@ -488,12 +495,6 @@ def to_matrix(poly: NormalPolynomial, space):
             f"polynomial degree {poly.degree()} exceeds guard margin {margin}"
         )
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    ad_pows = {0: np.eye(space.dim, dtype=complex)}
-    a_pows = {0: np.eye(space.dim, dtype=complex)}
     for (m, n), c in poly.terms.items():
-        if m not in ad_pows:
-            ad_pows[m] = np.linalg.matrix_power(space.adag, m)
-        if n not in a_pows:
-            a_pows[n] = np.linalg.matrix_power(space.a, n)
-        out += complex(c) * (ad_pows[m] @ a_pows[n])
+        out += complex(c) * space.ladder_word(m, n)
     return out

@@ -302,13 +302,9 @@ def tau_spin(space: SpinSpace, l: int) -> float:
 
 
 def expected_spectrum(space: SpinSpace) -> np.ndarray:
-    """Eigenvalue multiset {tau_l with multiplicity 2l+1}, descending."""
-    values = [
-        float(tau_spin_fraction(space.two_s, l))
-        for l in range(space.two_s + 1)
-        for _ in range(2 * l + 1)
-    ]
-    return np.array(sorted(values, reverse=True))
+    """Eigenvalue multiset {tau_l with multiplicity 2l+1}, descending since tau_l falls with l."""
+    taus = [tau_spin(space, l) for l in range(space.dim)]
+    return np.repeat(taus, 2 * np.arange(space.dim) + 1)
 
 
 def projector_family(space: SpinSpace,

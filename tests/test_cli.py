@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from luderskit import channel, cli, fock, spin
@@ -81,6 +82,34 @@ def test_fock_command_builds_label_states_as_matrices(monkeypatch):
     calls = counting(monkeypatch, fock, "fock_coherent_state")
     assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
     assert len(calls) <= 5
+
+
+def test_spin_command_evaluates_each_tau_at_most_twice(monkeypatch):
+    calls = counting(monkeypatch, spin, "tau_spin_fraction")
+    assert run(["spin", "--two-s", "12"]) == 0
+    assert len(calls) <= 2 * 13
+
+
+def test_fock_command_forms_no_matrix_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix_power called")
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    report = cli.cmd_fock(16, 1.8, {})
+    assert len(report.results) == 9
+
+
+def test_fock_command_forms_the_projector_image_once(monkeypatch):
+    images = []
+    original = channel.ring_luders_image
+
+    def recorded(factors, weights, operator):
+        images.append(operator)
+        return original(factors, weights, operator)
+    for module in (cli, fock):
+        monkeypatch.setattr(module, "ring_luders_image", recorded)
+    assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
+    # the coherent projector P_β is the only operator of trace 1 that the run maps
+    assert sum(abs(np.trace(op) - 1) < 1e-9 for op in images) == 1
 
 
 def test_spin_command_builds_no_state_matrix_or_projector_family(monkeypatch, capsys):
@@ -182,7 +211,7 @@ def test_order_rejects_fixed_space_before_ordering(monkeypatch):
         raise AssertionError("normal_order ran before --fixed-space was validated")
 
     monkeypatch.setattr(ordering, "normal_order", refuse)
-    assert run(["order", "q", "--fixed-space", "13"]) == 2
+    assert run(["order", "q", "--fixed-space", "65"]) == 2
 
 
 def test_order_parse_error_distinct_exit_code(capsys):
@@ -197,6 +226,28 @@ def test_order_refuses_degrees_past_the_cap_fast(capsys, text):
     assert run(["order", text]) == 2
     assert time.perf_counter() - start < 1.0
     assert "degree cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, status", [
+    ("*".join(["id"] * 3000), 0),
+    ("id+(" * 100 + "id" + ")" * 100, 0),
+    ("(" * 1000 + "a" + ")" * 1000, 2),
+    ("0+" + "-" * 1000 + "a", 2),
+    ("1" * 5000, 2),
+    ("0." + "1" * 5000, 2),
+    ("1/" + "7" * 5000, 2),
+], ids=["id_chain", "nested_sums_at_limit", "parentheses", "unary_minus", "integer",
+        "decimal", "denominator"])
+def test_order_front_end_limits_exit_fast(capsys, text, status):
+    start = time.perf_counter()
+    assert run(["order", text]) == status
+    assert time.perf_counter() - start < 1.0
+    if status:
+        assert "position" in capsys.readouterr().err
+
+
+def test_order_fixed_space_reaches_the_degree_cap():
+    assert run(["order", "q", "--fixed-space", str(MAX_DEGREE)]) == 0
 
 
 def test_order_degree_cap_boundary(capsys):

@@ -6,6 +6,8 @@ from luderskit.expr import (
     Add,
     ComplexRational,
     Literal,
+    MAX_NESTING,
+    MAX_NUMBER_DIGITS,
     Mul,
     ParseError,
     Pow,
@@ -89,6 +91,26 @@ def test_error_carries_position():
     with pytest.raises(ParseError) as excinfo:
         parse_expression("a + bogus")
     assert excinfo.value.position == 4
+
+
+@pytest.mark.parametrize("opener", ["(", "-", "-("])
+def test_nesting_limit(opener):
+    closer = ")" if opener.endswith("(") else ""
+    depth = MAX_NESTING // len(opener)
+    assert parse_expression(opener * depth + "a" + closer * depth)
+    text = opener * (depth + 1) + "a" + closer * (depth + 1)
+    with pytest.raises(ParseError, match="nested") as excinfo:
+        parse_expression(text)
+    assert excinfo.value.position == len(opener) * depth
+
+
+@pytest.mark.parametrize("template, position",
+                         [("{}", 0), (".{}", 0), ("1/{}", 2), ("2*{}*a", 2)])
+def test_number_digit_limit(template, position):
+    assert parse_expression(template.format("7" * MAX_NUMBER_DIGITS))
+    with pytest.raises(ParseError, match="digits") as excinfo:
+        parse_expression(template.format("7" * (MAX_NUMBER_DIGITS + 1)))
+    assert excinfo.value.position == position
 
 
 def test_complex_rational_arithmetic():

@@ -302,6 +302,15 @@ def test_damping_report_for_coherent_projector(space, quad):
     assert report.deviations[near_axis] < 0.05
 
 
+def test_damping_report_carries_the_node_symbols(space, quad):
+    state = fock_coherent_state(space, 0.5 + 0.25j)
+    projector = np.outer(state, state.conj())
+    report = verify_damping(space, projector, quad)
+    assert np.array_equal(report.source_symbols, q_symbol_fock(space, projector, quad))
+    image = grid_channel_apply(space, quad, projector)
+    assert np.array_equal(report.image_symbols, q_symbol_fock(space, image, quad))
+
+
 def test_damping_flags_ill_conditioned_points(space, quad):
     # the disk transform of the constant symbol vanishes on the Airy ring,
     # so those ratios must be flagged rather than compared

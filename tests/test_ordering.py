@@ -245,7 +245,7 @@ def test_decompose_rejects_mixed_terms():
 
 def test_fixed_space_degree_cap():
     with pytest.raises(ValueError):
-        luders_fixed_space(13)
+        luders_fixed_space(65)
     with pytest.raises(ValueError):
         luders_fixed_space(-1)
 

@@ -230,6 +230,16 @@ def test_closed_form_disk_image_is_the_dense_product(case):
     assert np.all(np.abs(closed - expected) <= 1e-13 * np.abs(expected) + np.finfo(float).tiny)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 48), st.integers(0, 8), st.integers(0, 8))
+def test_closed_form_ladder_word_is_the_dense_product(dim, m, n):
+    space = fock.FockSpace(dim)
+    word = space.ladder_word(m, n)
+    expected = np.linalg.matrix_power(space.adag, m) @ np.linalg.matrix_power(space.a, n)
+    assert word.shape == expected.shape
+    assert np.all(np.abs(word - expected) <= 1e-12 * np.abs(expected))
+
+
 @st.composite
 def split_cases(draw):
     """Flat polar nodes of a spin or disk grid (at least 2 phi nodes), their rings and W."""
