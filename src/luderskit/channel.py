@@ -26,7 +26,7 @@ acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
 `charge_block_spectrum` give the channel, its image and its spectrum
 from those blocks: O(D³) memory and O(D⁴) time against the
 superoperator's O(D⁴) and O(D⁶).  The superoperator stays as the dense
-reference.
+reference.  The symbols and the block image also take a stack (…, D, D).
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class QuadratureError(ValueError):
 
 
 def _square(operator: np.ndarray, dim: int) -> np.ndarray:
-    """B as a complex array; raises ValueError unless it is dim × dim."""
+    """B as a complex array; raises ValueError unless it is dim × dim or a stack of them."""
     operator = np.asarray(operator, dtype=complex)
-    if operator.shape != (dim, dim):
+    if operator.shape[-2:] != (dim, dim):
         raise ValueError(f"operator shape {operator.shape} does not match dimension {dim}")
     return operator
 
@@ -63,8 +63,8 @@ def resolution(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def q_symbols(states: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """⟨ψ_i|B|ψ_i⟩ for every row ψ_i of `states`."""
-    return ((states.conj() @ _square(operator, states.shape[1])) * states).sum(axis=1)
+    """⟨ψ_i|B|ψ_i⟩ for every row ψ_i of `states`; one row per B of a stack."""
+    return ((states.conj() @ _square(operator, states.shape[1])) * states).sum(axis=-1)
 
 
 def luders_image(states: np.ndarray, weights: np.ndarray,
@@ -252,17 +252,17 @@ def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _diagonal_pairs(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, bounds): per `_charge_pairs` entry, Re and Im of B[j, j−q], then of B[j−q, j]."""
-    rows, cols, bounds = _charge_pairs(len(operator))
-    return np.stack([operator[rows, cols], operator[cols, rows]], axis=1).view(float), bounds
+    """(pairs, bounds): per `_charge_pairs` entry, Re and Im of B[…, j, j−q], then B[…, j−q, j]."""
+    rows, cols, bounds = _charge_pairs(operator.shape[-1])
+    return np.stack([operator[..., rows, cols], operator[..., cols, rows]], -1).view(float), bounds
 
 
 def _from_diagonal_pairs(entries: np.ndarray, dim: int) -> np.ndarray:
-    """The D×D matrix with B[j, j−q] = entries[p, 0] and B[j−q, j] = entries[p, 1]."""
+    """B (…, D, D) with B[…, j, j−q] = entries[…, p, 0] and B[…, j−q, j] = entries[…, p, 1]."""
     rows, cols, _ = _charge_pairs(dim)
-    out = np.empty((dim, dim), dtype=complex)
-    out[rows, cols] = entries[:, 0]
-    out[cols, rows] = entries[:, 1]
+    out = np.empty(entries.shape[:-2] + (dim, dim), dtype=complex)
+    out[..., rows, cols] = entries[..., 0]
+    out[..., cols, rows] = entries[..., 1]
     return out
 
 
@@ -294,11 +294,11 @@ def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
 
 
 def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
-    """Λ(B) charge by charge: one product M_q [b_q, b_−q] per q ≥ 0."""
+    """Λ(B) charge by charge: one product M_q [b_q, b_−q] per q ≥ 0; B may be a stack (…, D, D)."""
     dim = len(blocks[0])
     pairs, bounds = _diagonal_pairs(_square(operator, dim))
-    images = [blocks[charge] @ pairs[bounds[charge]:bounds[charge + 1]] for charge in range(dim)]
-    return _from_diagonal_pairs(np.concatenate(images).view(complex), dim)
+    images = [blocks[q] @ pairs[..., bounds[q]:bounds[q + 1], :] for q in range(dim)]
+    return _from_diagonal_pairs(np.concatenate(images, axis=-2).view(complex), dim)
 
 
 def charge_block_spectrum(blocks: dict) -> SpectralReport:
@@ -354,18 +354,18 @@ def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
 
 def ring_q_symbols(factors: np.ndarray, n_angular: int,
                    operator: np.ndarray) -> np.ndarray:
-    """Q[r, l] = ⟨ψ_rl|B|ψ_rl⟩ for ψ_rl[k] = F[r, k] e^{ikφ_l}, φ_l = 2πl/n_φ.
+    """Q[…, r, l] = ⟨ψ_rl|B|ψ_rl⟩ for ψ_rl[k] = F[r, k] e^{ikφ_l}, φ_l = 2πl/n_φ, per B of a stack.
 
     c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] is summed one offset
     diagonal at a time, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
     dim = np.shape(factors)[1]
     pairs, bounds = _diagonal_pairs(_square(operator, dim))
-    sums = np.stack([g @ pairs[bounds[charge]:bounds[charge + 1]]
+    sums = np.stack([g @ pairs[..., bounds[charge]:bounds[charge + 1], :]
                      for charge, g in enumerate(_ring_products(factors))],
-                    axis=1).view(complex)
+                    axis=-2).view(complex)
     phases = _angle_phases(dim, n_angular)
-    return sums[:, :, 0] @ phases + sums[:, 1:, 1] @ phases[1:].conj()
+    return sums[..., 0] @ phases + sums[..., 1:, 1] @ phases[1:].conj()
 
 
 def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ particle channel against analytic disk-limit predictions and the exact
 symbolic map, and `order` runs the exact ordering engine on an operator
 expression.  Exit status 0 means every check passed; 1 means a check
 failed; 2 means the invocation itself was invalid (bad sizing, malformed
-expression or override, or an expression past the degree cap, the digit
-limit or the nesting limit).
+expression or override, an expression past the degree cap, the digit
+limit or the nesting limit, or an ordered form with a coefficient past the
+digit limit).
 
 Grid tolerances in `fock` were fixed by oracle runs at the default
 sizing (dim=40, radius=3): comparisons against disk-limit predictions
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .channel import (
     ring_q_symbols,
     ring_resolution,
 )
-from .expr import MAX_DEGREE, ParseError
+from .expr import MAX_DEGREE, MAX_NUMBER_DIGITS, ParseError
 from .reports import ReportDocument, ReportSchemaError
 from .spin import SpinSpace
 
@@ -45,6 +47,8 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 _RNG_SEED = 20030815
+_DIGIT_BOUND = 10 ** MAX_NUMBER_DIGITS  # the smallest integer of MAX_NUMBER_DIGITS + 1 digits
+_SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # integers of at most this many bits are below it
 
 
 class UsageError(ValueError):
@@ -59,6 +63,22 @@ def _random_hermitian(rng, dim):
 def _largest_coefficient(poly) -> float:
     """max |c| over the terms of an exact polynomial, 0 for the zero polynomial."""
     return max((abs(complex(c)) for c in poly.terms.values()), default=0.0)
+
+
+def _check_printable(name: str, poly):
+    """Raise UsageError if a printed coefficient has more than MAX_NUMBER_DIGITS digits.
+
+    Such a form would not re-parse.  Digits are bounded from bit lengths, not by
+    the quadratic str(); the stored numerators and shared denominator bound every
+    reduced coefficient, so only a form past that bound checks them one by one.
+    """
+    if max(map(int.bit_length, chain([poly.den], *poly.num.values()))) <= _SAFE_BITS:
+        return
+    for c in poly.terms.values():
+        if max(abs(c.re.numerator), c.re.denominator,
+               abs(c.im.numerator), c.im.denominator) >= _DIGIT_BOUND:
+            raise UsageError(f"the {name} has a coefficient of more than "
+                             f"{MAX_NUMBER_DIGITS} digits, past the digit limit")
 
 
 def _label_pairs(rng, dim):
@@ -132,15 +152,15 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     run.numeric("fixed_point_identity", 0.0, np.abs(residual).max(), 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
-    operators = [_random_hermitian(rng, space.dim) for _ in range(20)]
-    operators += [charge_block_image(blocks, operator) for operator in operators]
-    symbols = np.array([ring_q_symbols(factors, weights.shape[1], operator).ravel()
-                        for operator in operators])
-    # rows 0..19 expand B, rows 20..39 expand Λ(B)
-    coeffs = spin.harmonic_coefficients(symbols, grid, space).coeffs
-    taus = [spin.tau_spin(space, l) for l in range(space.dim)]
-    worst = max(np.abs(c[20:] - taus[l] * c[:20]).max() for (l, _), c in coeffs.items())
-    run.numeric("harmonic_damping", 0.0, worst, 1e-9)
+    operators = np.array([_random_hermitian(rng, space.dim) for _ in range(20)])
+    # one symbol call per stack; rows 0..19 expand B, rows 20..39 expand Λ(B)
+    symbols = np.concatenate([ring_q_symbols(factors, weights.shape[1], stack)
+                              for stack in (operators, charge_block_image(blocks, operators))])
+    coeffs = spin.harmonic_coefficients(symbols.reshape(40, -1), grid, space).coeffs
+    taus = np.array([spin.tau_spin(space, l) for l in range(space.dim)])
+    values = np.array(list(coeffs.values()))  # one row per (l, m)
+    damped = taus[[l for l, _ in coeffs], None] * values[:, :20]
+    run.numeric("harmonic_damping", 0.0, np.abs(values[:, 20:] - damped).max(), 1e-9)
 
     run.finish()
     return report
@@ -238,6 +258,8 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
     anti = ordering.anti_normal_order(poly)
     luders = ordering.luders_symbolic(poly)
     well = ordering.is_well_ordered(poly)
+    for name, form in (("normal form", poly), ("anti-normal form", anti), ("Lüders image", luders)):
+        _check_printable(name, form)
     normal_form = poly.to_source()
     report = ReportDocument(
         command="order",

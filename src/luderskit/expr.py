@@ -317,12 +317,20 @@ def _render(node: ExprNode, context: int) -> str:
         inner = _render(node.operand, 2)
         text = f"-{inner}"
         return f"({text})" if context >= 2 else text
+    # left-nested chains render without recursion, as the ordering engine evaluates them
     if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        text = f"{_render(node.lhs, 0)} {op} {_render(node.rhs, 1)}"
+        pieces = []
+        while isinstance(node, (Add, Sub)):
+            pieces.append(f" {'+' if isinstance(node, Add) else '-'} {_render(node.rhs, 1)}")
+            node = node.lhs
+        text = _render(node, 0) + "".join(reversed(pieces))
         return f"({text})" if context >= 1 else text
     if isinstance(node, Mul):
-        text = f"{_render(node.lhs, 1)}*{_render(node.rhs, 2)}"
+        pieces = []
+        while isinstance(node, Mul):
+            pieces.append(_render(node.rhs, 2))
+            node = node.lhs
+        text = "*".join([_render(node, 1)] + pieces[::-1])
         return f"({text})" if context >= 2 else text
     if isinstance(node, Pow):
         base = _render(node.base, 3)

@@ -229,7 +229,7 @@ class XiSpectrum:
 
 def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
                     xi_points: np.ndarray) -> XiSpectrum:
-    """B_ξ = Σ_k w_k Q(α_k) exp(ᾱ_k ξ - α_k ξ̄), the plane-wave transform."""
+    """B_ξ = Σ_k w_k Q(α_k) exp(ᾱ_k ξ - α_k ξ̄) per symbol of a (..., n_nodes) stack."""
     xi_points = np.asarray(xi_points, dtype=complex)
     kern = np.exp(
         np.outer(quad.alphas.conj(), xi_points)
@@ -278,21 +278,20 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     if xi_points is None:
         xi_points = default_xi_points()
     factors, weights = ring_factors(space, quad)
-    source = ring_q_symbols(factors, weights.shape[1], operator).ravel()
-    image = ring_q_symbols(factors, weights.shape[1],
-                           ring_luders_image(factors, weights, operator)).ravel()
-    src = xi_coefficients(source, quad, xi_points)
-    img = xi_coefficients(image, quad, xi_points)
-    flagged = np.abs(src.coeffs) < XI_FLOOR
-    ratios = np.where(flagged, np.nan + 0j, img.coeffs / np.where(flagged, 1.0, src.coeffs))
-    expected = np.exp(-np.abs(src.xi_points) ** 2)
+    symbols = np.array([ring_q_symbols(factors, weights.shape[1], op).ravel()
+                        for op in (operator, ring_luders_image(factors, weights, operator))])
+    xi = xi_coefficients(symbols, quad, xi_points)
+    (source, image), (src, img) = symbols, xi.coeffs
+    flagged = np.abs(src) < XI_FLOOR
+    ratios = np.where(flagged, np.nan + 0j, img / np.where(flagged, 1.0, src))
+    expected = np.exp(-np.abs(xi.xi_points) ** 2)
     deviations = np.where(flagged, np.nan, np.abs(ratios - expected))
     return DampingReport(
         source_symbols=source,
         image_symbols=image,
-        xi_points=src.xi_points,
-        source_coeffs=src.coeffs,
-        image_coeffs=img.coeffs,
+        xi_points=xi.xi_points,
+        source_coeffs=src,
+        image_coeffs=img,
         ratios=ratios,
         expected=expected,
         deviations=deviations,

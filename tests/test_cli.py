@@ -9,7 +9,7 @@ import pytest
 
 from luderskit import channel, cli, fock, spin
 from luderskit.cli import run
-from luderskit.expr import MAX_DEGREE
+from luderskit.expr import MAX_DEGREE, MAX_NUMBER_DIGITS
 from luderskit.reports import ReportSchemaError, validate_report
 
 
@@ -244,6 +244,25 @@ def test_order_front_end_limits_exit_fast(capsys, text, status):
     assert time.perf_counter() - start < 1.0
     if status:
         assert "position" in capsys.readouterr().err
+
+
+def test_order_refuses_coefficients_past_the_digit_limit(capsys):
+    # a 70-digit base to the 64th has about 4,500 digits: more than a literal may have
+    start = time.perf_counter()
+    assert run(["order", f"({'7' * 70})^64*a"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"more than {MAX_NUMBER_DIGITS} digits" in capsys.readouterr().err
+    assert run(["order", f"{'9' * MAX_NUMBER_DIGITS}*a"]) == 0
+    assert run(["order", f"{'9' * MAX_NUMBER_DIGITS}*10*a"]) == 2
+    assert "normal form" in capsys.readouterr().err
+
+
+def test_order_judges_each_reduced_coefficient_not_the_shared_denominator(capsys):
+    # 2^6900 and 3^4300 have 2,078 and 2,052 digits; their product, the shared
+    # denominator, has 4,130, but each printed coefficient stays below the limit
+    text = f"1/{2 ** 6900}*a + 1/{3 ** 4300}*ad"
+    assert run(["order", text]) == 0
+    assert "[PASS] parse_round_trip" in capsys.readouterr().out
 
 
 def test_order_fixed_space_reaches_the_degree_cap():

@@ -69,6 +69,15 @@ def test_round_trip_of_nested_pow():
     assert parse_expression(to_source(node)) == node
 
 
+@pytest.mark.parametrize("operator, joiner", [("+", " + "), ("-", " - "), ("*", "*")],
+                         ids=["sum", "difference", "product"])
+def test_round_trip_of_a_3000_term_chain(operator, joiner):
+    # the tree nests 3,000 deep, so text is compared, not trees
+    text = to_source(parse_expression(operator.join(["a"] * 3000)))
+    assert text == joiner.join(["a"] * 3000)
+    assert to_source(parse_expression(text)) == text
+
+
 @pytest.mark.parametrize("text,position", [
     ("a^x", 2),
     ("a^(2)", 2),

@@ -1,4 +1,4 @@
-"""Property tests of the grid split, the charge blocks, the ring core and the exact ordering engine."""
+"""Property tests: grid split, charge blocks, ring core, operator stacks, exact ordering engine."""
 
 from fractions import Fraction
 from math import comb, factorial
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
-from luderskit import fock, spin
+from luderskit import channel, cli, fock, spin
 from luderskit.channel import (
     charge_block_image,
     charge_block_spectrum,
@@ -166,6 +166,112 @@ def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
     image = charge_block_image(charge_blocks(factors, ring_weights), operator)
     assert_close(ring_luders_image(factors, grid.weights.reshape(len(factors), -1), operator),
                  image)
+
+
+# --- operator stacks, and the ring image's invariants ---------------------------------
+
+def random_stack(seed, dim):
+    """A (2, 3, dim, dim) stack of random complex operators."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, 3, dim, dim)) + 1j * rng.normal(size=(2, 3, dim, dim))
+
+
+def check_stacked_symbols_are_the_single_ones(case, seed):
+    states, _, factors, weights = case
+    stack = random_stack(seed, factors.shape[1])
+    symbols = ring_q_symbols(factors, weights.shape[1], stack)
+    dense = q_symbols(states, stack)
+    assert symbols.shape == stack.shape[:2] + weights.shape
+    for index in np.ndindex(stack.shape[:2]):
+        single = ring_q_symbols(factors, weights.shape[1], stack[index])
+        assert np.array_equal(symbols[index], single)
+        assert np.array_equal(dense[index], q_symbols(states, stack[index]))
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_ring_symbols_are_the_single_ones_on_fock_grids(case, seed):
+    check_stacked_symbols_are_the_single_ones(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_ring_symbols_are_the_single_ones_on_spin_grids(case, seed):
+    check_stacked_symbols_are_the_single_ones(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_block_images_are_the_single_ones(case, seed):
+    _, _, factors, weights = case
+    blocks = charge_blocks(factors, weights)
+    stack = random_stack(seed, factors.shape[1])
+    images = charge_block_image(blocks, stack)
+    assert images.shape == stack.shape
+    for index in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(images[index], charge_block_image(blocks, stack[index]))
+
+
+def check_ring_image_invariants(case, seed):
+    """HS self-adjointness, Hermiticity and covariance under the grid's rotation."""
+    _, _, factors, weights = case
+    dim, n_angular = factors.shape[1], weights.shape[1]
+    lhs, rhs = random_operator(seed, dim), random_operator(seed + 1, dim)
+    image = ring_luders_image(factors, weights, rhs)
+    scale = np.linalg.norm(lhs) * np.linalg.norm(rhs)
+    assert abs(np.vdot(lhs, image) - np.vdot(ring_luders_image(factors, weights, lhs), rhs)) \
+        <= 1e-12 * scale
+    hermitian = ring_luders_image(factors, weights, rhs + rhs.conj().T)
+    assert_close(hermitian, hermitian.conj().T)
+    # U = diag(e^{2πik/n_φ}) moves each ring state one grid angle on: U ψ_rl = ψ_r,l+1
+    phases = np.exp(2j * np.pi * np.arange(dim) / n_angular)
+    rotation = np.outer(phases, phases.conj())
+    assert_close(ring_luders_image(factors, weights, rotation * rhs), rotation * image)
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_ring_image_invariants_on_fock_grids(case, seed):
+    check_ring_image_invariants(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_ring_image_invariants_on_spin_grids(case, seed):
+    check_ring_image_invariants(case, seed)
+
+
+def counted(monkeypatch, name, *modules):
+    """Replace `name` in each module with one wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_spin_command_maps_its_operators_as_stacks(monkeypatch):
+    symbols = counted(monkeypatch, "ring_q_symbols", channel, cli)
+    images = counted(monkeypatch, "charge_block_image", channel, cli)
+    assert cli.run(["spin", "--two-s", "3"]) == 0
+    assert len(symbols) <= 2
+    assert len(images) == 1
+
+
+def test_damping_check_transforms_both_symbols_in_one_call(monkeypatch):
+    calls = counted(monkeypatch, "xi_coefficients", fock)
+    space = fock.FockSpace(16)
+    quad = fock.plane_quadrature(space, 1.8)
+    state = fock.fock_coherent_state(space, 1.0)
+    report = fock.verify_damping(space, np.outer(state, state.conj()), quad)
+    assert len(calls) == 1
+    for symbols, coeffs in ((report.source_symbols, report.source_coeffs),
+                            (report.image_symbols, report.image_coeffs)):
+        assert_close(coeffs, fock.xi_coefficients(symbols, quad, report.xi_points).coeffs)
 
 
 # --- the one split and the ring-by-ring harmonic transform ----------------------------
