@@ -18,8 +18,12 @@ from its ring coordinates and node weights W (n_r × n_φ).  On any such
 grid, aliased or not, `ring_q_symbols`, `ring_resolution` and
 `ring_luders_image` compute the same quadrature sums as `q_symbols`,
 `resolution` and `luders_image` from the ring factors F (n_r × D) and
-W, one offset diagonal at a time, without the state matrix:
-O(n_r·D² + n_r·n_φ·D) per image against O(n_r·n_φ·D²).  When the angle
+W, one offset diagonal at a time, without the state matrix.  The
+symbols visit only the c charges q = j − k on which B is nonzero, and
+the image only the c′ charges congruent to ±q (mod n_φ) for one of them
+(c′ = c on an alias-free grid): an image costs O(D² + n_r·(c + c′)·(D + n_φ)) against
+the state matrix's O(n_r·n_φ·D²).  A dense B (c = D) costs
+O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.  When the angle
 grid is alias-free the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
 (D−|q|)-square block; `charge_blocks`, `charge_block_image` and
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from math import pi
 
 import numpy as np
@@ -257,21 +262,48 @@ def _diagonal_pairs(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([operator[..., rows, cols], operator[..., cols, rows]], -1).view(float), bounds
 
 
-def _from_diagonal_pairs(entries: np.ndarray, dim: int) -> np.ndarray:
-    """B (…, D, D) with B[…, j, j−q] = entries[…, p, 0] and B[…, j−q, j] = entries[…, p, 1]."""
-    rows, cols, _ = _charge_pairs(dim)
-    out = np.empty(entries.shape[:-2] + (dim, dim), dtype=complex)
+def _live_charges(pairs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The charges q ≥ 0 whose b_q or b_−q is nonzero in some operator of the stack, or [0]."""
+    width = pairs.shape[-1]  # reduce over flat (entry, part) columns: a short last axis is slow
+    nonzero = (pairs != 0).reshape(-1, bounds[-1] * width).any(axis=0)
+    live = np.flatnonzero(np.logical_or.reduceat(nonzero, width * bounds[:-1]))
+    return live if live.size else np.zeros(1, dtype=int)
+
+
+def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
+    """The charges q′ in 0..D−1 with q′ ≡ ±q (mod n_φ) for some q of `charges`."""
+    hit = np.zeros(n_angular, dtype=bool)
+    hit[np.concatenate([charges, -charges]) % n_angular] = True
+    return np.flatnonzero(hit[np.arange(dim) % n_angular])
+
+
+def _from_diagonal_pairs(entries: np.ndarray, dim: int, charges: np.ndarray) -> np.ndarray:
+    """B (…, D, D) with B[…, j, j−q] = entries[…, p, 0] and B[…, j−q, j] = entries[…, p, 1].
+
+    `entries` holds the `_charge_pairs` entries of `charges` in order; the
+    other charges of B are 0.
+    """
+    rows, cols, bounds = _charge_pairs(dim)
+    if len(charges) == dim:
+        out = np.empty(entries.shape[:-2] + (dim, dim), dtype=complex)
+    else:
+        out = np.zeros(entries.shape[:-2] + (dim, dim), dtype=complex)
+        taken = np.concatenate([np.arange(bounds[q], bounds[q + 1]) for q in charges])
+        rows, cols = rows[taken], cols[taken]
     out[..., rows, cols] = entries[..., 0]
     out[..., cols, rows] = entries[..., 1]
     return out
 
 
-def _ring_products(factors: np.ndarray):
-    """Yield G_q[r, i] = F[r, i + q] F[r, i] for q = 0..D−1, in `_charge_pairs` order."""
+def _per_charge(factors: np.ndarray, charges, operands, product) -> list:
+    """[product(G_q, x) for q, x in zip(charges, operands)], G_q[r, i] = F[r, i + q] F[r, i].
+
+    G_q holds the ring products along the charge-q offset diagonal, in
+    `_charge_pairs` order; it is formed only for the charges asked for.
+    """
     factors = np.asarray(factors, dtype=float)
     dim = factors.shape[1]
-    for charge in range(dim):
-        yield factors[:, charge:] * factors[:, :dim - charge]
+    return [product(factors[:, q:] * factors[:, :dim - q], x) for q, x in zip(charges, operands)]
 
 
 def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
@@ -284,9 +316,11 @@ def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
     weights do not resolve I).
     """
     ring_weights = np.asarray(weights, dtype=float).sum(axis=1)
+    charges = range(np.shape(factors)[1])
+    products = _per_charge(factors, charges, repeat(ring_weights), lambda g, w: (g.T * w) @ g)
     blocks = {}
-    for charge, g in enumerate(_ring_products(factors)):
-        blocks[charge] = blocks[-charge] = (g.T * ring_weights) @ g
+    for charge, block in zip(charges, products):
+        blocks[charge] = blocks[-charge] = block
     defect = np.abs(blocks[0].sum(axis=1) - 1.0).max()
     if defect > UNITALITY_TOL:
         raise ValueError(f"charge block q = 0 is not unital (defect {defect:.3e})")
@@ -298,7 +332,7 @@ def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
     dim = len(blocks[0])
     pairs, bounds = _diagonal_pairs(_square(operator, dim))
     images = [blocks[q] @ pairs[..., bounds[q]:bounds[q + 1], :] for q in range(dim)]
-    return _from_diagonal_pairs(np.concatenate(images, axis=-2).view(complex), dim)
+    return _from_diagonal_pairs(np.concatenate(images, axis=-2).view(complex), dim, range(dim))
 
 
 def charge_block_spectrum(blocks: dict) -> SpectralReport:
@@ -347,9 +381,30 @@ def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
-    """Read-only E[q, l] = e^{−iqφ_l} for q = 0..D−1 and φ_l = 2πl/n_φ."""
+    """Read-only E[2q, l] = e^{iqφ_l} and E[2q + 1, l] = e^{−iqφ_l} for q = 0..D−1, φ_l = 2πl/n_φ."""
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
-    return _frozen(roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular])
+    minus = roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
+    return _frozen(np.stack([minus.conj(), minus], axis=1).reshape(2 * dim, n_angular))
+
+
+def _phase_rows(dim: int, n_angular: int, charges: np.ndarray) -> np.ndarray:
+    """The rows 2q and 2q + 1 of `_angle_phases` for each q of `charges`, in order."""
+    table = _angle_phases(dim, n_angular)
+    return table if len(charges) == dim else table[(2 * charges[:, None] + (0, 1)).ravel()]
+
+
+def _ring_symbols(factors: np.ndarray, n_angular: int,
+                  operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, charges): the symbols of `ring_q_symbols` and the live charges of B they came from."""
+    dim = np.shape(factors)[1]
+    pairs, bounds = _diagonal_pairs(_square(operator, dim))
+    charges = _live_charges(pairs, bounds)
+    sums = np.stack(_per_charge(factors, charges,
+                                (pairs[..., bounds[q]:bounds[q + 1], :] for q in charges),
+                                np.matmul), axis=-2).view(complex)
+    phases = _phase_rows(dim, n_angular, charges)
+    start = int(charges[0] == 0)  # b_{−0} is b_0 again
+    return sums[..., 0] @ phases[1::2] + sums[..., start:, 1] @ phases[2 * start::2], charges
 
 
 def ring_q_symbols(factors: np.ndarray, n_angular: int,
@@ -357,15 +412,22 @@ def ring_q_symbols(factors: np.ndarray, n_angular: int,
     """Q[…, r, l] = ⟨ψ_rl|B|ψ_rl⟩ for ψ_rl[k] = F[r, k] e^{ikφ_l}, φ_l = 2πl/n_φ, per B of a stack.
 
     c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] is summed one offset
-    diagonal at a time, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
+    diagonal at a time, over the charges where some B of the stack is
+    nonzero, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
+    return _ring_symbols(factors, n_angular, operator)[0]
+
+
+def _ring_resolution(factors: np.ndarray, values: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """`ring_resolution` on the charges `charges` only; the other charges are 0."""
     dim = np.shape(factors)[1]
-    pairs, bounds = _diagonal_pairs(_square(operator, dim))
-    sums = np.stack([g @ pairs[..., bounds[charge]:bounds[charge + 1], :]
-                     for charge, g in enumerate(_ring_products(factors))],
-                    axis=-2).view(complex)
-    phases = _angle_phases(dim, n_angular)
-    return sums[..., 0] @ phases + sums[..., 1:, 1] @ phases[1:].conj()
+    # one product for both signs: numpy takes gemv for a one-row product, which
+    # rounds differently from the gemm of the full table
+    hats = (_phase_rows(dim, values.shape[1], charges) @ values.T).reshape(len(charges), 2, -1)
+    # hats[i, r] holds Re and Im of V̂[r, q], then of V̂[r, −q], for q = charges[i]
+    hats = np.ascontiguousarray(hats.transpose(0, 2, 1)).view(float)
+    entries = np.concatenate(_per_charge(factors, charges, hats, lambda g, hat: g.T @ hat))
+    return _from_diagonal_pairs(entries.view(complex), dim, charges)
 
 
 def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -375,19 +437,22 @@ def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:
     V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}.
     """
     values = np.asarray(values)
-    dim = np.shape(factors)[1]
     if values.ndim != 2 or values.shape[0] != len(factors):
         raise ValueError(f"values must have shape ({len(factors)}, n_angular), got {values.shape}")
-    phases = _angle_phases(dim, values.shape[1])
-    # hats[q, r] holds Re and Im of V̂[r, q], then of V̂[r, −q]
-    hats = np.stack([phases.conj() @ values.T, phases @ values.T], axis=2).view(float)
-    entries = np.concatenate([g.T @ hats[charge]
-                              for charge, g in enumerate(_ring_products(factors))]).view(complex)
-    return _from_diagonal_pairs(entries, dim)
+    return _ring_resolution(factors, values, np.arange(np.shape(factors)[1]))
 
 
 def ring_luders_image(factors: np.ndarray, weights: np.ndarray,
                       operator: np.ndarray) -> np.ndarray:
-    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors."""
+    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors.
+
+    With W constant along each ring, the φ-sum keeps charge q of Q only on
+    the image charges q′ ≡ ±q (mod n_φ), so only those are formed; the
+    others are exactly 0.  Otherwise every charge is formed.
+    """
     weights = np.asarray(weights, dtype=float)
-    return ring_resolution(factors, weights * ring_q_symbols(factors, weights.shape[1], operator))
+    dim, n_angular = np.shape(factors)[1], weights.shape[1]
+    symbols, charges = _ring_symbols(factors, n_angular, operator)
+    uniform = np.all(weights == weights[:, :1])
+    charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(dim)
+    return _ring_resolution(factors, weights * symbols, charges)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -309,7 +310,9 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process; `run` reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="luderskit",
         description="Verify Lüders channels of coherent-state POVMs.",

@@ -278,8 +278,8 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     if xi_points is None:
         xi_points = default_xi_points()
     factors, weights = ring_factors(space, quad)
-    symbols = np.array([ring_q_symbols(factors, weights.shape[1], op).ravel()
-                        for op in (operator, ring_luders_image(factors, weights, operator))])
+    stack = np.array([operator, ring_luders_image(factors, weights, operator)])
+    symbols = ring_q_symbols(factors, weights.shape[1], stack).reshape(2, -1)
     xi = xi_coefficients(symbols, quad, xi_points)
     (source, image), (src, img) = symbols, xi.coeffs
     flagged = np.abs(src) < XI_FLOOR

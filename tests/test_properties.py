@@ -157,6 +157,79 @@ def test_ring_core_is_the_dense_core_on_spin_grids(case, seed):
     check_ring_core_against_dense_core(case, seed)
 
 
+def one_charge_operator(seed, dim):
+    """(B, q): random entries on b_q, on b_−q or on both, for a random charge q, and 0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    charge, sides = int(rng.integers(dim)), int(rng.integers(1, 4))
+    operator = np.zeros((dim, dim), dtype=complex)
+    j = np.arange(charge, dim)
+    for side, (rows, cols) in enumerate(((j, j - charge), (j - charge, j))):
+        if sides >> side & 1:
+            operator[rows, cols] = rng.normal(size=j.size) + 1j * rng.normal(size=j.size)
+    return operator, charge
+
+
+def check_one_charge_image(case, seed):
+    """Λ(B) of a charge-q operator is exactly 0 off the charges ≡ ±q (mod n_φ), and the dense image."""
+    states, node_weights, factors, weights = case
+    dim, n_angular = factors.shape[1], weights.shape[1]
+    operator, charge = one_charge_operator(seed, dim)
+    image = ring_luders_image(factors, weights, operator)
+    offsets = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) % n_angular
+    aliases = (offsets == charge % n_angular) | (offsets == -charge % n_angular)
+    assert np.all(image[~aliases] == 0)
+    assert_close(image, luders_image(states, node_weights, operator))
+    # weights that vary along a ring mix the charges: the image is formed on all of them
+    varied = weights * np.random.default_rng(seed).uniform(0.5, 1.5, size=weights.shape)
+    assert_close(ring_luders_image(factors, varied, operator),
+                 luders_image(states, varied.ravel(), operator))
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_one_charge_image_lives_on_the_aliases_on_fock_grids(case, seed):
+    check_one_charge_image(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_one_charge_image_lives_on_the_aliases_on_spin_grids(case, seed):
+    check_one_charge_image(case, seed)
+
+
+def check_charge_sparse_symbols(case, seed):
+    """Each operator of a (2, 3) stack keeps a random subset of its signed charges."""
+    states, _, factors, weights = case
+    dim = factors.shape[1]
+    rng = np.random.default_rng(seed)
+    stack = random_stack(seed, dim)
+    signed = np.subtract.outer(np.arange(dim), np.arange(dim)) + dim - 1
+    for index in np.ndindex(stack.shape[:2]):
+        stack[index] *= (rng.random(2 * dim - 1) < rng.random())[signed]
+    symbols = ring_q_symbols(factors, weights.shape[1], stack)
+    assert_close(symbols.reshape(stack.shape[:2] + (-1,)), q_symbols(states, stack))
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_charge_sparse_symbols_are_the_dense_ones_on_fock_grids(case, seed):
+    check_charge_sparse_symbols(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_charge_sparse_symbols_are_the_dense_ones_on_spin_grids(case, seed):
+    check_charge_sparse_symbols(case, seed)
+
+
+def test_ring_core_maps_the_zero_operator_to_zero():
+    space = fock.FockSpace(12)
+    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, 1.5, 6, 10))
+    zero = np.zeros((12, 12))
+    assert np.array_equal(ring_q_symbols(factors, 10, zero), np.zeros((6, 10)))
+    assert np.array_equal(ring_luders_image(factors, weights, zero), zero)
+
+
 @DETERMINISTIC
 @given(spin_grids(), st.integers(0, 2**32 - 1))
 def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
