@@ -17,18 +17,30 @@ the grid helpers (`q_symbol_fock`, `grid_channel_apply`,
 `resolution_defect`, `verify_damping`) run on.
 `coherent_state_matrix` still gives the dense (n_points, dim) matrix, and
 `fock_coherent_state` one row per label of an array of labels.
+
+The module needs numpy alone.  Factorials enter through a cached table of
+log k!, and the incomplete-gamma factor P(a, R²), for integer a the
+Poisson tail Σ_{j≥a} e^{−R²} R^{2j}/j!, is summed in logs from the far
+tail down, so it neither overflows nor underflows before the final
+exponential.  `displacement_matrix` exponentiates through the eigenbasis
+of the Hermitian generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from functools import lru_cache
+from math import lgamma, pi, sqrt
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammainc, gammaln, xlogy
 
-from .channel import ring_luders_image, ring_q_symbols, ring_resolution, split_rings
+from .channel import (
+    TABLE_CACHE_SIZE,
+    ring_luders_image,
+    ring_q_symbols,
+    ring_resolution,
+    split_rings,
+)
 
 DEFAULT_DIM = 40
 DEFAULT_GUARD_MARGIN = 8
@@ -87,12 +99,46 @@ def _sqrt_run(start: np.ndarray, length: int) -> np.ndarray:
     return np.sqrt(start[:, None] + np.arange(1, length + 1)).prod(axis=1)
 
 
+def _level_logs(y, size: int) -> np.ndarray:
+    """k·log y for k = 0..size−1 on a new last axis of y ≥ 0; exactly 0 at k = 0, even at y = 0."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape + (size,))
+    with np.errstate(divide="ignore"):  # log 0 = −inf, and k·(−inf) = −inf for k ≥ 1
+        np.multiply(np.arange(1, size), np.log(y)[..., None], out=out[..., 1:])
+    return out
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only log k! for k = 0..size−1."""
+    out = np.array([lgamma(k + 1) for k in range(size)])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _log_gamma_p(size: int, x: float) -> np.ndarray:
+    """Read-only log P(a, x) for a = 0..size−1, P the regularized lower incomplete gamma.
+
+    For integer a, P(a, x) is the Poisson tail Σ_{j≥a} e^{−x} x^j / j!: its
+    log pmf is accumulated with logaddexp from the far tail down.  The sum
+    stops x + 12√(x + 1) + 40 terms past the last a, where what is cut off
+    lies below rounding.
+    """
+    stop = size + int(x + 12 * sqrt(x + 1)) + 40
+    log_pmf = _level_logs(x, stop) - x - _log_factorials(stop)
+    out = np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size]
+    out.setflags(write=False)
+    return out
+
+
 def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, on a new last axis of the labels α."""
     k = np.arange(space.dim)
-    mags = np.abs(alphas)[..., None]
-    # log-domain magnitudes avoid factorial overflow at high dim; xlogy(0, 0) = 0 gives |0⟩
-    log_mag = -mags**2 / 2 + xlogy(k, mags) - gammaln(k + 1) / 2
+    mags = np.abs(alphas)
+    # log-domain magnitudes avoid factorial overflow at high dim; level 0 of α = 0 gives |0⟩
+    log_mag = (-mags[..., None]**2 / 2 + _level_logs(mags, space.dim)
+               - _log_factorials(space.dim) / 2)
     phases = np.exp(1j * k * np.angle(alphas)[..., None])
     return np.exp(log_mag) * phases
 
@@ -104,10 +150,12 @@ def fock_coherent_state(space: FockSpace, alpha) -> np.ndarray:
 
 
 def displacement_matrix(space: FockSpace, alpha: complex) -> np.ndarray:
-    """exp(α a† - α* a) on the truncated space."""
+    """exp(α a† - α* a) on the truncated space, as V diag(e^{−iλ}) V† from the eigenpairs
+    (λ, V) of the Hermitian generator H = i(α a† − α* a)."""
     space.check_label(alpha)
     alpha = complex(alpha)
-    return expm(alpha * space.adag - np.conj(alpha) * space.a)
+    lam, vecs = np.linalg.eigh(1j * (alpha * space.adag - np.conj(alpha) * space.a))
+    return (vecs * np.exp(-1j * lam)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -207,13 +255,16 @@ def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.n
 
     Over the whole plane the image is a^n a†^m; the disk |α| <= R scales
     entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
-    For max(n − m, 0) <= k < dim − m that entry is run(k, m) · run(k + m − n, n) · P,
-    the √-runs of `_sqrt_run`.
+    For max(n − m, 0) <= k < dim − m that entry is (k + m)! / √(k! (k + m − n)!) · P,
+    formed in logs so that neither the factorials nor P leave the float range
+    before the product does.
     """
     k = np.arange(max(n - m, 0), space.dim - m)
-    values = _sqrt_run(k, m) * _sqrt_run(k + m - n, n) * gammainc(m + k + 1, radius**2)
+    log_fact = _log_factorials(space.dim)
+    log_p = _log_gamma_p(space.dim + 1, radius**2)
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[k + m - n, k] = values
+    out[k + m - n, k] = np.exp(log_fact[k + m] - (log_fact[k] + log_fact[k + m - n]) / 2
+                               + log_p[k + m + 1])
     return out
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import luderskit
 from luderskit import channel, cli, fock, spin
 from luderskit.cli import run
 from luderskit.expr import MAX_DEGREE, MAX_NUMBER_DIGITS
@@ -344,6 +346,34 @@ def test_schema_validator_rejects_malformed_documents():
             "results": [{"name": "x", "expected": "1", "actual": "1", "tolerance": "0",
                          "pass": "yes"}],
         })
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from luderskit import cli, fock
+statuses = []
+for argv in (["spin", "--two-s", "5"], ["fock"], ["fock", "--dim", "200", "--radius", "7.07"],
+             ["order", "q^2-p^2", "--fixed-space", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(cli.run(argv))
+fock.displacement_matrix(fock.FockSpace(8), 0.5 + 0.5j)
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+print(json.dumps({"statuses": statuses, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_with_scipy_blocked():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(luderskit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcome = json.loads(proc.stdout)
+    assert all(status in (0, 1) for status in outcome["statuses"]), outcome
+    assert outcome["scipy"] == []
 
 
 def test_console_entry_point_subprocess():

@@ -235,6 +235,20 @@ def test_grid_channel_matches_disk_limit_for_monomials(space, quad):
     assert worst < 1e-9
 
 
+def test_disk_image_stays_finite_where_its_factors_leave_the_float_range():
+    # (a†^199 a^199) at R = 1, entry (0, 0): 199! · P(200, 1), with 199! ≈ 4e372
+    # past the float range and P(200, 1) ≈ 5e-376 below it;
+    # 199! P(200, 1) = e^-1 Σ_{j≥200} 199!/j! = e^-1 (1/200 + 1/(200·201) + …)
+    expected, term = 0.0, 1.0
+    for j in range(200, 240):
+        term /= j
+        expected += term
+    expected *= np.exp(-1.0)
+    entry = disk_monomial_image(FockSpace(200), 199, 199, 1.0)[0, 0]
+    assert np.isfinite(entry)
+    assert abs(entry - expected) <= 1e-12 * expected
+
+
 def test_q_symbol_real_for_hermitian(space, quad):
     rng = np.random.default_rng(31)
     raw = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))

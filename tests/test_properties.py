@@ -6,7 +6,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammainc
+from scipy.linalg import expm
+from scipy.special import gammainc, gammaln
 
 from luderskit import channel, cli, fock, spin
 from luderskit.channel import (
@@ -407,6 +408,44 @@ def test_closed_form_disk_image_is_the_dense_product(case):
     expected = dense_disk_monomial(space, m, n, radius)
     assert closed.shape == expected.shape
     assert np.all(np.abs(closed - expected) <= 1e-13 * np.abs(expected) + np.finfo(float).tiny)
+
+
+# --- numpy-only special functions against SciPy as the oracle -----------------------
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 250), st.floats(0.0, 50.0, exclude_min=True))
+def test_poisson_tail_is_the_regularized_incomplete_gamma(top, x):
+    # the table for levels 0..top, so its tail is cut just past the level it is drawn for
+    a = np.arange(1, top + 1)
+    expected = gammainc(a, x)
+    tail = np.exp(fock._log_gamma_p(top + 1, x)[a])
+    live = expected > 1e-300
+    assert np.all(np.abs(tail - expected)[live] <= 1e-12 * expected[live])
+    assert np.all(tail[~live] <= 1e-290)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(1, 600))
+def test_log_factorial_table_is_gammaln(size):
+    table = fock._log_factorials(size)
+    expected = gammaln(np.arange(size) + 1.0)
+    assert np.all(np.abs(table - expected) <= 1e-15 * np.maximum(expected, 1.0))
+
+
+@st.composite
+def displacements(draw):
+    """dim 2..200 and a label with |α|² <= dim/4."""
+    dim = draw(st.integers(2, 200))
+    modulus = draw(st.floats(0.0, 1.0)) * np.sqrt(dim) / 2
+    return fock.FockSpace(dim), modulus * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(displacements())
+def test_displacement_is_the_matrix_exponential(case):
+    space, alpha = case
+    expected = expm(alpha * space.adag - np.conj(alpha) * space.a)
+    assert np.abs(fock.displacement_matrix(space, alpha) - expected).max() <= 1e-13
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
