@@ -22,8 +22,11 @@ W, one offset diagonal at a time, without the state matrix.  The
 symbols visit only the c charges q = j − k on which B is nonzero, and
 the image only the c′ charges congruent to ±q (mod n_φ) for one of them
 (c′ = c on an alias-free grid): an image costs O(D² + n_r·(c + c′)·(D + n_φ)) against
-the state matrix's O(n_r·n_φ·D²).  A dense B (c = D) costs
-O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.  When the angle
+the state matrix's O(n_r·n_φ·D²).  The D² is one scan of B's nonzero
+mask for its live charges; each live charge then reads its two offset
+diagonals in place, O(D) per charge, and the image writes its charges
+back the same way.  A dense B (c = D) costs O(n_r·D² + n_r·n_φ·D); a
+ladder word a†^m a^n has c = 1.  When the angle
 grid is alias-free the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
 (D−|q|)-square block; `charge_blocks`, `charge_block_image` and
@@ -47,7 +50,7 @@ RESOLUTION_TOL = 1e-10
 UNITALITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 FIXED_POINT_TOL = 1e-7  # eigenvalue window around 1; spectral gaps exceed 1e-1
-TABLE_CACHE_SIZE = 16  # per-size index and phase tables kept by the ring core
+TABLE_CACHE_SIZE = 16  # sizes kept per cached table: ring-core phases, fock's log tables
 
 
 class QuadratureError(ValueError):
@@ -241,32 +244,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _charge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (rows, cols, bounds): the entries (j, k), j ≥ k, ordered by charge q = j − k.
-
-    Charge q owns the entries bounds[q]:bounds[q + 1], which run along its
-    offset diagonal; entry p also stands for the entry (cols_p, rows_p) of
-    charge −q.
-    """
-    lengths = dim - np.arange(dim)
-    bounds = np.r_[0, np.cumsum(lengths)]
-    charges = np.repeat(np.arange(dim), lengths)
-    cols = np.arange(bounds[-1]) - bounds[charges]
-    return _frozen(cols + charges), _frozen(cols), _frozen(bounds)
-
-
-def _diagonal_pairs(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, bounds): per `_charge_pairs` entry, Re and Im of B[…, j, j−q], then B[…, j−q, j]."""
-    rows, cols, bounds = _charge_pairs(operator.shape[-1])
-    return np.stack([operator[..., rows, cols], operator[..., cols, rows]], -1).view(float), bounds
-
-
-def _live_charges(pairs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _live_charges(operator: np.ndarray) -> np.ndarray:
     """The charges q ≥ 0 whose b_q or b_−q is nonzero in some operator of the stack, or [0]."""
-    width = pairs.shape[-1]  # reduce over flat (entry, part) columns: a short last axis is slow
-    nonzero = (pairs != 0).reshape(-1, bounds[-1] * width).any(axis=0)
-    live = np.flatnonzero(np.logical_or.reduceat(nonzero, width * bounds[:-1]))
+    dim = operator.shape[-1]
+    nonzero = (operator != 0).reshape(-1, dim, dim).any(axis=0)
+    # read the zero-padded rows of length 2D as rows of length 2D + 1: row j
+    # shifts left by j, so column q holds the entries (j, j + q) of both signs
+    padded = np.zeros((dim + 1, 2 * dim), dtype=bool)
+    padded[:dim, :dim] = nonzero | nonzero.T
+    skew = padded.ravel()[:dim * (2 * dim + 1)].reshape(dim, 2 * dim + 1)[:, :dim]
+    live = np.flatnonzero(skew.any(axis=0))
     return live if live.size else np.zeros(1, dtype=int)
 
 
@@ -277,21 +264,27 @@ def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
     return np.flatnonzero(hit[np.arange(dim) % n_angular])
 
 
-def _from_diagonal_pairs(entries: np.ndarray, dim: int, charges: np.ndarray) -> np.ndarray:
-    """B (…, D, D) with B[…, j, j−q] = entries[…, p, 0] and B[…, j−q, j] = entries[…, p, 1].
+def _charge_pair(operator: np.ndarray, charge: int) -> np.ndarray:
+    """(…, D−q, 4): Re and Im of b_q[j] = B[…, j, j−q], then of b_−q[j] = B[…, j−q, j]."""
+    pair = np.empty(operator.shape[:-2] + (operator.shape[-1] - charge, 2), dtype=complex)
+    pair[..., 0] = operator.diagonal(-charge, -2, -1)
+    pair[..., 1] = operator.diagonal(charge, -2, -1)
+    return pair.view(float)
 
-    `entries` holds the `_charge_pairs` entries of `charges` in order; the
-    other charges of B are 0.
+
+def _from_charge_pairs(pairs, charges, shape: tuple) -> np.ndarray:
+    """B of `shape` (…, D, D) from one `_charge_pair`-layout array per q of `charges`.
+
+    Each pair is written back along its two offset diagonals of the flat
+    view; the charges not in `charges` are 0.
     """
-    rows, cols, bounds = _charge_pairs(dim)
-    if len(charges) == dim:
-        out = np.empty(entries.shape[:-2] + (dim, dim), dtype=complex)
-    else:
-        out = np.zeros(entries.shape[:-2] + (dim, dim), dtype=complex)
-        taken = np.concatenate([np.arange(bounds[q], bounds[q + 1]) for q in charges])
-        rows, cols = rows[taken], cols[taken]
-    out[..., rows, cols] = entries[..., 0]
-    out[..., cols, rows] = entries[..., 1]
+    dim = shape[-1]
+    out = (np.empty if len(charges) == dim else np.zeros)(shape, dtype=complex)
+    flat = out.reshape(shape[:-2] + (dim * dim,))
+    for charge, pair in zip(charges, pairs):
+        pair = pair.view(complex)
+        flat[..., charge * dim::dim + 1] = pair[..., 0]  # B[j, j−q]
+        flat[..., charge:(dim - charge) * dim:dim + 1] = pair[..., 1]  # B[j−q, j]
     return out
 
 
@@ -299,7 +292,7 @@ def _per_charge(factors: np.ndarray, charges, operands, product) -> list:
     """[product(G_q, x) for q, x in zip(charges, operands)], G_q[r, i] = F[r, i + q] F[r, i].
 
     G_q holds the ring products along the charge-q offset diagonal, in
-    `_charge_pairs` order; it is formed only for the charges asked for.
+    `_charge_pair` order; it is formed only for the charges asked for.
     """
     factors = np.asarray(factors, dtype=float)
     dim = factors.shape[1]
@@ -330,9 +323,9 @@ def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
 def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
     """Λ(B) charge by charge: one product M_q [b_q, b_−q] per q ≥ 0; B may be a stack (…, D, D)."""
     dim = len(blocks[0])
-    pairs, bounds = _diagonal_pairs(_square(operator, dim))
-    images = [blocks[q] @ pairs[..., bounds[q]:bounds[q + 1], :] for q in range(dim)]
-    return _from_diagonal_pairs(np.concatenate(images, axis=-2).view(complex), dim, range(dim))
+    operator = _square(operator, dim)
+    images = (blocks[q] @ _charge_pair(operator, q) for q in range(dim))
+    return _from_charge_pairs(images, range(dim), operator.shape)
 
 
 def charge_block_spectrum(blocks: dict) -> SpectralReport:
@@ -397,10 +390,9 @@ def _ring_symbols(factors: np.ndarray, n_angular: int,
                   operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, charges): the symbols of `ring_q_symbols` and the live charges of B they came from."""
     dim = np.shape(factors)[1]
-    pairs, bounds = _diagonal_pairs(_square(operator, dim))
-    charges = _live_charges(pairs, bounds)
-    sums = np.stack(_per_charge(factors, charges,
-                                (pairs[..., bounds[q]:bounds[q + 1], :] for q in charges),
+    operator = _square(operator, dim)
+    charges = _live_charges(operator)
+    sums = np.stack(_per_charge(factors, charges, (_charge_pair(operator, q) for q in charges),
                                 np.matmul), axis=-2).view(complex)
     phases = _phase_rows(dim, n_angular, charges)
     start = int(charges[0] == 0)  # b_{−0} is b_0 again
@@ -426,8 +418,8 @@ def _ring_resolution(factors: np.ndarray, values: np.ndarray, charges: np.ndarra
     hats = (_phase_rows(dim, values.shape[1], charges) @ values.T).reshape(len(charges), 2, -1)
     # hats[i, r] holds Re and Im of V̂[r, q], then of V̂[r, −q], for q = charges[i]
     hats = np.ascontiguousarray(hats.transpose(0, 2, 1)).view(float)
-    entries = np.concatenate(_per_charge(factors, charges, hats, lambda g, hat: g.T @ hat))
-    return _from_diagonal_pairs(entries.view(complex), dim, charges)
+    images = _per_charge(factors, charges, hats, lambda g, hat: g.T @ hat)
+    return _from_charge_pairs(images, charges, (dim, dim))
 
 
 def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -82,12 +82,15 @@ def _check_printable(name: str, poly):
                              f"{MAX_NUMBER_DIGITS} digits, past the digit limit")
 
 
-def _label_pairs(rng, dim):
-    """Labels a, b (arrays of 50) with |α| < min(2, sqrt(dim)/2), inside check_label's dim/4."""
-    bound = min(2.0, np.sqrt(dim) / 2)
+def _label_pairs(rng, space):
+    """(a, b, |a⟩, |b⟩, ⟨a|b⟩) for 50 label pairs with |α| < min(2, sqrt(dim)/2), inside
+    check_label's dim/4; the states are (50, dim) matrices, one row per label."""
+    bound = min(2.0, np.sqrt(space.dim) / 2)
     draws = rng.uniform(size=(50, 2, 2))  # per pair: |a|, arg a, |b|, arg b
     labels = bound * draws[..., 0] * np.exp(2j * np.pi * draws[..., 1])
-    return labels[:, 0], labels[:, 1]
+    a_pts, b_pts = labels[:, 0], labels[:, 1]
+    va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
+    return a_pts, b_pts, va, vb, (va.conj() * vb).sum(axis=1)
 
 
 class _CheckRunner:
@@ -158,7 +161,7 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     symbols = np.concatenate([ring_q_symbols(factors, weights.shape[1], stack)
                               for stack in (operators, charge_block_image(blocks, operators))])
     coeffs = spin.harmonic_coefficients(symbols.reshape(40, -1), grid, space).coeffs
-    taus = np.array([spin.tau_spin(space, l) for l in range(space.dim)])
+    taus = expected[np.arange(space.dim) ** 2]  # τ_l heads its 2l + 1 copies at index l²
     values = np.array(list(coeffs.values()))  # one row per (l, m)
     damped = taus[[l for l, _ in coeffs], None] * values[:, :20]
     run.numeric("harmonic_damping", 0.0, np.abs(values[:, 20:] - damped).max(), 1e-9)
@@ -202,9 +205,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
                 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
-    a_pts, b_pts = _label_pairs(rng, dim)
-    va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
-    overlaps = (va.conj() * vb).sum(axis=1)
+    a_pts, b_pts, _, _, overlaps = _label_pairs(rng, space)
     run.numeric("coherent_overlap_law", 0.0,
                 np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
@@ -234,10 +235,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("q_projector_symbol", 0.0,
                 np.abs(damping.image_symbols - gaussian)[window].max(), 2e-3)
 
-    a_pts, b_pts = _label_pairs(rng, dim)
-    va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
+    a_pts, b_pts, va, vb, overlaps = _label_pairs(rng, space)
     # ⟨b|[q, P_a]|b⟩ = ⟨b|q|a⟩⟨a|b⟩ − ⟨b|a⟩⟨a|q|b⟩, one row per label pair
-    overlaps = (va.conj() * vb).sum(axis=1)
     lhs = ((vb.conj() * (va @ q_op.T)).sum(axis=1) * overlaps
            - overlaps.conj() * (va.conj() * (vb @ q_op.T)).sum(axis=1))
     rhs = 0.5 * ((a_pts - a_pts.conj()) - (b_pts - b_pts.conj())) \

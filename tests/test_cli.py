@@ -92,6 +92,12 @@ def test_spin_command_evaluates_each_tau_at_most_twice(monkeypatch):
     assert len(calls) <= 2 * 13
 
 
+def test_spin_command_evaluates_each_tau_once(monkeypatch):
+    calls = counting(monkeypatch, spin, "tau_spin_fraction")
+    assert run(["spin", "--two-s", "12"]) == 0
+    assert len(calls) <= 13
+
+
 def test_fock_command_forms_no_matrix_power(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("matrix_power called")

@@ -315,6 +315,28 @@ def test_ring_image_invariants_on_spin_grids(case, seed):
     check_ring_image_invariants(case, seed)
 
 
+@DETERMINISTIC
+@given(spin_ring_grids())
+def test_ring_and_block_images_are_unital(case):
+    _, _, factors, weights = case
+    identity = np.eye(factors.shape[1])
+    assert_close(ring_luders_image(factors, weights, identity), identity)
+    assert_close(charge_block_image(charge_blocks(factors, weights), identity), identity)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_ring_and_block_images_preserve_the_trace(case, seed):
+    _, _, factors, weights = case
+    dim = factors.shape[1]
+    operator, stack = random_operator(seed, dim), random_stack(seed, dim)
+    assert_close(np.trace(ring_luders_image(factors, weights, operator)), np.trace(operator))
+    blocks = charge_blocks(factors, weights)
+    for operators in (operator, stack):
+        assert_close(np.trace(charge_block_image(blocks, operators), axis1=-2, axis2=-1),
+                     np.trace(operators, axis1=-2, axis2=-1))
+
+
 def counted(monkeypatch, name, *modules):
     """Replace `name` in each module with one wrapper that records each call; return the record."""
     calls = []
