@@ -56,7 +56,6 @@ from .ordering import (
     to_matrix,
 )
 from .spin import (
-    HarmonicCoefficients,
     SpherePoint,
     SphereQuadrature,
     SpinSpace,

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__, fock, ordering, spin
 # cmd_spin works from the charge blocks; apply_channel, build_luders_channel and
-# channel_spectrum stay imported because bench/spans.py traces them under these names
+# channel_spectrum stay imported because bench/spans.py traces them under these
+# names and bench/selftest.py reads cli.build_luders_channel
 from .channel import (
     apply_channel,
     build_luders_channel,
@@ -160,11 +161,10 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     # one symbol call per stack; rows 0..19 expand B, rows 20..39 expand Λ(B)
     symbols = np.concatenate([ring_q_symbols(factors, weights.shape[1], stack)
                               for stack in (operators, charge_block_image(blocks, operators))])
-    coeffs = spin.harmonic_coefficients(symbols.reshape(40, -1), grid, space).coeffs
-    taus = expected[np.arange(space.dim) ** 2]  # τ_l heads its 2l + 1 copies at index l²
-    values = np.array(list(coeffs.values()))  # one row per (l, m)
-    damped = taus[[l for l, _ in coeffs], None] * values[:, :20]
-    run.numeric("harmonic_damping", 0.0, np.abs(values[:, 20:] - damped).max(), 1e-9)
+    # row l² + l + m of the coefficients is damped by entry l² + l + m of the spectrum
+    coeffs = spin.harmonic_coefficients(symbols.reshape(40, -1), grid, space)
+    run.numeric("harmonic_damping", 0.0,
+                np.abs(coeffs[:, 20:] - expected[:, None] * coeffs[:, :20]).max(), 1e-9)
 
     run.finish()
     return report

@@ -83,25 +83,21 @@ class ComplexRational:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return _frac_str(self.re)
+            return str(self.re)
         if self.re == 0:
             if self.im == 1:
                 return "i"
             if self.im == -1:
                 return "-i"
-            return f"{_frac_str(self.im)}*i"
+            return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-        return f"({_frac_str(self.re)} {sign} {imag})"
+        imag = "i" if mag == 1 else f"{mag}*i"
+        return f"({self.re} {sign} {imag})"
 
 
 ONE = ComplexRational.real(1)
 I_UNIT = ComplexRational.imag_unit()
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 # --- abstract syntax tree ---------------------------------------------------
@@ -150,24 +146,17 @@ ExprNode = Literal | Symbol | Neg | Add | Sub | Mul | Pow
 OPERATOR_SYMBOLS = ("a", "ad", "q", "p", "id")
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z]+)|(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<op>[-+*^/()]))"
+    r"\s*(?:(?P<name>[A-Za-z]+)|(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<op>[-+*^/()])|(?P<junk>\S))"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            # skip leading whitespace handled by the regex; anything left is junk
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+    for match in _TOKEN_RE.finditer(text):  # only trailing whitespace goes unmatched
         kind = match.lastgroup
+        if kind == "junk":
+            raise ParseError(f"unexpected character {match.group(kind)!r}", match.start(kind))
         tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
     tokens.append(("end", "", len(text)))
     return tokens
 

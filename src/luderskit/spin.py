@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, pi
+from math import comb, factorial, isqrt, pi
 
 import numpy as np
 
@@ -238,25 +238,16 @@ def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class HarmonicCoefficients:
-    """Coefficients B_lm of a Q-symbol, 0 <= l <= 2s, |m| <= l: scalars, or arrays over a stack."""
-
-    two_s: int
-    coeffs: dict
-
-    def __getitem__(self, key):
-        return self.coeffs.get(key, 0.0 + 0.0j)
-
-
 def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
-                          space: SpinSpace) -> HarmonicCoefficients:
+                          space: SpinSpace) -> np.ndarray:
     """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m.
 
     `samples` has shape (..., n_nodes), the flat node axis last as from
-    `q_symbol_spin`; each B_lm has the leading shape, so a stack of symbols
-    shares one pass over the Legendre blocks (a ring-shaped (n_r, n_φ)
-    array raises ValueError).  Each phase is summed against W∘Q over φ
+    `q_symbol_spin` (a ring-shaped (n_r, n_φ) array raises ValueError).
+    Returns a complex array of shape ((2s+1)²,) + the leading shape: B_lm
+    sits in row l² + l + m, the order of `expected_spectrum`, so row i is
+    damped by that spectrum's entry i.  A stack of symbols shares one pass
+    over the Legendre blocks; each phase is summed against W∘Q over φ
     first, one value per ring.
     """
     if grid.exact_degree < 2 * space.two_s:
@@ -265,21 +256,28 @@ def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
     thetas, phis, weights = grid.rings
     wq = np.sqrt(4 * pi / (space.two_s + 1)) * weights * np.reshape(
         samples, np.shape(samples)[:-1] + weights.shape)
-    coeffs = {}
+    coeffs = np.empty((space.dim ** 2,) + wq.shape[:-2], dtype=complex)
     for m, block, phase in harmonic_blocks(space.two_s, thetas, phis):
         ring = wq @ phase.conj()
         column = ring.real @ block + 1j * (ring.imag @ block)  # the block stays real
-        coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(np.moveaxis(column, -1, 0)))
-    return HarmonicCoefficients(space.two_s, coeffs)
+        l = np.arange(abs(m), space.dim)
+        coeffs[l * l + l + m] = np.moveaxis(column, -1, 0)
+    return coeffs
 
 
-def reconstruct_q_symbol(coeffs: HarmonicCoefficients,
-                         grid: SphereQuadrature) -> np.ndarray:
-    """Invert harmonic_coefficients: Q(n_k) = sqrt(4π/(2s+1)) Σ B_lm Y_lm(n_k), ring by ring."""
-    lmax = coeffs.two_s
+def reconstruct_q_symbol(coeffs: np.ndarray, grid: SphereQuadrature) -> np.ndarray:
+    """Invert harmonic_coefficients for one symbol: Q(n_k) = sqrt(4π/(2s+1)) Σ B_lm Y_lm(n_k).
+
+    `coeffs` holds B_lm in row l² + l + m; its length (2s+1)² gives lmax = 2s,
+    and any other length raises ValueError.  Summed ring by ring.
+    """
+    lmax = isqrt(len(coeffs)) - 1
+    if lmax < 0 or (lmax + 1) ** 2 != len(coeffs):
+        raise ValueError(f"{len(coeffs)} coefficients: the count must be (lmax + 1)²")
     out = np.zeros(grid.rings[2].shape, dtype=complex)
     for m, block, phase in harmonic_blocks(lmax, *grid.rings[:2]):
-        c_m = np.array([coeffs[(l, m)] for l in range(abs(m), lmax + 1)])
+        l = np.arange(abs(m), lmax + 1)
+        c_m = coeffs[l * l + l + m]
         out += np.outer(block @ c_m.real + 1j * (block @ c_m.imag), phase)
     return np.sqrt(4 * pi / (lmax + 1)) * out.ravel()
 

@@ -379,10 +379,10 @@ def test_ring_harmonic_coefficients_are_the_per_node_sum(case, seed):
     samples = spin.q_symbol_spin(space, random_operator(seed, space.dim), grid)
     coeffs = spin.harmonic_coefficients(samples, grid, space)
     scale = np.sqrt(4 * np.pi / space.dim)
-    direct = {(l, m): scale * np.sum(grid.weights * samples
-                                     * spin.sph_harm_values(l, m, grid.thetas, grid.phis).conj())
+    direct = {l * l + l + m: scale * np.sum(grid.weights * samples
+                                            * spin.sph_harm_values(l, m, grid.thetas, grid.phis).conj())
               for l in range(space.two_s + 1) for m in range(-l, l + 1)}
-    assert set(coeffs.coeffs) == set(direct)
+    assert set(range(len(coeffs))) == set(direct)
     largest = max(abs(value) for value in direct.values())
     assert max(abs(coeffs[key] - value) for key, value in direct.items()) <= 1e-12 * max(1.0, largest)
 
@@ -395,15 +395,30 @@ def test_stacked_harmonic_coefficients_are_the_single_symbol_ones(case, seed):
                       for i in range(3)])
     stacked = spin.harmonic_coefficients(stack, grid, space)
     singles = [spin.harmonic_coefficients(samples, grid, space) for samples in stack]
-    assert set(stacked.coeffs) == set(singles[0].coeffs)
-    for key, values in stacked.coeffs.items():
+    assert len(stacked) == len(singles[0])
+    for key, values in enumerate(stacked):
         expected = np.array([single[key] for single in singles])
         assert values.shape == (3,)
         assert np.abs(values - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
     column = spin.harmonic_coefficients(stack[:, None, :], grid, space)
-    assert column[(0, 0)].shape == (3, 1)
+    assert column[0].shape == (3, 1)
     with pytest.raises(ValueError):  # ring-shaped, not one flat symbol
         spin.harmonic_coefficients(stack[0].reshape(grid.rings[2].shape), grid, space)
+
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_harmonic_rows_are_damped_by_the_spectrum_in_the_same_order(case, seed):
+    # row l² + l + m of the coefficients of Q_Λ(B) is entry l² + l + m of the spectrum
+    # times row l² + l + m of those of Q_B, the contract the spin command's check reads
+    space, grid = case
+    stack = np.array([random_operator(seed + i, space.dim) for i in range(2)])
+    image = charge_block_image(charge_blocks(*ring_factors(space, grid)), stack)
+    states = spin.coherent_state_matrix(space, grid)
+    before, after = (spin.harmonic_coefficients(q_symbols(states, ops), grid, space)
+                     for ops in (stack, image))
+    assert before.shape == (space.dim ** 2, 2)
+    assert_close(after, expected_spectrum(space)[:, None] * before)
 
 
 # --- the closed-form disk reference ------------------------------------------------

@@ -7,7 +7,6 @@ from scipy.special import sph_harm_y
 
 from luderskit.channel import apply_channel, build_luders_channel
 from luderskit.spin import (
-    HarmonicCoefficients,
     SpherePoint,
     SphereQuadrature,
     SpinSpace,
@@ -272,8 +271,8 @@ def test_harmonic_coefficients_of_identity():
     space = SpinSpace(2)
     grid = sphere_quadrature(space)
     coeffs = harmonic_coefficients(q_symbol_spin(space, np.eye(3), grid), grid, space)
-    for (l, m), value in coeffs.coeffs.items():
-        if (l, m) == (0, 0):
+    for row, value in enumerate(coeffs):
+        if row == 0:  # (l, m) = (0, 0)
             assert abs(value - np.sqrt(3)) < 1e-12  # sqrt(2s+1): reconstructs Q = 1
         else:
             assert abs(value) < 1e-12
@@ -283,8 +282,8 @@ def test_harmonic_coefficients_of_jz_spin_half():
     space = SpinSpace(1)
     grid = sphere_quadrature(space)
     coeffs = harmonic_coefficients(q_symbol_spin(space, space.jz, grid), grid, space)
-    for (l, m), value in coeffs.coeffs.items():
-        if (l, m) == (1, 0):
+    for row, value in enumerate(coeffs):
+        if row == 1 * 1 + 1 + 0:  # (l, m) = (1, 0)
             assert abs(value) > 0.1
         else:
             assert abs(value) < 1e-12
@@ -298,8 +297,8 @@ def test_hermitian_coefficient_symmetry():
         q_symbol_spin(space, random_hermitian(rng, space.dim), grid), grid, space)
     for l in range(space.two_s + 1):
         for m in range(-l, l + 1):
-            lhs = coeffs[(l, -m)]
-            rhs = (-1) ** m * np.conj(coeffs[(l, m)])
+            lhs = coeffs[l * l + l - m]
+            rhs = (-1) ** m * np.conj(coeffs[l * l + l + m])
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -330,9 +329,9 @@ def test_harmonic_coefficients_match_direct_quadrature(two_s):
         for m in range(-l, l + 1):
             y = sph_harm_y(l, m, grid.thetas, grid.phis)
             direct = scale * np.sum(grid.weights * samples * y.conj())
-            assert abs(coeffs[(l, m)] - direct) < 1e-12, (l, m)
-            expected_keys.add((l, m))
-    assert set(coeffs.coeffs) == expected_keys
+            assert abs(coeffs[l * l + l + m] - direct) < 1e-12, (l, m)
+            expected_keys.add(l * l + l + m)
+    assert set(range(len(coeffs))) == expected_keys
 
 
 def test_harmonic_transform_rejects_grids_that_are_not_rings():
@@ -346,6 +345,12 @@ def test_harmonic_transform_rejects_grids_that_are_not_rings():
         harmonic_coefficients(samples, scrambled, space)
     with pytest.raises(ValueError, match="rings"):
         reconstruct_q_symbol(harmonic_coefficients(samples, grid, space), scrambled)
+
+
+def test_reconstruction_rejects_a_coefficient_count_that_is_not_a_square():
+    grid = sphere_quadrature(SpinSpace(2))
+    with pytest.raises(ValueError, match="lmax"):
+        reconstruct_q_symbol(np.ones(10, dtype=complex), grid)
 
 
 def test_coarse_grid_rejected_for_coefficients():
@@ -391,8 +396,10 @@ def test_channel_damps_each_harmonic_sector(two_s):
         before = harmonic_coefficients(q_symbol_spin(space, operator, grid), grid, space)
         image = apply_channel(chan, operator)
         after = harmonic_coefficients(q_symbol_spin(space, image, grid), grid, space)
-        for (l, m), value in before.coeffs.items():
-            assert abs(after[(l, m)] - taus[l] * value) < 1e-9
+        for l in range(two_s + 1):
+            for m in range(-l, l + 1):
+                row = l * l + l + m
+                assert abs(after[row] - taus[l] * before[row]) < 1e-9
 
 
 def test_apply_channel_jz_damps_by_tau1():
@@ -414,12 +421,14 @@ def test_apply_channel_jz_squared_sector_damping():
     before = harmonic_coefficients(q_symbol_spin(space, operator, grid), grid, space)
     after = harmonic_coefficients(
         q_symbol_spin(space, apply_channel(chan, operator), grid), grid, space)
-    assert abs(before[(0, 0)]) > 0.1 and abs(before[(2, 0)]) > 0.1
-    assert abs(after[(0, 0)] - before[(0, 0)]) < 1e-12
-    assert abs(after[(2, 0)] - before[(2, 0)] / 10) < 1e-12
-    for (l, m) in before.coeffs:
-        if l not in (0, 2):
-            assert abs(before[(l, m)]) < 1e-12
+    l2 = 2 * 2 + 2  # row of (l, m) = (2, 0); (0, 0) is row 0
+    assert abs(before[0]) > 0.1 and abs(before[l2]) > 0.1
+    assert abs(after[0] - before[0]) < 1e-12
+    assert abs(after[l2] - before[l2] / 10) < 1e-12
+    for l in range(space.two_s + 1):
+        for m in range(-l, l + 1):
+            if l not in (0, 2):
+                assert abs(before[l * l + l + m]) < 1e-12
 
 
 def test_spectrum_and_unique_fixed_point_across_spins():
@@ -432,9 +441,3 @@ def test_spectrum_and_unique_fixed_point_across_spins():
         fixed = report.fixed_basis[0]
         residual = fixed - np.trace(fixed) / space.dim * np.eye(space.dim)
         assert np.abs(residual).max() < 1e-9
-
-
-def test_harmonic_coefficients_type_access():
-    coeffs = HarmonicCoefficients(2, {(0, 0): 1.0 + 0j})
-    assert coeffs[(0, 0)] == 1.0 + 0j
-    assert coeffs[(1, 0)] == 0.0 + 0j
