@@ -7,7 +7,9 @@ q = (a + a†)/2 and p = (a - a†)/2i.
 
 A polynomial is stored as Gaussian-integer numerators over one positive
 denominator, so the engine's products and sums run on plain ints and
-reduce by one gcd per result.
+reduce by one gcd per result.  Powers of affine bases c + x·a† + y·a are
+formed in closed form, `*` chains fold their one-term factors into one
+word, and the printed forms are rendered from the integers.
 """
 
 from __future__ import annotations
@@ -137,10 +139,6 @@ class _OrderedPolynomial:
         return {k: ComplexRational(Fraction(re, den), Fraction(im, den))
                 for k, (re, im) in self.num.items()}
 
-    def coefficient(self, m: int, n: int) -> ComplexRational:
-        re, im = self.num.get((m, n), (0, 0))
-        return ComplexRational(Fraction(re, self.den), Fraction(im, self.den))
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.den == other.den and self.num == other.num
 
@@ -201,14 +199,8 @@ class NormalPolynomial(_OrderedPolynomial):
     def is_hermitian(self) -> bool:
         return self == self.adjoint()
 
-    def sorted_terms(self):
-        """Terms in canonical print order: total degree desc, then a†-power desc."""
-        return sorted(
-            self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])
-        )
-
     def to_source(self) -> str:
-        return _poly_source(self.sorted_terms(), creation_first=True)
+        return _poly_source(self, creation_first=True)
 
 
 class AntiNormalPolynomial(_OrderedPolynomial):
@@ -216,13 +208,8 @@ class AntiNormalPolynomial(_OrderedPolynomial):
 
     __slots__ = ()
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][1])
-        )
-
     def to_source(self) -> str:
-        return _poly_source(self.sorted_terms(), creation_first=False)
+        return _poly_source(self, creation_first=False)
 
     def to_normal(self) -> NormalPolynomial:
         return NormalPolynomial._reduced(_swapped_sum(
@@ -240,38 +227,51 @@ def _signed_sum(signed) -> NormalPolynomial:
     return NormalPolynomial._reduced(_swapped_sum(words, 1), den)
 
 
-def _poly_source(sorted_terms, creation_first: bool) -> str:
-    if not sorted_terms:
+def _poly_source(poly: _OrderedPolynomial, creation_first: bool) -> str:
+    """The polynomial as expression text: total degree descending, then the a†-power descending."""
+    if not poly.num:
         return "0"
+    den = poly.den
     pieces = []
-    for (m, n), coeff in sorted_terms:
-        if creation_first:
-            ops = _word_source("ad", m) + _word_source("a", n)
+    for (m, n), (re, im) in sorted(
+            poly.num.items(),
+            key=lambda kv: (-kv[0][0] - kv[0][1], -kv[0][0] if creation_first else -kv[0][1])):
+        word = _word_source(m, n, creation_first)
+        if not word:
+            body = _coefficient_source(re, im, den)
+        elif not im and re == den:
+            body = word
+        elif not im and re == -den:
+            body = "-" + word
         else:
-            ops = _word_source("a", m) + _word_source("ad", n)
-        coeff_str = str(coeff)
-        if not ops:
-            body = coeff_str
-        elif coeff_str == "1":  # the string compare spares two Fraction compares per term
-            body = "*".join(ops)
-        elif coeff_str == "-1":
-            body = "-" + "*".join(ops)
-        else:
-            body = "*".join([coeff_str] + ops)
-        pieces.append(body)
-    text = pieces[0]
-    for body in pieces[1:]:
-        if body.startswith("-"):
-            text += " - " + body[1:]
-        else:
-            text += " + " + body
-    return text
+            body = f"{_coefficient_source(re, im, den)}*{word}"
+        pieces.append(f" - {body[1:]}" if body[0] == "-" else f" + {body}")
+    text = "".join(pieces)  # every piece starts " + " or " - "; the first sign is written bare
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _word_source(sym: str, power: int) -> list[str]:
-    if power == 0:
-        return []
-    return [sym if power == 1 else f"{sym}^{power}"]
+def _rational_source(num: int, den: int) -> str:
+    """num/den as str(Fraction(num, den)) prints it, den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _coefficient_source(re: int, im: int, den: int) -> str:
+    """(re + i·im)/den as str(ComplexRational) prints it, from one gcd per nonzero part."""
+    if not im:
+        return _rational_source(re, den)
+    imag = "i" if abs(im) == den else f"{_rational_source(abs(im), den)}*i"
+    if not re:
+        return imag if im > 0 else "-" + imag
+    return f"({_rational_source(re, den)} {'+' if im > 0 else '-'} {imag})"
+
+
+@functools.lru_cache(maxsize=None)
+def _word_source(m: int, n: int, creation_first: bool) -> str:
+    """ad^m*a^n (or a^m*ad^n), first powers bare and zero powers left out."""
+    names = ("ad", "a") if creation_first else ("a", "ad")
+    return "*".join(f"{sym}^{power}" if power > 1 else sym
+                    for sym, power in zip(names, (m, n)) if power)
 
 
 # --- expression evaluation ---------------------------------------------------
@@ -294,7 +294,8 @@ def normal_order(expression: ExprNode | str) -> NormalPolynomial:
 
 def _eval_node(node: ExprNode) -> NormalPolynomial:
     if isinstance(node, Literal):
-        return NormalPolynomial({(0, 0): node.value})
+        re, im, den = _gaussian(node.value)  # lowest terms already
+        return NormalPolynomial._stored({(0, 0): (re, im)} if re or im else {}, den)
     if isinstance(node, Symbol):
         return _SYMBOL_POLYS[node.name]
     if isinstance(node, Neg):
@@ -308,16 +309,60 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
         _check_degree(base.degree() * k)
         if len(base.num) == 1 and 0 in next(iter(base.num)):
             # c·a†^m or c·a^n: its power needs no reordering, only c^k
-            (m, n), (re, im) = next(iter(base.num.items()))
-            cre, cim = 1, 0
-            for _ in range(k):
-                cre, cim = cre * re - cim * im, cre * im + cim * re
-            return NormalPolynomial._reduced({(m * k, n * k): (cre, cim)}, base.den ** k)
+            (m, n), c = next(iter(base.num.items()))
+            return NormalPolynomial._reduced({(m * k, n * k): _gaussian_powers(c, k)[k]},
+                                             base.den ** k)
+        if base.num.keys() <= _AFFINE_KEYS:
+            return _affine_power(base, k)
         out = NormalPolynomial.identity()
         for _ in range(k):
             out = out * base
         return out
     raise TypeError(f"not an expression node: {node!r}")
+
+
+_AFFINE_KEYS = {(0, 0), (1, 0), (0, 1)}
+
+
+def _affine_power(base: NormalPolynomial, k: int) -> NormalPolynomial:
+    """(c + x·a† + y·a)^k in closed form, with no polynomial product.
+
+    From e^{t(c + x a† + y a)} = e^{tc} e^{t x a†} e^{t y a} e^{t² xy/2}
+    ([a, a†] = 1), the coefficient of a†^m a^n, s = m + n, is
+    C(s, m) x^m y^n · u_s with u_s = Σ_j k!/(r! s! j!) c^r (xy/2)^j over
+    r + s + 2j = k.  Numerators are Gaussian integers over den^k · 2^⌊k/2⌋.
+    """
+    c, (xr, xi), (yr, yi) = (base.num.get(key, (0, 0)) for key in ((0, 0), (1, 0), (0, 1)))
+    half = k // 2
+    c_pow, x_pow, y_pow = (_gaussian_powers(z, k) for z in (c, (xr, xi), (yr, yi)))
+    xy_pow = _gaussian_powers((xr * yr - xi * yi, xr * yi + xi * yr), half)
+    sums = {}
+    for s in range(k + 1):
+        ur = ui = 0
+        for j in range((k - s) // 2 + 1):
+            r = k - s - 2 * j
+            (pr, pi), (qr, qi) = c_pow[r], xy_pow[j]
+            w = factorial(k) // (factorial(r) * factorial(s) * factorial(j)) << (half - j)
+            ur += w * (pr * qr - pi * qi)
+            ui += w * (pr * qi + pi * qr)
+        if not (ur or ui):
+            continue
+        for m in range(s + 1):
+            (pr, pi), (qr, qi) = x_pow[m], y_pow[s - m]
+            w = comb(s, m)
+            vr, vi = w * (pr * qr - pi * qi), w * (pr * qi + pi * qr)
+            sums[(m, s - m)] = (ur * vr - ui * vi, ur * vi + ui * vr)
+    return NormalPolynomial._reduced(sums, base.den ** k << half)
+
+
+def _gaussian_powers(z: tuple[int, int], top: int) -> list[tuple[int, int]]:
+    """[z^0, z^1, ..., z^top] for the Gaussian integer z = (re, im)."""
+    re, im = z
+    out = [(1, 0)]
+    for _ in range(top):
+        pr, pi = out[-1]
+        out.append((pr * re - pi * im, pr * im + pi * re))
+    return out
 
 
 def _check_degree(degree: int):
@@ -341,17 +386,66 @@ def _eval_sum(node: Add | Sub) -> NormalPolynomial:
 
 
 def _eval_product(node: Mul) -> NormalPolynomial:
-    """Evaluate a left-nested chain of * left to right, without recursion, as `_eval_sum` does."""
+    """Evaluate a left-nested chain of * left to right, without recursion, as `_eval_sum` does.
+
+    Factors of one term fold into one word (re + i·im)/den · a†^m a^n while
+    it stays in normal order (no a†-power after an a-power).  From the first
+    factor that needs reordering or has more terms on, the chain goes on by
+    polynomial products.  A zero word is kept at degree 0, as the zero
+    polynomial is, so the degree checks see the degrees the products have.
+    """
     factors = []
     while isinstance(node, Mul):
         factors.append(node.rhs)
         node = node.lhs
-    out = _eval_node(node)
+    factors.append(node)
+    m = n = im = 0
+    re = den = 1
+    out = None
     for factor in reversed(factors):
-        rhs = _eval_node(factor)
-        _check_degree(out.degree() + rhs.degree())
-        out = out * rhs
-    return out
+        if out is not None:
+            rhs = _eval_node(factor)
+            _check_degree(out.degree() + rhs.degree())
+            out = out * rhs
+            continue
+        rhs = _factor(factor)
+        if type(rhs) is tuple:
+            m2, n2, r2, i2, d2 = rhs
+            _check_degree(m + n + m2 + n2)
+            if not (n and m2):
+                m, n, re, im, den = m + m2, n + n2, re * r2 - im * i2, re * i2 + im * r2, den * d2
+                if not (re or im):
+                    m = n = 0
+                continue
+            rhs = NormalPolynomial._stored({(m2, n2): (r2, i2)}, d2)
+        else:
+            _check_degree(m + n + rhs.degree())
+        out = NormalPolynomial._reduced({(m, n): (re, im)}, den) * rhs
+    return NormalPolynomial._reduced({(m, n): (re, im)}, den) if out is None else out
+
+
+_WORD_SYMBOLS = {"a": (0, 1), "ad": (1, 0), "id": (0, 0)}
+
+
+def _factor(node: ExprNode):
+    """One factor of a `*` chain: the word (m, n, re, im, den) if it has at most one term, else
+    its polynomial.
+
+    A zero factor is the word (0, 0, 0, 0, 1).  Numbers, a, ad, id and powers of
+    a and ad are read off the tree without forming a polynomial.
+    """
+    if isinstance(node, Literal):
+        return (0, 0) + _gaussian(node.value)
+    base, k = (node.base, node.exponent) if isinstance(node, Pow) else (node, 1)
+    if isinstance(base, Symbol) and base.name in _WORD_SYMBOLS:
+        m, n = _WORD_SYMBOLS[base.name]
+        _check_degree((m + n) * k)
+        return (m * k, n * k, 1, 0, 1)
+    poly = _eval_node(node)
+    if len(poly.num) > 1:
+        return poly
+    ((m, n), (re, im)), = poly.num.items() or (((0, 0), (0, 0)),)
+    return (m, n, re, im, poly.den)
 
 
 def anti_normal_order(poly: NormalPolynomial) -> AntiNormalPolynomial:
@@ -438,18 +532,17 @@ def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamil
     Raises ValueError if the polynomial has any mixed a†^m a^n term with
     m, n >= 1, i.e. falls outside the invariant family.
     """
-    if any(m >= 1 and n >= 1 for m, n in poly.terms):
+    if any(m >= 1 and n >= 1 for m, n in poly.num):
         raise ValueError("polynomial is not in the well-ordered invariant family")
     if not poly.is_hermitian():
         raise ValueError("polynomial is not Hermitian")
-    c00 = poly.coefficient(0, 0)
-    bq = []
-    bp = []
-    for n in range(1, max_degree + 1):
-        cn = poly.coefficient(n, 0)  # coefficient of a†^n = (bq + i bp)/2
-        bq.append(2 * cn.re)
-        bp.append(2 * cn.im)
-    return LuedersFamilyCoefficients(max_degree, c00.re, tuple(bq), tuple(bp))
+    num, den = poly.num, poly.den
+    # the coefficient of a†^n is (bq + i bp)/2
+    heads = [num.get((n, 0), (0, 0)) for n in range(1, max_degree + 1)]
+    return LuedersFamilyCoefficients(
+        max_degree, Fraction(num.get((0, 0), (0, 0))[0], den),
+        tuple(Fraction(2 * re, den) for re, _ in heads),
+        tuple(Fraction(2 * im, den) for _, im in heads))
 
 
 def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
@@ -468,7 +561,7 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
     for m in range(max_degree + 1):
         for n in range(max_degree - m + 1):
             word = NormalPolynomial.monomial(m, n)
-            keys = set((luders_symbolic(word) - word).terms)
+            keys = (luders_symbolic(word) - word).num.keys()
             below = {(m - s, n - s) for s in range(1, min(m, n) + 1)}
             if not keys <= below or (below and (m - 1, n - 1) not in keys):
                 raise RuntimeError(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln
 
-from luderskit import channel, cli, fock, spin
+from luderskit import channel, cli, fock, ordering, spin
 from luderskit.channel import (
     charge_block_image,
     charge_block_spectrum,
@@ -335,6 +335,37 @@ def test_ring_and_block_images_preserve_the_trace(case, seed):
     for operators in (operator, stack):
         assert_close(np.trace(charge_block_image(blocks, operators), axis1=-2, axis2=-1),
                      np.trace(operators, axis1=-2, axis2=-1))
+
+
+@DETERMINISTIC
+@given(spin_grids())
+def test_choi_matrix_of_the_dense_channel_is_positive_semidefinite(case):
+    space, grid = case
+    choi = channel.choi_matrix(channel.build_luders_channel(spin.projector_family(space, grid)))
+    eigenvalues = np.linalg.eigvalsh(choi)
+    assert eigenvalues.min() >= -1e-12 * eigenvalues.max()
+    assert abs(np.trace(choi) - space.dim) <= 1e-12 * space.dim
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_repeated_images_approach_the_trace_at_rate_tau_1(case, seed, steps):
+    # Λ is HS self-adjoint with Λ(I) = I and spectrum {τ_l}, so on B − (tr B / D)·I,
+    # which is HS-orthogonal to I, Λ^k shrinks the HS norm by at most τ_1^k; J_z,
+    # in the l = 1 sector, shrinks by exactly τ_1^k
+    _, _, factors, weights = case
+    dim = factors.shape[1]
+    space = SpinSpace(dim - 1)
+    rate = spin.tau_spin(space, 1) ** steps
+    operator = random_operator(seed, dim)
+    limit = np.trace(operator) / dim * np.eye(dim)
+    image, jz = operator, space.jz
+    for _ in range(steps):
+        image = ring_luders_image(factors, weights, image)
+        jz = ring_luders_image(factors, weights, jz)
+    assert np.linalg.norm(image - limit) <= rate * np.linalg.norm(operator - limit) \
+        + 1e-12 * np.linalg.norm(operator)
+    assert_close(jz, rate * space.jz)
 
 
 def counted(monkeypatch, name, *modules):
@@ -683,3 +714,111 @@ def test_parse_error_points_at_an_exponent_past_the_cap(node, exponent):
     with pytest.raises(ParseError, match="degree cap") as excinfo:
         parse_expression(f"{prefix}a^{exponent}")
     assert excinfo.value.position == len(prefix) + 2
+
+
+# --- closed-form affine powers, folded word products, integer rendering --------------
+
+GAUSSIAN_RATIONALS = st.builds(  # zero, real, imaginary and complex values alike
+    lambda re, im, den: ComplexRational(Fraction(re, den), Fraction(im, den)),
+    st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9),
+    st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9),
+    st.integers(1, 9))
+
+
+def affine_tree(c, x, y):
+    """c + x·ad + y·a as a parser tree."""
+    return Add(Add(Literal(c), Mul(Literal(x), Symbol("ad"))), Mul(Literal(y), Symbol("a")))
+
+
+def power_loop(base, k):
+    out = NormalPolynomial.identity()
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+@ENGINE
+@given(GAUSSIAN_RATIONALS, GAUSSIAN_RATIONALS, GAUSSIAN_RATIONALS, st.integers(0, 24))
+def test_affine_power_is_the_product_loop_and_the_oracle(c, x, y, k):
+    tree = affine_tree(c, x, y)
+    base = normal_order(tree)
+    closed = ordering._affine_power(base, k)
+    assert closed == power_loop(base, k)
+    assert normal_order(Pow(tree, k)) == closed
+    if k <= 10:  # the Fraction oracle takes about 0.8 s at k = 24
+        assert closed.terms == oracle_normal_form(Pow(tree, k))
+
+
+@pytest.mark.parametrize("text", ["q+p", "q+p+1", "(1/3 - 2*i) + 5/7*i*ad - 3/2*a", "a - ad"])
+def test_affine_power_at_the_degree_cap_is_the_product_loop(text):
+    base = normal_order(text)
+    assert ordering._affine_power(base, MAX_DEGREE) == power_loop(base, MAX_DEGREE)
+
+
+CHAIN_FACTORS = ("a", "ad", "q", "p", "id", "i", "0", "-2/3", "a^2", "ad^2", "ad^3", "-a",
+                 "-ad^2", "(1/2 + i)", "(-3/4*i)", "(q+p)", "(a*ad)", "(ad - 1)", "-q")
+
+
+@ENGINE
+@given(st.lists(st.sampled_from(CHAIN_FACTORS), min_size=2, max_size=7))
+def test_product_chains_that_fold_and_reorder_are_the_oracle(factors):
+    tree = parse_expression("*".join(factors))
+    assert normal_order(tree).terms == oracle_normal_form(tree)
+
+
+@pytest.mark.parametrize("text", ["a*ad*a", "(1/2 + i)*ad^2*a*ad", "-3*a^2*-ad*(-i)",
+                                  "q*ad*a", "ad^2*a*q*a", "(2 - i)*ad*(1/3*i)*a^3*ad^2",
+                                  "0*a^40*ad^30", "a*0*ad*q"])
+def test_fixed_product_chains_are_the_oracle(text):
+    tree = parse_expression(text)
+    assert normal_order(tree).terms == oracle_normal_form(tree)
+
+
+@pytest.mark.parametrize("text", ["a^40*ad^30", "ad^33*a^32", "(q+p)^32*(q+p)^33"])
+def test_product_chains_past_the_degree_cap_raise(text):
+    with pytest.raises(ordering.DegreeError):
+        normal_order(text)
+
+
+def oracle_source(poly, creation_first):
+    """Ordered-form text from `.terms` and str(ComplexRational): the renderer's reference."""
+    names = ("ad", "a") if creation_first else ("a", "ad")
+    pieces = []
+    for (m, n), c in sorted(poly.terms.items(), key=lambda kv: (
+            -kv[0][0] - kv[0][1], -kv[0][0] if creation_first else -kv[0][1])):
+        ops = [f"{sym}^{power}" if power > 1 else sym for sym, power in zip(names, (m, n)) if power]
+        text = str(c)
+        if ops and text in ("1", "-1"):
+            text = text[:-1] + "*".join(ops)
+        else:
+            text = "*".join([text] + ops)
+        pieces.append(f" - {text[1:]}" if text.startswith("-") else f" + {text}")
+    joined = "".join(pieces)
+    return "0" if not pieces else joined[3:] if joined[1] == "+" else "-" + joined[3:]
+
+
+@ENGINE
+@given(expressions())
+def test_ordered_forms_render_as_their_complex_rational_terms(node):
+    poly = normal_order(node)
+    assert poly.to_source() == oracle_source(poly, creation_first=True)
+    anti = anti_normal_order(poly)
+    assert anti.to_source() == oracle_source(anti, creation_first=False)
+
+
+@st.composite
+def gaussian_fractions(draw):
+    """(re, im, den) with ±1, ±i, zero parts and 1,000-digit numerators and denominators."""
+    big = st.integers(10**1000, 10**1100)
+    den = draw(st.integers(1, 60) | big)
+    parts = [draw(st.sampled_from((0, den, -den)) | st.integers(-10**4, 10**4)
+                  | big | big.map(lambda v: -v)) for _ in range(2)]
+    return parts[0], parts[1], den
+
+
+@ENGINE
+@given(gaussian_fractions())
+def test_integer_coefficient_text_is_the_complex_rational_text(case):
+    re, im, den = case
+    expected = str(ComplexRational(Fraction(re, den), Fraction(im, den)))
+    assert ordering._coefficient_source(re, im, den) == expected
