@@ -21,8 +21,12 @@ grid, aliased or not, `ring_q_symbols`, `ring_resolution` and
 W, one offset diagonal at a time, without the state matrix.  The
 symbols visit only the c charges q = j − k on which B is nonzero, and
 the image only the c′ charges congruent to ±q (mod n_φ) for one of them
-(c′ = c on an alias-free grid): an image costs O(D² + n_r·(c + c′)·(D + n_φ)) against
-the state matrix's O(n_r·n_φ·D²).  The D² is one scan of B's nonzero
+(c′ = c on an alias-free grid).  `ring_charge_sums` returns the per-ring
+charge sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] that the symbols
+Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for consumers that need
+only their φ-transform (the spin harmonics) and no node.  An image
+costs O(D² + n_r·(c + c′)·(D + n_φ)) against the state matrix's
+O(n_r·n_φ·D²).  The D² is one scan of B's nonzero
 mask for its live charges; each live charge then reads its two offset
 diagonals in place, O(D) per charge, and the image writes its charges
 back the same way.  A dense B (c = D) costs O(n_r·D² + n_r·n_φ·D); a
@@ -247,7 +251,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _live_charges(operator: np.ndarray) -> np.ndarray:
     """The charges q ≥ 0 whose b_q or b_−q is nonzero in some operator of the stack, or [0]."""
     dim = operator.shape[-1]
-    nonzero = (operator != 0).reshape(-1, dim, dim).any(axis=0)
+    # compare the float view and pair its Re/Im flags as one uint16: the same
+    # mask as `operator != 0`, NaN and −0.0 included, at a fraction of the cost
+    parts = np.ascontiguousarray(operator).view(float) != 0
+    nonzero = (parts.view(np.uint16) != 0).reshape(-1, dim, dim).any(axis=0)
     # read the zero-padded rows of length 2D as rows of length 2D + 1: row j
     # shifts left by j, so column q holds the entries (j, j + q) of both signs
     padded = np.zeros((dim + 1, 2 * dim), dtype=bool)
@@ -386,15 +393,37 @@ def _phase_rows(dim: int, n_angular: int, charges: np.ndarray) -> np.ndarray:
     return table if len(charges) == dim else table[(2 * charges[:, None] + (0, 1)).ravel()]
 
 
-def _ring_symbols(factors: np.ndarray, n_angular: int,
-                  operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, charges): the symbols of `ring_q_symbols` and the live charges of B they came from."""
-    dim = np.shape(factors)[1]
-    operator = _square(operator, dim)
+def _live_sums(factors: np.ndarray, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, charges): sums[…, r, i] holds c[r, q] and c[r, −q] of `ring_charge_sums` for q = charges[i].
+
+    The charges are the live charges of B.
+    """
+    operator = _square(operator, np.shape(factors)[1])
     charges = _live_charges(operator)
     sums = np.stack(_per_charge(factors, charges, (_charge_pair(operator, q) for q in charges),
                                 np.matmul), axis=-2).view(complex)
-    phases = _phase_rows(dim, n_angular, charges)
+    return sums, charges
+
+
+def ring_charge_sums(factors: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for q = −(D−1)..D−1, per B of a stack.
+
+    The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; the sums are
+    formed only on the live charges of the stack and are exactly 0 elsewhere.
+    """
+    dim = np.shape(factors)[1]
+    sums, charges = _live_sums(factors, operator)
+    out = np.zeros(sums.shape[:-2] + (2 * dim - 1,), dtype=complex)
+    out[..., dim - 1 + charges] = sums[..., 0]
+    out[..., dim - 1 - charges] = sums[..., 1]
+    return out
+
+
+def _ring_symbols(factors: np.ndarray, n_angular: int,
+                  operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, charges): the symbols of `ring_q_symbols` and the live charges of B they came from."""
+    sums, charges = _live_sums(factors, operator)
+    phases = _phase_rows(np.shape(factors)[1], n_angular, charges)
     start = int(charges[0] == 0)  # b_{−0} is b_0 again
     return sums[..., 0] @ phases[1::2] + sums[..., start:, 1] @ phases[2 * start::2], charges
 

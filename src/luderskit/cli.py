@@ -27,9 +27,10 @@ from itertools import chain
 import numpy as np
 
 from . import __version__, fock, ordering, spin
-# cmd_spin works from the charge blocks; apply_channel, build_luders_channel and
-# channel_spectrum stay imported because bench/spans.py traces them under these
-# names and bench/selftest.py reads cli.build_luders_channel
+# cmd_spin works from the charge blocks and the ring charge sums; apply_channel,
+# build_luders_channel and channel_spectrum stay imported because bench/spans.py
+# traces them under these names and bench/selftest.py reads
+# cli.build_luders_channel, and ring_q_symbols because tests patch it here
 from .channel import (
     apply_channel,
     build_luders_channel,
@@ -37,6 +38,7 @@ from .channel import (
     charge_block_image,
     charge_block_spectrum,
     charge_blocks,
+    ring_charge_sums,
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
@@ -55,11 +57,6 @@ _SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # integers of at most this many bits
 
 class UsageError(ValueError):
     pass
-
-
-def _random_hermitian(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (raw + raw.conj().T) / 2
 
 
 def _largest_coefficient(poly) -> float:
@@ -156,13 +153,18 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     residual = fixed - (np.trace(fixed) / space.dim) * np.eye(space.dim)
     run.numeric("fixed_point_identity", 0.0, np.abs(residual).max(), 1e-9)
 
-    rng = np.random.default_rng(_RNG_SEED)
-    operators = np.array([_random_hermitian(rng, space.dim) for _ in range(20)])
-    # one symbol call per stack; rows 0..19 expand B, rows 20..39 expand Λ(B)
-    symbols = np.concatenate([ring_q_symbols(factors, weights.shape[1], stack)
-                              for stack in (operators, charge_block_image(blocks, operators))])
+    # 20 random Hermitian operators: per operator, its real part's draws, then its imaginary part's
+    draws = np.random.default_rng(_RNG_SEED).normal(size=(20, 2, space.dim, space.dim))
+    operators = draws[:, 0] + 1j * draws[:, 1]
+    operators += operators.conj().swapaxes(-1, -2)
+    operators /= 2
+    # one charge-sum call per stack (two of 20, not one of 40, for the peak
+    # memory); rows 0..19 expand B, rows 20..39 expand Λ(B), and no symbol
+    # is formed on the nodes
+    sums = np.concatenate([ring_charge_sums(factors, stack)
+                           for stack in (operators, charge_block_image(blocks, operators))])
     # row l² + l + m of the coefficients is damped by entry l² + l + m of the spectrum
-    coeffs = spin.harmonic_coefficients(symbols.reshape(40, -1), grid, space)
+    coeffs = spin.charge_harmonic_coefficients(sums, grid, space)
     run.numeric("harmonic_damping", 0.0,
                 np.abs(coeffs[:, 20:] - expected[:, None] * coeffs[:, :20]).max(), 1e-9)
 

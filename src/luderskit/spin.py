@@ -7,7 +7,9 @@ in cos θ, uniform in φ) integrates every spherical harmonic up to its
 exact degree, which makes the discretized POVM resolve the identity to
 machine precision.  Grid work runs ring by ring from the split in
 `SphereQuadrature.rings`: `ring_factors` (F, W) and the harmonic
-transform, which expands a whole stack of symbols in one pass.
+transform, which expands a whole stack of symbols in one pass, from
+their node samples or, with no node formed, from the ring charge sums
+of `channel.ring_charge_sums`.
 """
 
 from __future__ import annotations
@@ -182,12 +184,18 @@ def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, 
     Raises ValueError unless W has equal weights per ring and n_φ > 2·two_s,
     the bound that makes the φ-sum an exact Kronecker delta on the charge.
     """
+    thetas, weights = _uniform_rings(space, grid)
+    return _coherent_rows(space, thetas, np.zeros(len(thetas))).real, weights
+
+
+def _uniform_rings(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """(θ_r, W) of `grid.rings`; raises ValueError unless n_φ > 2·two_s and W is constant per ring."""
     thetas, _, weights = grid.rings
     if weights.shape[1] <= 2 * space.two_s:
         raise ValueError(f"need more than {2 * space.two_s} phi nodes, got {weights.shape[1]}")
     if np.abs(weights - weights[:, :1]).max() > 1e-12 * weights.max():
         raise ValueError("grid weights vary along a ring")
-    return _coherent_rows(space, thetas, np.zeros(len(thetas))).real, weights
+    return thetas, weights
 
 
 def q_symbol_spin(space: SpinSpace, operator: np.ndarray,
@@ -203,28 +211,32 @@ def harmonic_blocks(lmax: int, thetas: np.ndarray, phis: np.ndarray):
 
     Y_lm = P[:, l - |m|] * phase for l = |m|..lmax: fully normalized
     harmonics with the Condon-Shortley phase.  P is the real block of
-    normalized associated Legendre values, built once per |m| from the
-    stable three-term recurrence and shared by ±m; the charge lives in the
-    phase, e^(imφ) for m >= 0 and (-1)^m conj(e^(imφ)) for -m.
+    normalized associated Legendre values, shared by ±m; the blocks of all
+    |m| come from one stable three-term recurrence over l, vectorised over
+    m.  The charge lives in the phase, e^(imφ) for m >= 0 and
+    (-1)^m conj(e^(imφ)) for -m.
     """
     x = np.cos(thetas)
-    sx = np.sin(thetas)
-    pmm = np.full_like(x, 1.0 / np.sqrt(4 * pi))
+    ms = np.arange(lmax + 1)
+    # table[l, m] = P_lm at the nodes, 0 for l < m; P_mm is a running product over m
+    table = np.zeros((lmax + 1, lmax + 1, len(x)))
+    steps = -np.sqrt((2 * ms[1:] + 1) / (2 * ms[1:]))[:, None] * np.sin(thetas)
+    table[ms, ms] = pmm = np.cumprod(np.vstack([np.full_like(x, 1.0 / np.sqrt(4 * pi)), steps]),
+                                     axis=0)
+    # a[l, m] = sqrt((4l² − 1)/(l² − m²)) for m < l, the recurrence coefficients
+    l_sq, m_sq = np.meshgrid(ms * ms, ms * ms, indexing="ij")
+    a = np.sqrt(np.divide(4 * l_sq - 1, l_sq - m_sq, out=np.ones(l_sq.shape),
+                          where=m_sq < l_sq))[:, :, None]
+    for l in range(1, lmax + 1):
+        table[l, l - 1] = np.sqrt(2 * l + 1) * x * pmm[l - 1]
+        table[l, :l - 1] = a[l, :l - 1] * (x * table[l - 1, :l - 1]
+                                           - table[l - 2, :l - 1] / a[l - 1, :l - 1])
+    phases = np.exp(1j * np.outer(ms, phis))
+    mirrored = (-1.0) ** ms[:, None] * phases.conj()
     for m in range(lmax + 1):
+        yield m, table[m:, m].T, phases[m]
         if m > 0:
-            pmm = -np.sqrt((2 * m + 1) / (2 * m)) * sx * pmm
-        rows = [pmm]
-        if m < lmax:
-            rows.append(np.sqrt(2 * m + 3) * x * pmm)
-        for l in range(m + 2, lmax + 1):
-            a_l = np.sqrt((4 * l * l - 1) / (l * l - m * m))
-            a_l1 = np.sqrt((4 * (l - 1) ** 2 - 1) / ((l - 1) ** 2 - m * m))
-            rows.append(a_l * (x * rows[-1] - rows[-2] / a_l1))
-        block = np.array(rows).T
-        phase = np.exp(1j * m * phis)
-        yield m, block, phase
-        if m > 0:
-            yield -m, block, (-1) ** m * phase.conj()
+            yield -m, table[m:, m].T, mirrored[m]
 
 
 def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -238,31 +250,74 @@ def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.
     raise AssertionError("unreachable")
 
 
+def _check_degree(grid: SphereQuadrature, space: SpinSpace):
+    if grid.exact_degree < 2 * space.two_s:
+        raise ValueError(f"grid exact degree {grid.exact_degree} is below the required "
+                         f"{2 * space.two_s}; coefficients would alias")
+
+
+def _legendre_contraction(hat: np.ndarray, ring_weights: np.ndarray, grid: SphereQuadrature,
+                          space: SpinSpace) -> np.ndarray:
+    """B_lm = sqrt(4π/(2s+1)) σ_m Σ_r P_l|m|(θ_r) v[r] ŵ[…, r, m + 2s] in row l² + l + m.
+
+    v[r] ŵ[…, r, m + 2s] is ring r's φ-sum Σ_l W[r, l] Q[…, r, l] e^(-imφ_l),
+    and σ_m = (-1)^m for m < 0, else 1, the sign of the phases of
+    `harmonic_blocks`.  The ring weights v go into the Legendre blocks, so
+    ŵ may be any strided view; each m meets its block in one real product.
+    """
+    thetas, phis, _ = grid.rings
+    lmax = space.two_s
+    lead = hat.shape[:-2]
+    hat = hat.reshape((-1,) + hat.shape[-2:])
+    scale = np.sqrt(4 * pi / (lmax + 1)) * ring_weights[:, None]
+    coeffs = np.empty((space.dim ** 2, 2 * len(hat)))
+    for m, block, _ in harmonic_blocks(lmax, thetas, phis):
+        l = np.arange(abs(m), lmax + 1)
+        # (r, Re/Im of each symbol) as one contiguous real matrix
+        slab = np.ascontiguousarray(hat[:, :, m + lmax].T).view(float)
+        sign = (-1) ** m if m < 0 else 1
+        coeffs[l * l + l + m] = (sign * scale * block).T @ slab
+    return coeffs.view(complex).reshape((space.dim ** 2,) + lead)
+
+
 def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
                           space: SpinSpace) -> np.ndarray:
-    """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), block by block in m.
+    """B_lm = sqrt(4π/(2s+1)) Σ_k w_k Q(n_k) conj(Y_lm(n_k)), the node front end.
 
     `samples` has shape (..., n_nodes), the flat node axis last as from
     `q_symbol_spin` (a ring-shaped (n_r, n_φ) array raises ValueError).
     Returns a complex array of shape ((2s+1)²,) + the leading shape: B_lm
     sits in row l² + l + m, the order of `expected_spectrum`, so row i is
-    damped by that spectrum's entry i.  A stack of symbols shares one pass
-    over the Legendre blocks; each phase is summed against W∘Q over φ
-    first, one value per ring.
+    damped by that spectrum's entry i.  W∘Q is summed over φ against every
+    e^(-imφ) in one product, then contracted ring by ring with the Legendre
+    blocks, the same contraction as `charge_harmonic_coefficients`.
     """
-    if grid.exact_degree < 2 * space.two_s:
-        raise ValueError(f"grid exact degree {grid.exact_degree} is below the required "
-                         f"{2 * space.two_s}; coefficients would alias")
-    thetas, phis, weights = grid.rings
-    wq = np.sqrt(4 * pi / (space.two_s + 1)) * weights * np.reshape(
-        samples, np.shape(samples)[:-1] + weights.shape)
-    coeffs = np.empty((space.dim ** 2,) + wq.shape[:-2], dtype=complex)
-    for m, block, phase in harmonic_blocks(space.two_s, thetas, phis):
-        ring = wq @ phase.conj()
-        column = ring.real @ block + 1j * (ring.imag @ block)  # the block stays real
-        l = np.arange(abs(m), space.dim)
-        coeffs[l * l + l + m] = np.moveaxis(column, -1, 0)
-    return coeffs
+    _check_degree(grid, space)
+    _, phis, weights = grid.rings
+    wq = weights * np.reshape(samples, np.shape(samples)[:-1] + weights.shape)
+    ms = np.arange(-space.two_s, space.two_s + 1)
+    return _legendre_contraction(wq @ np.exp(-1j * np.outer(phis, ms)), np.ones(len(weights)),
+                                 grid, space)
+
+
+def charge_harmonic_coefficients(sums: np.ndarray, grid: SphereQuadrature,
+                                 space: SpinSpace) -> np.ndarray:
+    """`harmonic_coefficients` of the ring symbols of the charge sums c, with no node formed.
+
+    `sums` has shape (…, n_r, 4s + 1) as from `channel.ring_charge_sums`
+    on `ring_factors(space, grid)`, c[r, q] in column q + 2s.  On an
+    alias-free grid the φ-sum of W∘Q against e^(-imφ) is exactly
+    n_φ W[r, 0] c[r, −m]: c reversed along q, with ring weights n_φ W[r, 0].
+    Raises ValueError if W varies along a ring, n_φ ≤ 2·two_s or the grid's
+    exact degree is below 2·two_s.
+    """
+    _check_degree(grid, space)
+    _, weights = _uniform_rings(space, grid)
+    sums = np.asarray(sums)
+    if sums.shape[-2:] != (len(weights), 2 * space.two_s + 1):
+        raise ValueError(f"charge sums must have shape (..., {len(weights)}, "
+                         f"{2 * space.two_s + 1}), got {sums.shape}")
+    return _legendre_contraction(sums[..., ::-1], weights.shape[1] * weights[:, 0], grid, space)
 
 
 def reconstruct_q_symbol(coeffs: np.ndarray, grid: SphereQuadrature) -> np.ndarray:

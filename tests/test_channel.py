@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from luderskit import channel
 from luderskit.channel import (
     QuadratureError,
     SuperoperatorMatrix,
@@ -261,3 +262,23 @@ def test_charge_blocks_are_the_dense_superoperator(two_s, oversized):
         operator = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         image = charge_block_image(blocks, operator)
         assert np.abs(image - luders_image(family.states, family.weights, operator)).max() < 1e-12
+
+
+def test_live_charges_are_those_of_the_complex_nonzero_mask():
+    # the float-view mask against `operator != 0`: NaN counts as nonzero, −0.0
+    # as zero, and a transposed (non-contiguous) stack reads the same
+    dim = 7
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    signed = np.subtract.outer(np.arange(dim), np.arange(dim))
+    stack *= np.isin(signed, (-6, -2, 0, 3))
+    stack[0, 5, 0] = complex(-0.0, -0.0)  # charge 5 stays dead
+    stack[1, 1, 5] = complex(0.0, np.nan)  # charge 4 becomes live
+    stack[1, 6, 5] = complex(0.0, 1e-300)  # charge 1 becomes live
+
+    def reference(operators):
+        nonzero = (operators != 0).any(axis=0)
+        return [q for q in range(dim) if nonzero.diagonal(q).any() or nonzero.diagonal(-q).any()]
+    for operators in (stack, stack.swapaxes(-1, -2)):
+        assert list(channel._live_charges(operators)) == reference(operators) == [0, 1, 2, 3, 4, 6]
+    assert list(channel._live_charges(np.zeros((dim, dim), dtype=complex))) == [0]

@@ -75,9 +75,19 @@ def counting(monkeypatch, module, name):
 
 
 def test_spin_command_expands_all_harmonics_in_one_call(monkeypatch):
-    calls = counting(monkeypatch, spin, "harmonic_coefficients")
+    calls = counting(monkeypatch, spin, "charge_harmonic_coefficients")
     assert run(["spin", "--two-s", "3"]) == 0
     assert len(calls) == 1
+
+
+def test_spin_command_forms_no_symbol_on_the_nodes(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node symbol path called")
+    for module in (channel, cli):
+        monkeypatch.setattr(module, "ring_q_symbols", refuse)
+    monkeypatch.setattr(spin, "harmonic_coefficients", refuse)
+    assert run(["spin", "--two-s", "3"]) == 0
+    assert "5/5 checks passed" in capsys.readouterr().out
 
 
 def test_fock_command_builds_label_states_as_matrices(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, sph_harm_y
 
 from luderskit import channel, cli, fock, ordering, spin
 from luderskit.channel import (
@@ -17,6 +17,7 @@ from luderskit.channel import (
     luders_image,
     q_symbols,
     resolution,
+    ring_charge_sums,
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
@@ -221,6 +222,35 @@ def test_charge_sparse_symbols_are_the_dense_ones_on_fock_grids(case, seed):
 @given(spin_ring_grids(), st.integers(0, 2**32 - 1))
 def test_charge_sparse_symbols_are_the_dense_ones_on_spin_grids(case, seed):
     check_charge_sparse_symbols(case, seed)
+
+
+def check_charge_sums(case, seed):
+    """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] on a stack that leaves some charges empty."""
+    _, _, factors, _ = case
+    dim = factors.shape[1]
+    signed = np.subtract.outer(np.arange(dim), np.arange(dim))
+    kept = np.random.default_rng(seed).random(2 * dim - 1) < 0.5
+    stack = random_stack(seed, dim) * kept[signed + dim - 1]
+    products = np.einsum("rj,rk->rjk", factors, factors)
+    expected = np.stack([stack.diagonal(-q, -2, -1) @ products.diagonal(-q, 1, 2).T
+                         for q in range(1 - dim, dim)], axis=-1)
+    sums = ring_charge_sums(factors, stack)
+    assert sums.shape == (2, 3, len(factors), 2 * dim - 1)
+    assert_close(sums, expected)
+    assert np.all(sums[..., ~kept] == 0)  # exactly 0 off the live charges
+    assert_close(ring_charge_sums(factors, stack[1, 2]), expected[1, 2])
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_charge_sums_are_the_offset_diagonal_sums_on_fock_grids(case, seed):
+    check_charge_sums(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_charge_sums_are_the_offset_diagonal_sums_on_spin_grids(case, seed):
+    check_charge_sums(case, seed)
 
 
 def test_ring_core_maps_the_zero_operator_to_zero():
@@ -450,6 +480,55 @@ def test_harmonic_rows_are_damped_by_the_spectrum_in_the_same_order(case, seed):
                      for ops in (stack, image))
     assert before.shape == (space.dim ** 2, 2)
     assert_close(after, expected_spectrum(space)[:, None] * before)
+
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_charge_harmonic_coefficients_are_the_node_ones(case, seed):
+    # the charge front end against the node front end on the dense symbols
+    space, grid = case
+    factors, _ = ring_factors(space, grid)
+    states = spin.coherent_state_matrix(space, grid)
+    stack = np.array([random_operator(seed + i, space.dim) for i in range(3)])
+    sums = ring_charge_sums(factors, stack)
+    assert sums.shape == (3, len(factors), 2 * space.dim - 1)
+    stacked = spin.charge_harmonic_coefficients(sums, grid, space)
+    assert stacked.shape == (space.dim ** 2, 3)
+    assert_close(stacked, spin.harmonic_coefficients(q_symbols(states, stack), grid, space))
+    single = spin.charge_harmonic_coefficients(ring_charge_sums(factors, stack[0]), grid, space)
+    assert single.shape == (space.dim ** 2,)
+    assert_close(single, spin.harmonic_coefficients(q_symbols(states, stack[0]), grid, space))
+
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_charge_harmonic_coefficients_refuse_weights_that_vary_along_a_ring(case, seed):
+    space, grid = case
+    sums = ring_charge_sums(ring_factors(space, grid)[0], random_operator(seed, space.dim))
+    n_phi = grid.rings[2].shape[1]
+    tilt = 1 + 1e-3 * np.cos(2 * np.pi * np.arange(len(grid)) / n_phi)
+    tilted = spin.SphereQuadrature(grid.thetas, grid.phis, grid.weights * tilt, grid.exact_degree)
+    with pytest.raises(ValueError, match="vary along a ring"):
+        spin.charge_harmonic_coefficients(sums, tilted, space)
+    with pytest.raises(ValueError, match="charge sums"):
+        spin.charge_harmonic_coefficients(sums[:, 1:], grid, space)
+
+
+@DETERMINISTIC
+@given(st.integers(0, 50), st.integers(0, 2**32 - 1))
+def test_legendre_blocks_are_the_scipy_harmonics(lmax, seed):
+    # every (l, m) up to lmax from the vectorised recurrence, poles included
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([[0.0, np.pi], np.arccos(rng.uniform(-1, 1, 9))])
+    phis = rng.uniform(0, 2 * np.pi, len(thetas))
+    seen = []
+    for m, block, phase in spin.harmonic_blocks(lmax, thetas, phis):
+        l = np.arange(abs(m), lmax + 1)
+        assert block.shape == (len(thetas), len(l))
+        oracle = sph_harm_y(l, m, thetas[:, None], phis[:, None])
+        assert np.abs(block * phase[:, None] - oracle).max() <= 1e-12
+        seen.append(m)
+    assert sorted(seen) == list(range(-lmax, lmax + 1))
 
 
 # --- the closed-form disk reference ------------------------------------------------
