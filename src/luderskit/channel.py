@@ -61,6 +61,13 @@ class QuadratureError(ValueError):
     """A projector family fails its resolution-of-unity or weight invariants."""
 
 
+def _read_only(value, dtype=None) -> np.ndarray:
+    """An owned, C-contiguous, read-only copy of `value`; writes to `value` never reach it."""
+    out = np.array(value, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 def _square(operator: np.ndarray, dim: int) -> np.ndarray:
     """B as a complex array; raises ValueError unless it is dim × dim or a stack of them."""
     operator = np.asarray(operator, dtype=complex)
@@ -94,8 +101,8 @@ class WeightedProjectorFamily:
     weights: np.ndarray  # (n_members,) positive reals
 
     def __post_init__(self):
-        states = np.ascontiguousarray(np.asarray(self.states, dtype=complex))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        states = _read_only(self.states, complex)
+        weights = _read_only(self.weights, float)
         if states.ndim != 2 or states.shape[1] != self.dim:
             raise QuadratureError(
                 f"states must have shape (n, {self.dim}), got {states.shape}"
@@ -114,8 +121,6 @@ class WeightedProjectorFamily:
                 f"resolution of unity fails: entrywise defect {defect:.3e} "
                 f"exceeds {RESOLUTION_TOL:.0e} (bad quadrature)"
             )
-        states.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
 
@@ -131,7 +136,7 @@ class SuperoperatorMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
+        matrix = _read_only(self.matrix, complex)
         d2 = self.dim * self.dim
         if matrix.shape != (d2, d2):
             raise ValueError(f"expected shape ({d2}, {d2}), got {matrix.shape}")
@@ -140,7 +145,6 @@ class SuperoperatorMatrix:
             raise ValueError(
                 f"superoperator is not Hilbert-Schmidt Hermitian (defect {herm:.3e})"
             )
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         identity = np.eye(self.dim)
         defect = np.abs(apply_channel(self, identity) - identity).max()
@@ -150,11 +154,20 @@ class SuperoperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigendecomposition summary: spectrum, fixed-space dimension and basis."""
+    """Eigendecomposition summary: spectrum, fixed-space basis and dimension."""
 
-    eigenvalues: np.ndarray            # complex, descending real part
-    fixed_space_dim: int
+    eigenvalues: np.ndarray  # complex, descending real part
     fixed_basis: tuple = field(default=())
+
+    @property
+    def fixed_space_dim(self) -> int:
+        """The number of eigenvalues within FIXED_POINT_TOL of 1."""
+        return int(np.count_nonzero(_near_one(self.eigenvalues)))
+
+
+def _near_one(values: np.ndarray) -> np.ndarray:
+    """The mask of the values within FIXED_POINT_TOL of 1: the fixed-space window."""
+    return np.abs(values - 1.0) <= FIXED_POINT_TOL
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -199,17 +212,12 @@ def channel_spectrum(chan: SuperoperatorMatrix) -> SpectralReport:
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    n_fixed = int(np.count_nonzero(np.abs(evals - 1.0) <= FIXED_POINT_TOL))
-    basis = _hermitian_fixed_basis(evecs[:, :n_fixed], chan.dim, n_fixed)
-    return SpectralReport(
-        eigenvalues=evals.astype(complex),
-        fixed_space_dim=n_fixed,
-        fixed_basis=basis,
-    )
+    basis = _hermitian_fixed_basis(evecs[:, _near_one(evals)], chan.dim)
+    return SpectralReport(eigenvalues=evals.astype(complex), fixed_basis=basis)
 
 
-def _hermitian_fixed_basis(vectors: np.ndarray, dim: int, count: int) -> tuple:
-    """Hermitian HS-orthonormal basis of the span of the given eigenvectors."""
+def _hermitian_fixed_basis(vectors: np.ndarray, dim: int) -> tuple:
+    """Hermitian HS-orthonormal basis of the span of the given eigenvectors, one per vector."""
     candidates = []
     for j in range(vectors.shape[1]):
         f = unvec(vectors[:, j], dim)
@@ -222,11 +230,9 @@ def _hermitian_fixed_basis(vectors: np.ndarray, dim: int, count: int) -> tuple:
         norm = np.linalg.norm(cand)
         if norm > 1e-8:
             basis.append(cand / norm)
-    if len(basis) != count:
-        raise RuntimeError(
-            f"fixed-space Hermitization produced {len(basis)} elements, "
-            f"expected {count}"
-        )
+    if len(basis) != vectors.shape[1]:
+        raise RuntimeError(f"fixed-space Hermitization produced {len(basis)} elements, "
+                           f"expected {vectors.shape[1]}")
     return tuple(b.copy() for b in basis)
 
 
@@ -242,11 +248,6 @@ def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:
 
 
 # --- U(1) charge blocks ---------------------------------------------------------
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
 
 def _live_charges(operator: np.ndarray) -> np.ndarray:
     """The charges q ≥ 0 whose b_q or b_−q is nonzero in some operator of the stack, or [0]."""
@@ -344,14 +345,13 @@ def charge_block_spectrum(blocks: dict) -> SpectralReport:
     v an eigenvalue-1 eigenvector of M_0.
     """
     values, vectors = np.linalg.eigh(blocks[0])
-    fixed = vectors[:, np.abs(values - 1.0) <= FIXED_POINT_TOL]
+    fixed = vectors[:, _near_one(values)]
     evals = [values]
     for charge in range(1, values.size):
         evals += 2 * [np.linalg.eigvalsh(blocks[charge])]
     evals = np.sort(np.concatenate(evals))[::-1]
     return SpectralReport(
         eigenvalues=evals.astype(complex),
-        fixed_space_dim=int(np.count_nonzero(np.abs(evals - 1.0) <= FIXED_POINT_TOL)),
         fixed_basis=tuple(np.diag(v / np.linalg.norm(v)).astype(complex) for v in fixed.T),
     )
 
@@ -373,7 +373,7 @@ def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
         points = points.reshape(-1, n_angular)
         radii = points[:, 0].real
         roots = np.exp(2j * pi * np.arange(n_angular) / n_angular)
-        # max-abs, not allclose: this runs on every harmonic transform
+        # max-abs, not allclose: this runs once per sphere grid and per fock.ring_factors call
         if np.all(radii >= 0) and np.abs(points - radii[:, None] * roots).max() <= atol:
             return radii, np.reshape(weights, points.shape)
     raise ValueError("grid is not rings × a uniform phi grid")
@@ -384,7 +384,7 @@ def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
     """Read-only E[2q, l] = e^{iqφ_l} and E[2q + 1, l] = e^{−iqφ_l} for q = 0..D−1, φ_l = 2πl/n_φ."""
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
     minus = roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
-    return _frozen(np.stack([minus.conj(), minus], axis=1).reshape(2 * dim, n_angular))
+    return _read_only(np.stack([minus.conj(), minus], axis=1).reshape(2 * dim, n_angular))
 
 
 def _phase_rows(dim: int, n_angular: int, charges: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import argparse
 import sys
 from functools import lru_cache
 from itertools import chain
+from math import exp, lgamma, log
 
 import numpy as np
 
@@ -81,9 +82,11 @@ def _check_printable(name: str, poly):
 
 
 def _label_pairs(rng, space):
-    """(a, b, |a⟩, |b⟩, ⟨a|b⟩) for 50 label pairs with |α| < min(2, sqrt(dim)/2), inside
-    check_label's dim/4; the states are (50, dim) matrices, one row per label."""
-    bound = min(2.0, np.sqrt(space.dim) / 2)
+    """(a, b, |a⟩, |b⟩, ⟨a|b⟩) for 50 label pairs, the states as (50, dim) matrices; |α| is
+    below min(2, √dim/2), inside check_label's dim/4, and below (1e-12·dim!)^{1/(2·dim)}, so
+    each state loses at most |α|^{2·dim}/dim! ≤ 1e-12 of its mass past level dim − 1."""
+    dim = space.dim
+    bound = min(2.0, np.sqrt(dim) / 2, exp((log(1e-12) + lgamma(dim + 1)) / (2 * dim)))
     draws = rng.uniform(size=(50, 2, 2))  # per pair: |a|, arg a, |b|, arg b
     labels = bound * draws[..., 0] * np.exp(2j * np.pi * draws[..., 1])
     a_pts, b_pts = labels[:, 0], labels[:, 1]

@@ -5,17 +5,17 @@ The disk quadrature realizes the coherent-state POVM integral over
 levels that disk actually populates; the closed-form disk-limit images
 below (entries times regularized incomplete-gamma factors) are the right
 comparison targets for grid output, while infinite-plane statements carry an
-irreducible e^(-R²)-scale gap.  States with |α|² <= dim/4 still lose
-measurable mass to truncation at small dim: with labels drawn up to that
-bound, the `fock` command's coherent_overlap_law row reads 5.4e-4 at
-dim 8 and 6.7e-7 at dim 16.  guard_dim marks the sub-block where matrix
-arithmetic is truncation-safe.
+irreducible e^(-R²)-scale gap.  A state |α⟩ loses the mass
+P(N ≥ dim; |α|²) ≤ |α|^{2·dim}/dim! past the last level, far above 1e-9
+at small dim even for |α|² <= dim/4 (`check_label`), so the `fock`
+command's 1e-9 label checks draw |α| with that bound at most 1e-12.
+guard_dim marks the sub-block where matrix arithmetic is truncation-safe.
 
 The plane grid is rings × a uniform angle grid: `ring_factors` splits it
 with `channel.split_rings` into the (F, W) pair of the ring core, which
 the grid helpers (`q_symbol_fock`, `grid_channel_apply`,
 `resolution_defect`, `verify_damping`) run on.
-`coherent_state_matrix` still gives the dense (n_points, dim) matrix, and
+`coherent_state_matrix` gives the dense (n_points, dim) matrix, and
 `fock_coherent_state` one row per label of an array of labels.
 
 The module needs numpy alone.  Factorials enter through a cached table of
@@ -29,13 +29,14 @@ of the Hermitian generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lgamma, pi, sqrt
 
 import numpy as np
 
 from .channel import (
     TABLE_CACHE_SIZE,
+    _read_only,
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
@@ -56,7 +57,7 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Levels 0..dim-1 with lowering/raising matrices a, a†."""
+    """Levels 0..dim-1 with read-only lowering/raising matrices a, a†, built on first use."""
 
     dim: int
     guard_dim: int = -1  # -1 means dim - DEFAULT_GUARD_MARGIN
@@ -68,17 +69,14 @@ class FockSpace:
             object.__setattr__(self, "guard_dim", max(self.dim - DEFAULT_GUARD_MARGIN, 1))
         if not 0 < self.guard_dim <= self.dim:
             raise ValueError("guard_dim must lie in 1..dim")
-        a = np.diag(np.sqrt(np.arange(1, self.dim)), 1).astype(complex)
-        a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
 
-    @property
+    @cached_property
     def a(self) -> np.ndarray:
-        return self._a
+        return _read_only(np.diag(np.sqrt(np.arange(1, self.dim)), 1), complex)
 
     @property
     def adag(self) -> np.ndarray:
-        return self._a.conj().T
+        return self.a.conj().T
 
     def ladder_word(self, m: int, n: int) -> np.ndarray:
         """The truncated a†^m a^n: entry (j + m, j + n) is run(j, m) · run(j, n) (`_sqrt_run`)."""
@@ -111,9 +109,7 @@ def _level_logs(y, size: int) -> np.ndarray:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _log_factorials(size: int) -> np.ndarray:
     """Read-only log k! for k = 0..size−1."""
-    out = np.array([lgamma(k + 1) for k in range(size)])
-    out.setflags(write=False)
-    return out
+    return _read_only([lgamma(k + 1) for k in range(size)])
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -127,9 +123,7 @@ def _log_gamma_p(size: int, x: float) -> np.ndarray:
     """
     stop = size + int(x + 12 * sqrt(x + 1)) + 40
     log_pmf = _level_logs(x, stop) - x - _log_factorials(stop)
-    out = np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size]
-    out.setflags(write=False)
-    return out
+    return _read_only(np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size])
 
 
 def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
@@ -167,12 +161,8 @@ class PlaneQuadrature:
     radius: float
 
     def __post_init__(self):
-        alphas = np.ascontiguousarray(np.asarray(self.alphas, dtype=complex))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        alphas.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "alphas", _read_only(self.alphas, complex))
+        object.__setattr__(self, "weights", _read_only(self.weights, float))
 
     def __len__(self):
         return len(self.weights)

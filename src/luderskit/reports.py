@@ -19,9 +19,7 @@ class ReportSchemaError(ValueError):
 
 
 def format_quantity(value) -> str:
-    """Render a number as a decimal string with 15 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """Render a number as a decimal string with 15 significant digits; a string stays as it is."""
     if isinstance(value, str):
         return value
     return f"{float(value):.15g}"

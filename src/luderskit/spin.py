@@ -21,14 +21,14 @@ from math import comb, factorial, isqrt, pi
 
 import numpy as np
 
-from .channel import WeightedProjectorFamily, q_symbols, split_rings
+from .channel import WeightedProjectorFamily, _read_only, q_symbols, split_rings
 
 MAX_TWO_S = 50  # pinned by the tests; raising it is a change of its own
 
 
 @dataclass(frozen=True)
 class SpinSpace:
-    """Spin-s Hilbert space (dim = two_s + 1) with ladder matrices."""
+    """Spin-s Hilbert space (dim = two_s + 1) with read-only ladder matrices, built on first use."""
 
     two_s: int
 
@@ -37,15 +37,6 @@ class SpinSpace:
             raise ValueError("two_s must be a positive integer")
         if self.two_s > MAX_TWO_S:
             raise ValueError(f"two_s capped at {MAX_TWO_S}")
-        m = self.spin - np.arange(self.dim)
-        jz = np.diag(m).astype(complex)
-        # J+|s,m> = sqrt((s-m)(s+m+1)) |s,m+1>; basis index k has m = s-k
-        k = np.arange(1, self.dim)
-        jplus = np.diag(np.sqrt(k * (self.two_s + 1 - k)), 1).astype(complex)
-        for arr in (jz, jplus):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_jz", jz)
-        object.__setattr__(self, "_jplus", jplus)
 
     @property
     def dim(self) -> int:
@@ -55,17 +46,19 @@ class SpinSpace:
     def spin(self) -> float:
         return self.two_s / 2
 
-    @property
+    @cached_property
     def jz(self) -> np.ndarray:
-        return self._jz
+        return _read_only(np.diag(self.spin - np.arange(self.dim)), complex)
 
-    @property
+    @cached_property
     def jplus(self) -> np.ndarray:
-        return self._jplus
+        # J+|s,m> = sqrt((s-m)(s+m+1)) |s,m+1>; basis index k has m = s-k
+        k = np.arange(1, self.dim)
+        return _read_only(np.diag(np.sqrt(k * (self.two_s + 1 - k)), 1), complex)
 
     @property
     def jminus(self) -> np.ndarray:
-        return self._jplus.conj().T
+        return self.jplus.conj().T
 
 
 @dataclass(frozen=True)
@@ -129,9 +122,7 @@ class SphereQuadrature:
 
     def __post_init__(self):
         for name in ("thetas", "phis", "weights"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name), float))
 
     def __len__(self):
         return len(self.weights)
@@ -145,9 +136,7 @@ class SphereQuadrature:
         """Read-only (θ_r, φ_l, W[r, l]) from `channel.split_rings`, θ the radial coordinate."""
         thetas, weights = split_rings(self.thetas * np.exp(1j * self.phis), self.weights)
         phis = 2 * pi * np.arange(weights.shape[1]) / weights.shape[1]
-        for arr in (thetas, phis, weights):
-            arr.setflags(write=False)
-        return thetas, phis, weights
+        return _read_only(thetas), _read_only(phis), _read_only(weights)
 
 
 def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,

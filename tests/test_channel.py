@@ -16,10 +16,13 @@ from luderskit.channel import (
     charge_blocks,
     choi_matrix,
     luders_image,
+    ring_resolution,
     unvec,
     vec,
 )
+from luderskit.fock import FockSpace, PlaneQuadrature, plane_quadrature
 from luderskit.spin import (
+    SphereQuadrature,
     SpinSpace,
     expected_spectrum,
     projector_family,
@@ -282,3 +285,58 @@ def test_live_charges_are_those_of_the_complex_nonzero_mask():
     for operators in (stack, stack.swapaxes(-1, -2)):
         assert list(channel._live_charges(operators)) == reference(operators) == [0, 1, 2, 3, 4, 6]
     assert list(channel._live_charges(np.zeros((dim, dim), dtype=complex))) == [0]
+
+
+def test_family_and_superoperator_refuse_wrong_shapes():
+    with pytest.raises(QuadratureError, match="shape"):
+        WeightedProjectorFamily(2, np.eye(3, dtype=complex), np.ones(3))
+    with pytest.raises(QuadratureError, match="one weight per state"):
+        WeightedProjectorFamily(2, np.eye(2, dtype=complex), np.ones(3))
+    with pytest.raises(ValueError, match="expected shape"):
+        SuperoperatorMatrix(2, np.eye(3, dtype=complex))
+
+
+def test_ring_resolution_refuses_values_of_the_wrong_shape():
+    factors, weights = ring_factors(SpinSpace(2), sphere_quadrature(SpinSpace(2)))
+    for values in (weights.ravel(), weights[1:], weights[None]):
+        with pytest.raises(ValueError, match="values must have shape"):
+            ring_resolution(factors, values)
+
+
+# --- value types hold owned read-only copies ------------------------------------
+
+def _value_type_cases():
+    """(build from the arrays, the arrays, the names they are stored under) per value type."""
+    family = projector_family(SpinSpace(2))
+    grid = sphere_quadrature(SpinSpace(2))
+    plane = plane_quadrature(FockSpace(8), radius=1.0)
+    return [
+        (lambda *a: WeightedProjectorFamily(3, *a), (family.states, family.weights),
+         ("states", "weights")),
+        (lambda m: SuperoperatorMatrix(3, m), (build_luders_channel(family).matrix,), ("matrix",)),
+        (lambda *a: SphereQuadrature(*a, grid.exact_degree),
+         (grid.thetas, grid.phis, grid.weights), ("thetas", "phis", "weights")),
+        (lambda *a: PlaneQuadrature(*a, 1.0), (plane.alphas, plane.weights), ("alphas", "weights")),
+    ]
+
+
+@pytest.mark.parametrize("as_view", [False, True])
+@pytest.mark.parametrize("case", range(4))
+def test_value_types_hold_owned_read_only_copies(case, as_view):
+    # the caller passes its own contiguous arrays, or views of them; either way
+    # the object copies them, and the caller's arrays stay writable and its own
+    make, arrays, names = _value_type_cases()[case]
+    held = [np.array(a)[None] if as_view else np.array(a) for a in arrays]
+    value = make(*(h[0] if as_view else h for h in held))
+    stored = [getattr(value, name) for name in names]
+    if isinstance(value, SphereQuadrature):
+        stored += list(value.rings)
+    for array in stored:
+        assert not array.flags.writeable and array.flags.c_contiguous
+        assert not any(np.shares_memory(array, h) for h in held)
+    before = [array.copy() for array in stored]
+    for h in held:
+        assert h.flags.writeable
+        h[...] = -5.0
+    for array, copy in zip(stored, before):
+        assert np.array_equal(array, copy)

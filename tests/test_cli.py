@@ -399,3 +399,38 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "well_ordered: true" in proc.stdout
+
+
+def test_textual_check_refuses_a_tolerance_override(capsys):
+    assert run(["order", "q", "--tol-override", "parse_round_trip=1"]) == 2
+    assert "no numeric tolerance to override" in capsys.readouterr().err
+
+
+def _valid_report():
+    return {"command": "spin", "parameters": {"two_s": "1"}, "timestamp": "t", "version": "v",
+            "results": [{"name": "x", "expected": "0", "actual": "0", "tolerance": "0",
+                         "pass": True}]}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: [doc], "report must be an object"),
+    (lambda doc: {**doc, "command": 1}, "command must be a string"),
+    (lambda doc: {**doc, "parameters": {"two_s": 1}}, "parameters must map strings to strings"),
+    (lambda doc: {**doc, "results": {}}, "results must be an array"),
+    (lambda doc: {**doc, "results": [{"name": "x"}]}, "results[0] keys must be"),
+    (lambda doc: {**doc, "results": [{**doc["results"][0], "name": 1}]},
+     "results[0].name must be a string"),
+])
+def test_schema_validator_names_what_is_malformed(corrupt, message):
+    validate_report(_valid_report())
+    with pytest.raises(ReportSchemaError) as excinfo:
+        validate_report(corrupt(_valid_report()))
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16, 27])
+def test_fock_label_checks_hold_at_small_dims(dim):
+    # the label bound keeps each state's mass past level dim − 1 under 1e-12
+    rows = {r.name: r for r in cli.cmd_fock(dim, 0.5, {}).results}
+    for name in ("coherent_overlap_law", "commutator_formula"):
+        assert rows[name].passed and rows[name].actual < 1e-11, (name, rows[name].actual)

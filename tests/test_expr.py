@@ -144,3 +144,10 @@ def test_complex_rational_product_matches_four_product_formula(lhs, rhs):
     product = ComplexRational(a, b) * ComplexRational(c, d)
     assert (product.re, product.im) == (a * c - b * d, a * d + b * c)
     assert type(product.re) is Fraction and type(product.im) is Fraction
+
+
+@pytest.mark.parametrize("text", ["1/a", "1/2.5"])
+def test_denominator_must_be_a_positive_integer(text):
+    with pytest.raises(ParseError, match="denominator must be a positive integer") as excinfo:
+        parse_expression(text)
+    assert excinfo.value.position == 2

@@ -354,3 +354,12 @@ def test_damping_ratio_accurate_at_reference_sizing():
 def test_plane_quadrature_points_property(quad):
     assert np.array_equal(quad.points, quad.alphas)
     assert len(quad) == len(quad.weights)
+
+
+def test_lowering_matrix_is_built_on_first_use_and_read_only():
+    space = FockSpace(8)
+    assert not any(isinstance(v, np.ndarray) for v in vars(space).values())
+    a = space.a
+    assert a.dtype == complex and np.array_equal(a, np.diag(np.sqrt(np.arange(1, 8)), 1))
+    assert not a.flags.writeable and space.a is a
+    assert np.array_equal(space.adag, a.T)

@@ -336,3 +336,13 @@ def test_storage_is_one_denominator_in_lowest_terms():
     assert normal_order("(1/2 + 1/2*i)^2").den == 2
     zero = normal_order("2/3*q - 2/3*q")
     assert (zero.den, zero.num, zero.terms) == (1, {}, {})
+
+
+def test_monomial_refuses_negative_powers():
+    with pytest.raises(ValueError, match="nonnegative"):
+        NormalPolynomial.monomial(-1, 0)
+
+
+def test_decompose_in_family_refuses_a_non_hermitian_polynomial():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        decompose_in_family(normal_order("i*ad"), 2)

@@ -441,3 +441,21 @@ def test_spectrum_and_unique_fixed_point_across_spins():
         fixed = report.fixed_basis[0]
         residual = fixed - np.trace(fixed) / space.dim * np.eye(space.dim)
         assert np.abs(residual).max() < 1e-9
+
+
+def test_ladder_matrices_are_built_on_first_use_and_read_only():
+    space = SpinSpace(3)
+    assert not any(isinstance(v, np.ndarray) for v in vars(space).values())
+    k = np.arange(1, 4)
+    expected = {"jz": np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex),
+                "jplus": np.diag(np.sqrt(k * (4 - k)), 1).astype(complex)}
+    for name, matrix in expected.items():
+        first = getattr(space, name)
+        assert first.dtype == complex and np.array_equal(first, matrix)
+        assert not first.flags.writeable and getattr(space, name) is first
+    assert np.array_equal(space.jminus, expected["jplus"].T)
+
+
+def test_sph_harm_values_refuses_m_past_l():
+    with pytest.raises(ValueError, match="must not exceed l"):
+        sph_harm_values(1, 2, np.array([0.5]), np.array([0.0]))
