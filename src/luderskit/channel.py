@@ -31,7 +31,8 @@ mask for its live charges; each live charge then reads its two offset
 diagonals in place, O(D) per charge, and the image writes its charges
 back the same way.  A dense B (c = D) costs O(n_r·D² + n_r·n_φ·D); a
 ladder word a†^m a^n has c = 1.  When the angle
-grid is alias-free the channel preserves the U(1) charge q = j − k and
+grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
+refuses any other grid) the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
 (D−|q|)-square block; `charge_blocks`, `charge_block_image` and
 `charge_block_spectrum` give the channel, its image and its spectrum
@@ -307,17 +308,29 @@ def _per_charge(factors: np.ndarray, charges, operands, product) -> list:
     return [product(factors[:, q:] * factors[:, :dim - q], x) for q, x in zip(charges, operands)]
 
 
+def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
+    """W as floats; raises ValueError unless n_φ > 2(D − 1) and W is constant along each ring,
+    the grids on which the φ-sum is an exact Kronecker delta on the charge q = j − k."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[1] <= 2 * (dim - 1):
+        raise ValueError(f"need more than {2 * (dim - 1)} phi nodes, got {weights.shape[1]}")
+    if np.abs(weights - weights[:, :1]).max() > 1e-12 * weights.max():
+        raise ValueError("grid weights vary along a ring")
+    return weights
+
+
 def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
     """{q: M_q} for ψ[r·n_φ + l, k] = F[r, k] e^{ikφ_l} with node weights W, alias-free.
 
     M_q = G_qᵀ diag(w) G_q with G_q[r, j] = F[r, j] F[r, j−q] and
     w[r] = Σ_l W[r, l] acts on the charge-q offset diagonal of B.  M_{−q}
     is M_q on the same index pairs shifted by q, so one array serves both.
-    Raises ValueError when M_0 is not unital within UNITALITY_TOL (the
+    Raises ValueError on an aliased grid or a W that varies along a ring
+    (`_alias_free`), and when M_0 is not unital within UNITALITY_TOL (the
     weights do not resolve I).
     """
-    ring_weights = np.asarray(weights, dtype=float).sum(axis=1)
     charges = range(np.shape(factors)[1])
+    ring_weights = _alias_free(weights, len(charges)).sum(axis=1)
     products = _per_charge(factors, charges, repeat(ring_weights), lambda g, w: (g.T * w) @ g)
     blocks = {}
     for charge, block in zip(charges, products):
@@ -373,7 +386,7 @@ def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
         points = points.reshape(-1, n_angular)
         radii = points[:, 0].real
         roots = np.exp(2j * pi * np.arange(n_angular) / n_angular)
-        # max-abs, not allclose: this runs once per sphere grid and per fock.ring_factors call
+        # max-abs, not allclose: this runs once per grid, in the two `rings` properties
         if np.all(radii >= 0) and np.abs(points - radii[:, None] * roots).max() <= atol:
             return radii, np.reshape(weights, points.shape)
     raise ValueError("grid is not rings × a uniform phi grid")

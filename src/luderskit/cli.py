@@ -7,8 +7,8 @@ symbolic map, and `order` runs the exact ordering engine on an operator
 expression.  Exit status 0 means every check passed; 1 means a check
 failed; 2 means the invocation itself was invalid (bad sizing, malformed
 expression or override, an expression past the degree cap, the digit
-limit or the nesting limit, or an ordered form with a coefficient past the
-digit limit).
+limit or the nesting limit, an ordered form with a coefficient past the
+digit limit, or a --json or --csv path that cannot be written).
 
 Grid tolerances in `fock` were fixed by oracle runs at the default
 sizing (dim=40, radius=3): comparisons against disk-limit predictions
@@ -95,10 +95,10 @@ def _label_pairs(rng, space):
 
 
 class _CheckRunner:
-    """Accumulates checks, applying tolerance overrides by name."""
+    """Builds a command's report and its checks, applying tolerance overrides by name."""
 
-    def __init__(self, report: ReportDocument, overrides: dict):
-        self.report = report
+    def __init__(self, command: str, parameters: dict, overrides: dict):
+        self.report = ReportDocument(command=command, parameters=parameters, version=__version__)
         self.overrides = dict(overrides)
         self.seen = set()
 
@@ -114,12 +114,13 @@ class _CheckRunner:
             raise UsageError(f"check {name!r} has no numeric tolerance to override")
         self.report.add(name, expected, actual, 0, expected == actual)
 
-    def finish(self):
+    def finish(self) -> ReportDocument:
         unknown = set(self.overrides) - self.seen
         if unknown:
             raise UsageError(
                 f"tolerance override for unknown check(s): {', '.join(sorted(unknown))}"
             )
+        return self.report
 
 
 # --- spin ----------------------------------------------------------------------
@@ -130,17 +131,12 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     space = SpinSpace(two_s)
     grid = spin.sphere_quadrature(space)
     factors, weights = spin.ring_factors(space, grid)
-    report = ReportDocument(
-        command="spin",
-        parameters={
-            "two_s": two_s,
-            "n_theta": weights.shape[0],
-            "n_phi": weights.shape[1],
-            "seed": _RNG_SEED,
-        },
-        version=__version__,
-    )
-    run = _CheckRunner(report, overrides)
+    run = _CheckRunner("spin", {
+        "two_s": two_s,
+        "n_theta": weights.shape[0],
+        "n_phi": weights.shape[1],
+        "seed": _RNG_SEED,
+    }, overrides)
 
     run.numeric("resolution_of_unity", 0.0,
                 np.abs(ring_resolution(factors, weights) - np.eye(space.dim)).max(), 1e-12)
@@ -171,8 +167,7 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     run.numeric("harmonic_damping", 0.0,
                 np.abs(coeffs[:, 20:] - expected[:, None] * coeffs[:, :20]).max(), 1e-9)
 
-    run.finish()
-    return report
+    return run.finish()
 
 
 # --- fock ----------------------------------------------------------------------
@@ -188,19 +183,14 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     quad = fock.plane_quadrature(space, radius=radius)
     factors, weights = fock.ring_factors(space, quad)
     beta = 1.0
-    report = ReportDocument(
-        command="fock",
-        parameters={
-            "dim": dim,
-            "radius": radius,
-            "n_radial": weights.shape[0],
-            "n_angular": weights.shape[1],
-            "beta": beta,
-            "seed": _RNG_SEED,
-        },
-        version=__version__,
-    )
-    run = _CheckRunner(report, overrides)
+    run = _CheckRunner("fock", {
+        "dim": dim,
+        "radius": radius,
+        "n_radial": weights.shape[0],
+        "n_angular": weights.shape[1],
+        "beta": beta,
+        "seed": _RNG_SEED,
+    }, overrides)
 
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
@@ -250,8 +240,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     run.numeric("damping_ratio_gap", 0.0, damping.max_deviation, 0.75)
 
-    run.finish()
-    return report
+    return run.finish()
 
 
 # --- order ---------------------------------------------------------------------
@@ -266,19 +255,14 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
     for name, form in (("normal form", poly), ("anti-normal form", anti), ("Lüders image", luders)):
         _check_printable(name, form)
     normal_form = poly.to_source()
-    report = ReportDocument(
-        command="order",
-        parameters={
-            "expression": expression,
-            "normal_form": normal_form,
-            "anti_normal_form": anti.to_source(),
-            "luders_image": luders.to_source(),
-            "well_ordered": "true" if well else "false",
-            "fixed_space": "-" if fixed_space is None else fixed_space,
-        },
-        version=__version__,
-    )
-    run = _CheckRunner(report, overrides)
+    run = _CheckRunner("order", {
+        "expression": expression,
+        "normal_form": normal_form,
+        "anti_normal_form": anti.to_source(),
+        "luders_image": luders.to_source(),
+        "well_ordered": "true" if well else "false",
+        "fixed_space": "-" if fixed_space is None else fixed_space,
+    }, overrides)
 
     reparsed = ordering.normal_order(normal_form)
     run.textual("parse_round_trip", normal_form, reparsed.to_source())
@@ -293,8 +277,7 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
         result = ordering.luders_fixed_space(fixed_space)
         run.numeric("fixed_space_dimension", 2 * fixed_space + 1, result.dimension, 0)
 
-    run.finish()
-    return report
+    return run.finish()
 
 
 # --- driver ----------------------------------------------------------------------
@@ -388,6 +371,9 @@ def run(argv=None) -> int:
         return USAGE_ERROR
     except (UsageError, ReportSchemaError, ordering.DegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -5,16 +5,14 @@ The disk quadrature realizes the coherent-state POVM integral over
 levels that disk actually populates; the closed-form disk-limit images
 below (entries times regularized incomplete-gamma factors) are the right
 comparison targets for grid output, while infinite-plane statements carry an
-irreducible e^(-R²)-scale gap.  A state |α⟩ loses the mass
-P(N ≥ dim; |α|²) ≤ |α|^{2·dim}/dim! past the last level, far above 1e-9
-at small dim even for |α|² <= dim/4 (`check_label`), so the `fock`
-command's 1e-9 label checks draw |α| with that bound at most 1e-12.
-guard_dim marks the sub-block where matrix arithmetic is truncation-safe.
+irreducible e^(-R²)-scale gap.  guard_dim marks the sub-block where matrix
+arithmetic is truncation-safe.
 
-The plane grid is rings × a uniform angle grid: `ring_factors` splits it
-with `channel.split_rings` into the (F, W) pair of the ring core, which
-the grid helpers (`q_symbol_fock`, `grid_channel_apply`,
-`resolution_defect`, `verify_damping`) run on.
+The plane grid is rings × a uniform angle grid: `PlaneQuadrature.rings`
+splits it once with `channel.split_rings`, and `ring_factors` turns that
+split into the (F, W) pair of the ring core, which the grid helpers
+(`q_symbol_fock`, `grid_channel_apply`, `resolution_defect`,
+`verify_damping`) run on.
 `coherent_state_matrix` gives the dense (n_points, dim) matrix, and
 `fock_coherent_state` one row per label of an array of labels.
 
@@ -88,7 +86,7 @@ class FockSpace:
     def check_label(self, alpha):
         """Raise TruncationError unless max |α|² <= dim/4 over a label or an array of labels."""
         largest = np.max(np.abs(alpha) ** 2, initial=0.0)
-        if largest > self.dim / 4:
+        if not largest <= self.dim / 4:  # true for NaN too
             raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds dim/4 = {self.dim / 4}")
 
 
@@ -171,12 +169,17 @@ class PlaneQuadrature:
     def points(self) -> np.ndarray:
         return self.alphas
 
+    @cached_property
+    def rings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (|α_r|, W[r, l]) from `channel.split_rings`, split on first use."""
+        return tuple(map(_read_only, split_rings(self.alphas, self.weights)))
+
 
 def plane_quadrature(space: FockSpace, radius: float = DEFAULT_RADIUS,
                      n_radial: int = DEFAULT_N_RADIAL,
                      n_angular: int = DEFAULT_N_ANGULAR) -> PlaneQuadrature:
     """Gauss-Legendre nodes in r² on [0, radius²] × uniform angle grid."""
-    if radius <= 0:
+    if not radius > 0:  # true for NaN too
         raise ValueError("radius must be positive")
     if n_radial < 1 or n_angular < 1:
         raise ValueError(
@@ -205,10 +208,10 @@ def ring_factors(space: FockSpace, quad: PlaneQuadrature) -> tuple[np.ndarray, n
 
     F[r, k] = e^{−u/2} u^{k/2} / √k! at u = |α|² of ring r is the state at
     the ring's φ = 0 node; the state at node (r, l) is F[r, k] e^{ikφ_l},
-    φ_l = 2πl/n_φ, and W[r, l] its weight (`channel.split_rings`).  Any
-    n_φ is accepted: the ring core reproduces the grid's sums, aliasing included.
+    φ_l = 2πl/n_φ, and W[r, l] its weight (`quad.rings`).  Any n_φ is
+    accepted: the ring core reproduces the grid's sums, aliasing included.
     """
-    radii, weights = split_rings(quad.alphas, quad.weights)
+    radii, weights = quad.rings
     return _coherent_rows(space, radii).real, weights
 
 

@@ -21,7 +21,7 @@ from math import comb, factorial, isqrt, pi
 
 import numpy as np
 
-from .channel import WeightedProjectorFamily, _read_only, q_symbols, split_rings
+from .channel import WeightedProjectorFamily, _alias_free, _read_only, q_symbols, split_rings
 
 MAX_TWO_S = 50  # pinned by the tests; raising it is a change of its own
 
@@ -171,20 +171,12 @@ def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, 
     F[r, k] is the state at ring r and φ = 0, real and non-negative; the
     state at angle φ is e^{−isφ} F[r, k] e^{ikφ}; W from `grid.rings`.
     Raises ValueError unless W has equal weights per ring and n_φ > 2·two_s,
-    the bound that makes the φ-sum an exact Kronecker delta on the charge.
+    the bound that makes the φ-sum an exact Kronecker delta on the charge
+    (`channel._alias_free`).
     """
-    thetas, weights = _uniform_rings(space, grid)
-    return _coherent_rows(space, thetas, np.zeros(len(thetas))).real, weights
-
-
-def _uniform_rings(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """(θ_r, W) of `grid.rings`; raises ValueError unless n_φ > 2·two_s and W is constant per ring."""
     thetas, _, weights = grid.rings
-    if weights.shape[1] <= 2 * space.two_s:
-        raise ValueError(f"need more than {2 * space.two_s} phi nodes, got {weights.shape[1]}")
-    if np.abs(weights - weights[:, :1]).max() > 1e-12 * weights.max():
-        raise ValueError("grid weights vary along a ring")
-    return thetas, weights
+    weights = _alias_free(weights, space.dim)
+    return _coherent_rows(space, thetas, np.zeros(len(thetas))).real, weights
 
 
 def q_symbol_spin(space: SpinSpace, operator: np.ndarray,
@@ -301,7 +293,7 @@ def charge_harmonic_coefficients(sums: np.ndarray, grid: SphereQuadrature,
     exact degree is below 2·two_s.
     """
     _check_degree(grid, space)
-    _, weights = _uniform_rings(space, grid)
+    weights = _alias_free(grid.rings[2], space.dim)
     sums = np.asarray(sums)
     if sums.shape[-2:] != (len(weights), 2 * space.two_s + 1):
         raise ValueError(f"charge sums must have shape (..., {len(weights)}, "

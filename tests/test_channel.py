@@ -24,6 +24,7 @@ from luderskit.fock import FockSpace, PlaneQuadrature, plane_quadrature
 from luderskit.spin import (
     SphereQuadrature,
     SpinSpace,
+    coherent_state_matrix,
     expected_spectrum,
     projector_family,
     ring_factors,
@@ -340,3 +341,32 @@ def test_value_types_hold_owned_read_only_copies(case, as_view):
         h[...] = -5.0
     for array, copy in zip(stored, before):
         assert np.array_equal(array, copy)
+
+
+# --- charge blocks refuse the grids on which the charge is not kept --------------
+
+def _aliased_spin_grid(two_s, n_phi):
+    """The exact Gauss-Legendre rings of spin two_s under an n_phi-node angle grid."""
+    x, w_gl = np.polynomial.legendre.leggauss(two_s + 1)
+    tt, pp = np.meshgrid(np.arccos(x), 2 * np.pi * np.arange(n_phi) / n_phi, indexing="ij")
+    ww = np.repeat((two_s + 1) * w_gl[:, None] / 2 / n_phi, n_phi, axis=1)
+    return SphereQuadrature(tt.ravel(), pp.ravel(), ww.ravel(), n_phi - 1)
+
+
+@pytest.mark.parametrize("n_phi", [6, 5, 4])  # 2·two_s, 2·two_s − 1 and 4 at two_s 3
+def test_charge_blocks_refuse_an_aliased_grid(n_phi):
+    space = SpinSpace(3)
+    aliased = _aliased_spin_grid(3, n_phi)
+    factors = coherent_state_matrix(space, aliased)[::n_phi].real  # the phi = 0 node of each ring
+    weights = aliased.weights.reshape(-1, n_phi)
+    with pytest.raises(ValueError, match="phi nodes"):
+        charge_blocks(factors, weights)
+
+
+def test_charge_blocks_refuse_weights_that_vary_along_a_ring():
+    space = SpinSpace(3)
+    grid = sphere_quadrature(space)
+    factors, weights = ring_factors(space, grid)
+    tilted = weights * (1 + 1e-6 * np.cos(grid.rings[1]))  # same total per ring
+    with pytest.raises(ValueError, match="vary along a ring"):
+        charge_blocks(factors, tilted)

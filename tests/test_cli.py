@@ -434,3 +434,24 @@ def test_fock_label_checks_hold_at_small_dims(dim):
     rows = {r.name: r for r in cli.cmd_fock(dim, 0.5, {}).results}
     for name in ("coherent_overlap_law", "commutator_formula"):
         assert rows[name].passed and rows[name].actual < 1e-11, (name, rows[name].actual)
+
+
+def test_fock_command_splits_its_grid_once(monkeypatch):
+    calls = counting(monkeypatch, fock, "split_rings")
+    assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("option, target", [("--json", "missing/x.json"), ("--csv", ".")])
+def test_an_unwritable_report_path_exits_2(tmp_path, capsys, option, target):
+    assert run(["spin", "--two-s", "2", option, str(tmp_path / target)]) == 2
+    assert "error: cannot write the report:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["spin", "--two-s", "2"],
+                                  ["fock", "--dim", "16", "--radius", "1.8"],
+                                  ["order", "q^2", "--fixed-space", "1"]])
+def test_each_report_carries_the_package_version(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--json", str(out)]) in (0, 1)
+    assert read_json(out)["version"] == luderskit.__version__

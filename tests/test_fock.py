@@ -363,3 +363,27 @@ def test_lowering_matrix_is_built_on_first_use_and_read_only():
     assert a.dtype == complex and np.array_equal(a, np.diag(np.sqrt(np.arange(1, 8)), 1))
     assert not a.flags.writeable and space.a is a
     assert np.array_equal(space.adag, a.T)
+
+
+def test_plane_rings_are_split_once_and_read_only(space):
+    quad = plane_quadrature(space, radius=2.0, n_radial=6, n_angular=10)
+    assert quad.rings is quad.rings
+    radii, weights = quad.rings
+    assert radii.shape == (6,) and weights.shape == (6, 10)
+    roots = np.exp(2j * pi * np.arange(10) / 10)
+    assert np.abs(radii[:, None] * roots - quad.alphas.reshape(6, 10)).max() < 1e-14
+    assert np.array_equal(weights.ravel(), quad.weights)
+    for array in quad.rings:
+        assert not array.flags.writeable and array.flags.c_contiguous
+
+
+def test_nan_label_and_nan_radius_are_refused(space):
+    for label in (np.nan, complex(0.5, np.nan), np.array([0.5, np.nan])):
+        with pytest.raises(TruncationError):
+            space.check_label(label)
+    with pytest.raises(TruncationError):
+        fock_coherent_state(space, np.nan)
+    with pytest.raises(TruncationError):
+        displacement_matrix(space, np.nan)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        plane_quadrature(space, radius=np.nan)
