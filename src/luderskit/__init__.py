@@ -15,6 +15,7 @@ cli/reports (verification front end).
 __version__ = "0.1.0"
 
 from .channel import (
+    RingFactors,
     SpectralReport,
     SuperoperatorMatrix,
     WeightedProjectorFamily,

@@ -18,19 +18,24 @@ from its ring coordinates and node weights W (n_r × n_φ).  On any such
 grid, aliased or not, `ring_q_symbols`, `ring_resolution` and
 `ring_luders_image` compute the same quadrature sums as `q_symbols`,
 `resolution` and `luders_image` from the ring factors F (n_r × D) and
-W, one offset diagonal at a time, without the state matrix.  The
+W, without the state matrix.  The factors come as a `RingFactors`: both
+families' F takes the Perelomov form F[r, k] = g_r h_k t_r^k, so
+F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
+every offset diagonal meets the rings in one shared matrix product.  The
 symbols visit only the c charges q = j − k on which B is nonzero, and
 the image only the c′ charges congruent to ±q (mod n_φ) for one of them
 (c′ = c on an alias-free grid).  `ring_charge_sums` returns the per-ring
 charge sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] that the symbols
 Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for consumers that need
 only their φ-transform (the spin harmonics) and no node.  An image
-costs O(D² + n_r·(c + c′)·(D + n_φ)) against the state matrix's
-O(n_r·n_φ·D²).  The D² is one scan of B's nonzero
-mask for its live charges; each live charge then reads its two offset
-diagonals in place, O(D) per charge, and the image writes its charges
-back the same way.  A dense B (c = D) costs O(n_r·D² + n_r·n_φ·D); a
-ladder word a†^m a^n has c = 1.  When the angle
+costs O(D² + n_r·D·4(c + c′) + n_r·n_φ·(c + c′)) against the state
+matrix's O(n_r·n_φ·D²).  The D² is one scan of B's nonzero mask for its
+live charges and one indexed gather of their offset diagonals, scaled by
+κ, into X (D × 2c); the sums are then c = t^q ⊙ (F² @ X), one matrix
+product (GEMM) of n_r·D·4c flops, and the image κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)),
+one GEMM of n_r·D·4c′ written back with one indexed store.  A dense B
+(c = D) costs O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.
+When the angle
 grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
 refuses any other grid) the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
@@ -44,8 +49,7 @@ reference.  The symbols and the block image also take a stack (…, D, D).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache
 from math import pi
 
 import numpy as np
@@ -55,7 +59,8 @@ RESOLUTION_TOL = 1e-10
 UNITALITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 FIXED_POINT_TOL = 1e-7  # eigenvalue window around 1; spectral gaps exceed 1e-1
-TABLE_CACHE_SIZE = 16  # sizes kept per cached table: ring-core phases, fock's log tables
+TABLE_CACHE_SIZE = 16  # sizes kept per cached table: ring-core phases and diagonal
+# indexes, Gauss-Legendre nodes, fock's log tables
 
 
 class QuadratureError(ValueError):
@@ -297,17 +302,6 @@ def _from_charge_pairs(pairs, charges, shape: tuple) -> np.ndarray:
     return out
 
 
-def _per_charge(factors: np.ndarray, charges, operands, product) -> list:
-    """[product(G_q, x) for q, x in zip(charges, operands)], G_q[r, i] = F[r, i + q] F[r, i].
-
-    G_q holds the ring products along the charge-q offset diagonal, in
-    `_charge_pair` order; it is formed only for the charges asked for.
-    """
-    factors = np.asarray(factors, dtype=float)
-    dim = factors.shape[1]
-    return [product(factors[:, q:] * factors[:, :dim - q], x) for q, x in zip(charges, operands)]
-
-
 def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
     """W as floats; raises ValueError unless n_φ > 2(D − 1) and W is constant along each ring,
     the grids on which the φ-sum is an exact Kronecker delta on the charge q = j − k."""
@@ -329,12 +323,13 @@ def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
     (`_alias_free`), and when M_0 is not unital within UNITALITY_TOL (the
     weights do not resolve I).
     """
-    charges = range(np.shape(factors)[1])
-    ring_weights = _alias_free(weights, len(charges)).sum(axis=1)
-    products = _per_charge(factors, charges, repeat(ring_weights), lambda g, w: (g.T * w) @ g)
+    factors = np.asarray(factors, dtype=float)
+    dim = factors.shape[1]
+    ring_weights = _alias_free(weights, dim).sum(axis=1)
     blocks = {}
-    for charge, block in zip(charges, products):
-        blocks[charge] = blocks[-charge] = block
+    for charge in range(dim):
+        products = factors[:, charge:] * factors[:, :dim - charge]
+        blocks[charge] = blocks[-charge] = (products.T * ring_weights) @ products
     defect = np.abs(blocks[0].sum(axis=1) - 1.0).max()
     if defect > UNITALITY_TOL:
         raise ValueError(f"charge block q = 0 is not unital (defect {defect:.3e})")
@@ -371,6 +366,12 @@ def charge_block_spectrum(blocks: dict) -> SpectralReport:
 
 # --- ring factors: the quadrature sums of a product grid, aliasing included ------
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights (x, w) of n points on [−1, 1]."""
+    return tuple(map(_read_only, np.polynomial.legendre.leggauss(n)))
+
+
 def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(radii, W) of flat polar nodes ρe^{iφ} laid out as rings × a uniform φ-grid.
 
@@ -392,33 +393,132 @@ def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     raise ValueError("grid is not rings × a uniform phi grid")
 
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
+@dataclass(frozen=True)
+class RingFactors:
+    """The ring factors F (n_r × D) of a product grid in the Perelomov form F[r, k] = g_r h_k t_r^k.
+
+    `rows` is F; `log_t` holds log t_r per ring (−inf for t = 0) and
+    `log_h` log h_k per level.  The form gives F[r, i + q] F[r, i] =
+    F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, so the ring core
+    meets every offset diagonal through three tables, built on first use
+    and kept on the instance: `squares` F², `powers` t_r^q and `ratios` κ.
+    `shape`, `len` and `np.asarray` read F.  Raises ValueError unless the
+    shapes agree and (D − 1)·max log t_r stays below log(float max), where
+    t^q would overflow.
+    """
+
+    rows: np.ndarray
+    log_t: np.ndarray
+    log_h: np.ndarray
+
+    def __post_init__(self):
+        rows = _read_only(self.rows, float)
+        log_t, log_h = _read_only(self.log_t, float), _read_only(self.log_h, float)
+        if rows.ndim != 2 or log_t.shape != rows.shape[:1] or log_h.shape != rows.shape[1:]:
+            raise ValueError(f"factors of shape {rows.shape} need log_t of shape (n_r,) and "
+                             f"log_h of shape (D,), got {log_t.shape} and {log_h.shape}")
+        dim = rows.shape[1]
+        top = (dim - 1) * float(log_t.max(initial=-np.inf)) if dim > 1 else -np.inf
+        if not top < _LOG_FLOAT_MAX:  # true for NaN too
+            raise ValueError(f"t^{dim - 1} leaves the float range: (D − 1)·max log t = {top:.1f}")
+        for name, value in (("rows", rows), ("log_t", log_t), ("log_h", log_h)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple:
+        return self.rows.shape
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """Read-only F²."""
+        return _read_only(self.rows * self.rows)
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Read-only t_r^q at [r, q] for q = 0..D−1: exactly 1 at q = 0, even at t = 0."""
+        logs = np.zeros(self.shape)
+        np.multiply(self.log_t[:, None], np.arange(1, self.shape[1]), out=logs[:, 1:])
+        return _read_only(np.exp(logs))
+
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        """Read-only κ[q, i] = h_{i+q}/h_i at [i, q], and 0 past the end of diagonal q (i + q ≥ D)."""
+        dim = self.shape[1]
+        i, q = np.ogrid[:dim, :dim]
+        logs = self.log_h[np.minimum(i + q, dim - 1)] - self.log_h[i]
+        return _read_only(np.exp(logs, out=np.zeros((dim, dim)), where=i + q < dim))
+
+
+def _ring_dim(factors) -> int:
+    """D of the ring factors; raises TypeError unless they are a `RingFactors`."""
+    if not isinstance(factors, RingFactors):
+        raise TypeError(f"the ring core takes RingFactors, got {type(factors).__name__}")
+    return factors.shape[1]
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
-    """Read-only E[2q, l] = e^{iqφ_l} and E[2q + 1, l] = e^{−iqφ_l} for q = 0..D−1, φ_l = 2πl/n_φ."""
+    """Read-only E[0, q, l] = e^{iqφ_l} and E[1, q, l] = e^{−iqφ_l} for q = 0..D−1, φ_l = 2πl/n_φ."""
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
     minus = roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
-    return _read_only(np.stack([minus.conj(), minus], axis=1).reshape(2 * dim, n_angular))
+    return _read_only([minus.conj(), minus])
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _diagonal_index(dim: int) -> np.ndarray:
+    """Read-only [i, 0, q] and [i, 1, q] → the flat indexes of B[i, i + q] and B[i + q, i].
+
+    Past the end of diagonal q (i + q ≥ D) both repeat its last entry,
+    where κ is 0.
+    """
+    q = np.arange(dim)
+    i = np.minimum(q[:, None], dim - 1 - q)
+    return _read_only(np.stack([i * (dim + 1) + q, i * (dim + 1) + q * dim], axis=1))
+
+
+def _columns(table: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """table[..., q] for each q of `charges`, in order: the table itself when all are live."""
+    return table if len(charges) == table.shape[-1] else table[..., charges]
 
 
 def _phase_rows(dim: int, n_angular: int, charges: np.ndarray) -> np.ndarray:
-    """The rows 2q and 2q + 1 of `_angle_phases` for each q of `charges`, in order."""
+    """(2c, n_φ): e^{iqφ_l} for each q of `charges`, then e^{−iqφ_l} for each, in order."""
     table = _angle_phases(dim, n_angular)
-    return table if len(charges) == dim else table[(2 * charges[:, None] + (0, 1)).ravel()]
+    return (table if len(charges) == dim else table[:, charges]).reshape(-1, n_angular)
 
 
-def _live_sums(factors: np.ndarray, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, charges): sums[…, r, i] holds c[r, q] and c[r, −q] of `ring_charge_sums` for q = charges[i].
+def _live_sums(factors: RingFactors, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, charges): sums[…, r, 0, i] = c[r, −q] and sums[…, r, 1, i] = c[r, q] for q = charges[i].
 
-    The charges are the live charges of B.
+    The charges are the live charges of B and c those of `ring_charge_sums`.
+    One indexed gather reads their offset diagonals as
+    X[…, j, :, i] = κ[q, j] (B[j, j + q], B[j + q, j]), and c = t^q ⊙ (F² @ X)
+    is one matrix product per operator of the stack.
     """
-    operator = _square(operator, np.shape(factors)[1])
+    dim = _ring_dim(factors)
+    operator = _square(operator, dim)
     charges = _live_charges(operator)
-    sums = np.stack(_per_charge(factors, charges, (_charge_pair(operator, q) for q in charges),
-                                np.matmul), axis=-2).view(complex)
+    flat = operator.reshape(operator.shape[:-2] + (-1,))
+    diagonals = np.take(flat, _columns(_diagonal_index(dim), charges), axis=-1)
+    # κ = 0 past each diagonal's end, where the index repeats its last entry: a NaN
+    # or inf read there reaches only the sums of its own charge, which it reaches anyway
+    diagonals *= _columns(factors.ratios, charges)[:, None]
+    sums = factors.squares @ diagonals.view(float).reshape(diagonals.shape[:-2] + (-1,))
+    sums = sums.view(complex).reshape(sums.shape[:-1] + (2, len(charges)))
+    sums *= _columns(factors.powers, charges)[:, None]
     return sums, charges
 
 
-def ring_charge_sums(factors: np.ndarray, operator: np.ndarray) -> np.ndarray:
+def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
     """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for q = −(D−1)..D−1, per B of a stack.
 
     The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; the sums are
@@ -427,44 +527,56 @@ def ring_charge_sums(factors: np.ndarray, operator: np.ndarray) -> np.ndarray:
     dim = np.shape(factors)[1]
     sums, charges = _live_sums(factors, operator)
     out = np.zeros(sums.shape[:-2] + (2 * dim - 1,), dtype=complex)
-    out[..., dim - 1 + charges] = sums[..., 0]
-    out[..., dim - 1 - charges] = sums[..., 1]
+    out[..., dim - 1 - charges] = sums[..., 0, :]
+    out[..., dim - 1 + charges] = sums[..., 1, :]
     return out
 
 
-def _ring_symbols(factors: np.ndarray, n_angular: int,
+def _ring_symbols(factors: RingFactors, n_angular: int,
                   operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, charges): the symbols of `ring_q_symbols` and the live charges of B they came from."""
     sums, charges = _live_sums(factors, operator)
+    if charges[0] == 0:
+        sums[..., 0, 0] = 0  # c[r, −0] is c[r, 0] again
+    # c[r, −q] meets e^{iqφ_l} and c[r, q] meets e^{−iqφ_l}: one product over both signs
     phases = _phase_rows(np.shape(factors)[1], n_angular, charges)
-    start = int(charges[0] == 0)  # b_{−0} is b_0 again
-    return sums[..., 0] @ phases[1::2] + sums[..., start:, 1] @ phases[2 * start::2], charges
+    return sums.reshape(sums.shape[:-2] + (-1,)) @ phases, charges
 
 
-def ring_q_symbols(factors: np.ndarray, n_angular: int,
+def ring_q_symbols(factors: RingFactors, n_angular: int,
                    operator: np.ndarray) -> np.ndarray:
     """Q[…, r, l] = ⟨ψ_rl|B|ψ_rl⟩ for ψ_rl[k] = F[r, k] e^{ikφ_l}, φ_l = 2πl/n_φ, per B of a stack.
 
-    c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] is summed one offset
-    diagonal at a time, over the charges where some B of the stack is
-    nonzero, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
+    The charge sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] are formed
+    over the charges where some B of the stack is nonzero, and
+    Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
     return _ring_symbols(factors, n_angular, operator)[0]
 
 
-def _ring_resolution(factors: np.ndarray, values: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """`ring_resolution` on the charges `charges` only; the other charges are 0."""
-    dim = np.shape(factors)[1]
-    # one product for both signs: numpy takes gemv for a one-row product, which
-    # rounds differently from the gemm of the full table
-    hats = (_phase_rows(dim, values.shape[1], charges) @ values.T).reshape(len(charges), 2, -1)
-    # hats[i, r] holds Re and Im of V̂[r, q], then of V̂[r, −q], for q = charges[i]
-    hats = np.ascontiguousarray(hats.transpose(0, 2, 1)).view(float)
-    images = _per_charge(factors, charges, hats, lambda g, hat: g.T @ hat)
-    return _from_charge_pairs(images, charges, (dim, dim))
+def _ring_resolution(factors: RingFactors, values: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """`ring_resolution` on the charges `charges` only; the other charges are 0.
+
+    With hats[r, 0, i] = V̂[r, q] and hats[r, 1, i] = V̂[r, −q], the image
+    is κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)): one matrix product, written back along the
+    offset diagonals with one indexed store.
+    """
+    dim = _ring_dim(factors)
+    hats = (values @ _phase_rows(dim, values.shape[1], charges).T).reshape(len(values), 2, -1)
+    hats *= _columns(factors.powers, charges)[:, None]
+    images = factors.squares.T @ hats.view(float).reshape(len(values), -1)
+    images = images.view(complex).reshape(dim, 2, -1)
+    images *= _columns(factors.ratios, charges)[:, None]
+    # V̂[r, q] goes to B[i + q, i] and V̂[r, −q] to B[i, i + q]: the gather's index with
+    # its signs swapped, and the writes past a diagonal's end sent to a spare row
+    index = _columns(_diagonal_index(dim), charges)[:, ::-1]
+    index = np.where(np.arange(dim)[:, None, None] + charges < dim, index, dim * dim)
+    out = np.zeros((dim + 1, dim), dtype=complex)
+    out.reshape(-1)[index] = images
+    return out[:dim]
 
 
-def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:
+def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
     """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`.
 
     Entry (j, j−q) is Σ_r F[r, j] F[r, j−q] V̂[r, q], with
@@ -476,7 +588,7 @@ def ring_resolution(factors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _ring_resolution(factors, values, np.arange(np.shape(factors)[1]))
 
 
-def ring_luders_image(factors: np.ndarray, weights: np.ndarray,
+def ring_luders_image(factors: RingFactors, weights: np.ndarray,
                       operator: np.ndarray) -> np.ndarray:
     """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors.
 

@@ -224,7 +224,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("lambda_q2_grid_disk", 0.0, np.abs(grid_image - disk_pred).max(), 1e-9)
 
     vb = fock.fock_coherent_state(space, beta)
-    damping = fock.verify_damping(space, np.outer(vb, vb.conj()), quad)
+    damping = fock.verify_damping(space, np.outer(vb, vb.conj()), quad, ring=(factors, weights))
     gaussian = 0.5 * np.exp(-np.abs(quad.alphas - beta) ** 2 / 2)
     window = np.abs(quad.alphas) <= 2.0
     run.numeric("q_projector_symbol", 0.0,

@@ -34,6 +34,8 @@ import numpy as np
 
 from .channel import (
     TABLE_CACHE_SIZE,
+    RingFactors,
+    _gauss_legendre,
     _read_only,
     ring_luders_image,
     ring_q_symbols,
@@ -189,7 +191,7 @@ def plane_quadrature(space: FockSpace, radius: float = DEFAULT_RADIUS,
         raise TruncationError(
             f"radius {radius} exceeds sqrt(dim)/2 = {np.sqrt(space.dim) / 2:.3f}"
         )
-    x, w_gl = np.polynomial.legendre.leggauss(n_radial)
+    x, w_gl = _gauss_legendre(n_radial)
     u = 0.5 * (x + 1.0) * radius**2          # u = r², d²α/π = du dφ / (2π)
     w_u = 0.5 * w_gl * radius**2
     angles = 2 * pi * np.arange(n_angular) / n_angular
@@ -203,16 +205,20 @@ def coherent_state_matrix(space: FockSpace, quad: PlaneQuadrature) -> np.ndarray
     return _coherent_rows(space, quad.alphas)
 
 
-def ring_factors(space: FockSpace, quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
+def ring_factors(space: FockSpace, quad: PlaneQuadrature) -> tuple[RingFactors, np.ndarray]:
     """(F, W) of a rings × uniform-angle grid, for the ring core in `channel`.
 
     F[r, k] = e^{−u/2} u^{k/2} / √k! at u = |α|² of ring r is the state at
-    the ring's φ = 0 node; the state at node (r, l) is F[r, k] e^{ikφ_l},
+    the ring's φ = 0 node, in the Perelomov form with t_r = |α_r| and
+    h_k = 1/√k!; the state at node (r, l) is F[r, k] e^{ikφ_l},
     φ_l = 2πl/n_φ, and W[r, l] its weight (`quad.rings`).  Any n_φ is
     accepted: the ring core reproduces the grid's sums, aliasing included.
     """
     radii, weights = quad.rings
-    return _coherent_rows(space, radii).real, weights
+    with np.errstate(divide="ignore"):  # a ring at α = 0 has log t = −inf
+        log_t = np.log(radii)
+    rows = _coherent_rows(space, radii).real
+    return RingFactors(rows, log_t, -_log_factorials(space.dim) / 2), weights
 
 
 def q_symbol_fock(space: FockSpace, operator: np.ndarray,
@@ -313,15 +319,18 @@ class DampingReport:
 
 
 def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature,
-                   xi_points: np.ndarray | None = None) -> DampingReport:
+                   xi_points: np.ndarray | None = None,
+                   ring: tuple[RingFactors, np.ndarray] | None = None) -> DampingReport:
     """Compare the transform ratio of Q_Λ(B) to Q_B with e^(-|ξ|²).
 
     Points where the source coefficient is below XI_FLOOR are flagged and
     excluded from the deviation (the ratio there is ill-conditioned).
+    `ring` is the (F, W) pair of `ring_factors(space, quad)`, formed here
+    unless the caller already holds it.
     """
     if xi_points is None:
         xi_points = default_xi_points()
-    factors, weights = ring_factors(space, quad)
+    factors, weights = ring_factors(space, quad) if ring is None else ring
     stack = np.array([operator, ring_luders_image(factors, weights, operator)])
     symbols = ring_q_symbols(factors, weights.shape[1], stack).reshape(2, -1)
     xi = xi_coefficients(symbols, quad, xi_points)

@@ -21,7 +21,15 @@ from math import comb, factorial, isqrt, pi
 
 import numpy as np
 
-from .channel import WeightedProjectorFamily, _alias_free, _read_only, q_symbols, split_rings
+from .channel import (
+    RingFactors,
+    WeightedProjectorFamily,
+    _alias_free,
+    _gauss_legendre,
+    _read_only,
+    q_symbols,
+    split_rings,
+)
 
 MAX_TWO_S = 50  # pinned by the tests; raising it is a change of its own
 
@@ -154,7 +162,7 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
         raise ValueError(f"need at least {two_s + 1} theta nodes")
     if n_phi < 2 * two_s + 1:
         raise ValueError(f"need at least {2 * two_s + 1} phi nodes")
-    x, w_gl = np.polynomial.legendre.leggauss(n_theta)
+    x, w_gl = _gauss_legendre(n_theta)
     thetas = np.arccos(x)
     phis = 2 * pi * np.arange(n_phi) / n_phi
     # (2s+1)/(4π) sinθ dθ dφ  ->  (2s+1) * w_gl/2 * (1/n_phi) per node
@@ -165,18 +173,23 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
     return SphereQuadrature(tt.ravel(), pp.ravel(), ww.ravel(), exact_degree)
 
 
-def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[RingFactors, np.ndarray]:
     """(F, W) of a product grid, for `channel.charge_blocks` and the ring core.
 
-    F[r, k] is the state at ring r and φ = 0, real and non-negative; the
-    state at angle φ is e^{−isφ} F[r, k] e^{ikφ}; W from `grid.rings`.
-    Raises ValueError unless W has equal weights per ring and n_φ > 2·two_s,
-    the bound that makes the φ-sum an exact Kronecker delta on the charge
-    (`channel._alias_free`).
+    F[r, k] is the state at ring r and φ = 0, real and non-negative, in the
+    Perelomov form F[r, k] = cos^{2s}(θ_r/2) h_k t_r^k with t_r = tan(θ_r/2)
+    and h_k = √C(2s, k); the state at angle φ is e^{−isφ} F[r, k] e^{ikφ};
+    W from `grid.rings`.  Raises ValueError unless W has equal weights per
+    ring and n_φ > 2·two_s, the bound that makes the φ-sum an exact
+    Kronecker delta on the charge (`channel._alias_free`).
     """
     thetas, _, weights = grid.rings
     weights = _alias_free(weights, space.dim)
-    return _coherent_rows(space, thetas, np.zeros(len(thetas))).real, weights
+    with np.errstate(divide="ignore"):  # a ring at θ = 0 has log t = −inf
+        log_t = np.log(np.tan(thetas / 2))
+    log_h = np.log([comb(space.two_s, k) for k in range(space.dim)]) / 2
+    rows = _coherent_rows(space, thetas, np.zeros(len(thetas))).real
+    return RingFactors(rows, log_t, log_h), weights
 
 
 def q_symbol_spin(space: SpinSpace, operator: np.ndarray,

@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from luderskit import channel
+from luderskit import channel, fock
 from luderskit.channel import (
     QuadratureError,
     SuperoperatorMatrix,
@@ -302,6 +302,54 @@ def test_ring_resolution_refuses_values_of_the_wrong_shape():
     for values in (weights.ravel(), weights[1:], weights[None]):
         with pytest.raises(ValueError, match="values must have shape"):
             ring_resolution(factors, values)
+
+
+# --- ring factors in the Perelomov form F[r, k] = g_r h_k t_r^k ---------------------
+
+def test_ring_factor_rows_are_the_phi_zero_states_bit_for_bit():
+    # the φ = 0 node of each ring, and the product form the ring core reads them through
+    space, spin_space = FockSpace(40), SpinSpace(7)
+    quad, grid = plane_quadrature(space, 3.0, 12, 16), sphere_quadrature(spin_space)
+    for (factors, weights), states in (
+            (fock.ring_factors(space, quad), fock.coherent_state_matrix(space, quad)),
+            (ring_factors(spin_space, grid), coherent_state_matrix(spin_space, grid))):
+        assert np.array_equal(factors.rows, states[::weights.shape[1]].real)
+        assert np.array_equal(np.asarray(factors), factors.rows)
+        assert factors.shape == (len(factors), states.shape[1])
+        dim = factors.shape[1]
+        for q in range(dim):
+            i = np.arange(dim - q)
+            products = factors.rows[:, i + q] * factors.rows[:, i]
+            form = factors.squares[:, i] * factors.powers[:, q:q + 1] * factors.ratios[i, q]
+            assert np.abs(form - products).max() <= 1e-13 * np.abs(products).max()
+
+
+def test_ring_factors_refuse_powers_past_the_float_range():
+    rows, log_h = np.ones((2, 5)), np.zeros(5)
+    limit = np.log(np.finfo(float).max)
+    accepted = channel.RingFactors(rows, [-np.inf, 0.999 * limit / 4], log_h)
+    assert np.all(np.isfinite(accepted.powers))
+    assert np.array_equal(accepted.powers[0], [1, 0, 0, 0, 0])  # t = 0: exactly 1 at q = 0
+    for top in (limit / 4, np.inf, np.nan):
+        with pytest.raises(ValueError, match="float range"):
+            channel.RingFactors(rows, [0.0, top], log_h)
+    with pytest.raises(ValueError, match="log_h"):
+        channel.RingFactors(rows, [0.0, 0.0], np.zeros(4))
+
+
+def test_ring_core_refuses_bare_factor_arrays():
+    space = SpinSpace(2)
+    factors, weights = ring_factors(space, sphere_quadrature(space))
+    bare, operator = np.asarray(factors), np.eye(space.dim)
+    for call in (lambda: channel.ring_q_symbols(bare, weights.shape[1], operator),
+                 lambda: channel.ring_charge_sums(bare, operator),
+                 lambda: channel.ring_luders_image(bare, weights, operator),
+                 lambda: ring_resolution(bare, weights)):
+        with pytest.raises(TypeError, match="RingFactors"):
+            call()
+    # the charge blocks take any array
+    blocks, bare_blocks = charge_blocks(factors, weights), charge_blocks(bare, weights)
+    assert all(np.array_equal(block, bare_blocks[q]) for q, block in blocks.items())
 
 
 # --- value types hold owned read-only copies ------------------------------------

@@ -189,7 +189,7 @@ def test_quadrature_rejects_node_counts_below_one(space, nodes, recwarn):
 def test_ring_factors_accept_aliasing_and_reject_non_product_grids(space):
     aliased = plane_quadrature(space, n_radial=5, n_angular=3)  # n_phi far below 2(dim - 1)
     factors, weights = ring_factors(space, aliased)
-    assert factors.shape == (5, space.dim) and np.all(factors >= 0)
+    assert factors.shape == (5, space.dim) and np.all(np.asarray(factors) >= 0)
     assert weights.shape == (5, 3) and np.array_equal(weights.ravel(), aliased.weights)
     states = coherent_state_matrix(space, aliased)
     assert np.abs(states[::3] - factors).max() < 1e-15  # the phi = 0 node of each ring

@@ -253,6 +253,21 @@ def test_charge_sums_are_the_offset_diagonal_sums_on_spin_grids(case, seed):
     check_charge_sums(case, seed)
 
 
+@pytest.mark.parametrize("family, size, radius", [("fock", 200, 7.07), ("fock", 200, 0.05),
+                                                  ("fock", 8, 0.05), ("spin", 50, None)])
+def test_charge_sums_are_finite_and_exact_at_the_extreme_sizings(family, size, radius):
+    # the largest t^q the CLI reaches (fock 200 at √dim/2, spin two_s 50) and the
+    # smallest radius, where F² and t^q underflow on the high levels
+    if family == "fock":
+        space = fock.FockSpace(size)
+        factors, _ = fock.ring_factors(space, fock.plane_quadrature(space, radius))
+    else:
+        space = SpinSpace(size)
+        factors, _ = ring_factors(space, sphere_quadrature(space))
+    check_charge_sums((None, None, factors, None), size)
+    assert np.all(np.isfinite(ring_charge_sums(factors, random_stack(size, space.dim))))
+
+
 def test_ring_core_maps_the_zero_operator_to_zero():
     space = fock.FockSpace(12)
     factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, 1.5, 6, 10))

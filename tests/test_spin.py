@@ -182,7 +182,7 @@ def test_ring_factors_reject_aliasing_and_non_product_grids():
     with pytest.raises(ValueError, match="rings"):
         ring_factors(space, scrambled)
     factors, ring_weights = ring_factors(space, grid)
-    assert factors.shape == (two_s + 1, space.dim) and np.all(factors >= 0)
+    assert factors.shape == (two_s + 1, space.dim) and np.all(np.asarray(factors) >= 0)
     assert abs(ring_weights.sum() - space.dim) < 1e-12
 
 
