@@ -42,8 +42,11 @@ acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
 (D−|q|)-square block; `charge_blocks`, `charge_block_image` and
 `charge_block_spectrum` give the channel, its image and its spectrum
 from those blocks: O(D³) memory and O(D⁴) time against the
-superoperator's O(D⁴) and O(D⁶).  The superoperator stays as the dense
-reference.  The symbols and the block image also take a stack (…, D, D).
+superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
+maps each charge to its matrix entries: the ring core's gather and store
+and the block image's per-charge reads and writes all go through it.  The
+superoperator stays as the dense reference.  The symbols and the block
+image also take a stack (…, D, D).
 """
 
 from __future__ import annotations
@@ -278,28 +281,19 @@ def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
     return np.flatnonzero(hit[np.arange(dim) % n_angular])
 
 
-def _charge_pair(operator: np.ndarray, charge: int) -> np.ndarray:
-    """(…, D−q, 4): Re and Im of b_q[j] = B[…, j, j−q], then of b_−q[j] = B[…, j−q, j]."""
-    pair = np.empty(operator.shape[:-2] + (operator.shape[-1] - charge, 2), dtype=complex)
-    pair[..., 0] = operator.diagonal(-charge, -2, -1)
-    pair[..., 1] = operator.diagonal(charge, -2, -1)
-    return pair.view(float)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _diagonal_index(dim: int) -> np.ndarray:
+    """Read-only [i, 0, q] and [i, 1, q] → the flat indexes of B[i, i + q] and B[i + q, i].
 
-
-def _from_charge_pairs(pairs, charges, shape: tuple) -> np.ndarray:
-    """B of `shape` (…, D, D) from one `_charge_pair`-layout array per q of `charges`.
-
-    Each pair is written back along its two offset diagonals of the flat
-    view; the charges not in `charges` are 0.
+    The one map from a charge to its matrix entries: the ring core gathers
+    the live offset diagonals through it and stores its image back through
+    it (`_live_sums`, `_ring_resolution`), and `charge_block_image` reads and
+    writes each b_±q through its first D − q rows.  Past the end of
+    diagonal q (i + q ≥ D) both repeat its last entry, where κ is 0.
     """
-    dim = shape[-1]
-    out = (np.empty if len(charges) == dim else np.zeros)(shape, dtype=complex)
-    flat = out.reshape(shape[:-2] + (dim * dim,))
-    for charge, pair in zip(charges, pairs):
-        pair = pair.view(complex)
-        flat[..., charge * dim::dim + 1] = pair[..., 0]  # B[j, j−q]
-        flat[..., charge:(dim - charge) * dim:dim + 1] = pair[..., 1]  # B[j−q, j]
-    return out
+    q = np.arange(dim)
+    i = np.minimum(q[:, None], dim - 1 - q)
+    return _read_only(np.stack([i * (dim + 1) + q, i * (dim + 1) + q * dim], axis=1))
 
 
 def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
@@ -340,8 +334,14 @@ def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
     """Λ(B) charge by charge: one product M_q [b_q, b_−q] per q ≥ 0; B may be a stack (…, D, D)."""
     dim = len(blocks[0])
     operator = _square(operator, dim)
-    images = (blocks[q] @ _charge_pair(operator, q) for q in range(dim))
-    return _from_charge_pairs(images, range(dim), operator.shape)
+    flat = operator.reshape(operator.shape[:-2] + (dim * dim,))
+    out = np.empty_like(flat)  # the D charges of both signs cover every entry
+    for charge in range(dim):
+        index = _diagonal_index(dim)[:dim - charge, :, charge]
+        # (…, D−q, 4): Re and Im of b_−q, then of b_q; `take` returns a C-contiguous copy
+        pairs = np.take(flat, index, axis=-1).view(float)
+        out[..., index] = (blocks[charge] @ pairs).view(complex)
+    return out.reshape(operator.shape)
 
 
 def charge_block_spectrum(blocks: dict) -> SpectralReport:
@@ -396,6 +396,15 @@ def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
+def _level_logs(log_y, size: int) -> np.ndarray:
+    """k·log y for k = 0..size−1 on a new last axis of log y: exactly 0 at k = 0, even at
+    log y = −inf (y = 0), and −inf for k ≥ 1 there."""
+    log_y = np.asarray(log_y, dtype=float)
+    out = np.zeros(log_y.shape + (size,))
+    np.multiply(np.arange(1, size), log_y[..., None], out=out[..., 1:])
+    return out
+
+
 @dataclass(frozen=True)
 class RingFactors:
     """The ring factors F (n_r × D) of a product grid in the Perelomov form F[r, k] = g_r h_k t_r^k.
@@ -445,9 +454,7 @@ class RingFactors:
     @cached_property
     def powers(self) -> np.ndarray:
         """Read-only t_r^q at [r, q] for q = 0..D−1: exactly 1 at q = 0, even at t = 0."""
-        logs = np.zeros(self.shape)
-        np.multiply(self.log_t[:, None], np.arange(1, self.shape[1]), out=logs[:, 1:])
-        return _read_only(np.exp(logs))
+        return _read_only(np.exp(_level_logs(self.log_t, self.shape[1])))
 
     @cached_property
     def ratios(self) -> np.ndarray:
@@ -471,18 +478,6 @@ def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
     minus = roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
     return _read_only([minus.conj(), minus])
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _diagonal_index(dim: int) -> np.ndarray:
-    """Read-only [i, 0, q] and [i, 1, q] → the flat indexes of B[i, i + q] and B[i + q, i].
-
-    Past the end of diagonal q (i + q ≥ D) both repeat its last entry,
-    where κ is 0.
-    """
-    q = np.arange(dim)
-    i = np.minimum(q[:, None], dim - 1 - q)
-    return _read_only(np.stack([i * (dim + 1) + q, i * (dim + 1) + q * dim], axis=1))
 
 
 def _columns(table: np.ndarray, charges: np.ndarray) -> np.ndarray:

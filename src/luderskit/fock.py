@@ -36,6 +36,7 @@ from .channel import (
     TABLE_CACHE_SIZE,
     RingFactors,
     _gauss_legendre,
+    _level_logs,
     _read_only,
     ring_luders_image,
     ring_q_symbols,
@@ -97,15 +98,6 @@ def _sqrt_run(start: np.ndarray, length: int) -> np.ndarray:
     return np.sqrt(start[:, None] + np.arange(1, length + 1)).prod(axis=1)
 
 
-def _level_logs(y, size: int) -> np.ndarray:
-    """k·log y for k = 0..size−1 on a new last axis of y ≥ 0; exactly 0 at k = 0, even at y = 0."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape + (size,))
-    with np.errstate(divide="ignore"):  # log 0 = −inf, and k·(−inf) = −inf for k ≥ 1
-        np.multiply(np.arange(1, size), np.log(y)[..., None], out=out[..., 1:])
-    return out
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _log_factorials(size: int) -> np.ndarray:
     """Read-only log k! for k = 0..size−1."""
@@ -122,7 +114,9 @@ def _log_gamma_p(size: int, x: float) -> np.ndarray:
     lies below rounding.
     """
     stop = size + int(x + 12 * sqrt(x + 1)) + 40
-    log_pmf = _level_logs(x, stop) - x - _log_factorials(stop)
+    with np.errstate(divide="ignore"):  # x = 0 gives log x = −inf
+        log_x = np.log(x)
+    log_pmf = _level_logs(log_x, stop) - x - _log_factorials(stop)
     return _read_only(np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size])
 
 
@@ -131,7 +125,9 @@ def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     k = np.arange(space.dim)
     mags = np.abs(alphas)
     # log-domain magnitudes avoid factorial overflow at high dim; level 0 of α = 0 gives |0⟩
-    log_mag = (-mags[..., None]**2 / 2 + _level_logs(mags, space.dim)
+    with np.errstate(divide="ignore"):  # α = 0 gives log |α| = −inf
+        log_mags = np.log(mags)
+    log_mag = (-mags[..., None]**2 / 2 + _level_logs(log_mags, space.dim)
                - _log_factorials(space.dim) / 2)
     phases = np.exp(1j * k * np.angle(alphas)[..., None])
     return np.exp(log_mag) * phases

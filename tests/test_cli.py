@@ -177,6 +177,19 @@ def test_fock_command_passes(tmp_path):
             "commutator_formula", "damping_ratio_gap"} <= names
 
 
+
+@pytest.mark.parametrize("dim, radius, status, passed", [
+    ("8", "1e-4", 1, False),  # every ξ point flagged: the row compared nothing
+    ("40", "3.0", 0, True),
+])
+def test_fock_damping_row_fails_when_every_xi_point_is_flagged(tmp_path, dim, radius,
+                                                               status, passed):
+    out = tmp_path / "fock.json"
+    assert run(["fock", "--dim", dim, "--radius", radius, "--json", str(out)]) == status
+    row, = (r for r in read_json(out)["results"] if r["name"] == "damping_ratio_gap")
+    assert row["pass"] is passed
+    assert (row["actual"] == "nan") is not passed
+
 def test_fock_rejects_bad_sizing():
     assert run(["fock", "--dim", "4"]) == 2
     assert run(["fock", "--dim", "40", "--radius", "9"]) == 2

@@ -1,8 +1,10 @@
+import warnings
 from math import factorial, pi
 
 import numpy as np
 import pytest
 
+from luderskit import fock
 from luderskit.fock import (
     DampingReport,
     FockSpace,
@@ -248,6 +250,14 @@ def test_disk_image_stays_finite_where_its_factors_leave_the_float_range():
     assert np.isfinite(entry)
     assert abs(entry - expected) <= 1e-12 * expected
 
+
+
+def test_log_gamma_p_at_zero_is_exact_without_a_warning():
+    # R² underflows to 0 for radii up to about 1e-162: P(0, 0) = 1 and P(a, 0) = 0 for a ≥ 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = fock._log_gamma_p.__wrapped__(5, 0.0)  # past the cache, so the log 0 path runs
+    assert np.array_equal(logs, [0.0] + [-np.inf] * 4)
 
 def test_q_symbol_real_for_hermitian(space, quad):
     rng = np.random.default_rng(31)

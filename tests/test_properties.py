@@ -199,6 +199,20 @@ def test_one_charge_image_lives_on_the_aliases_on_spin_grids(case, seed):
     check_one_charge_image(case, seed)
 
 
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_one_charge_block_image_lives_on_its_charge(case, seed):
+    """The block image of a charge-q operator is exactly 0 off ±q and the dense image, so the
+    per-charge writes fill every entry of the uninitialized output."""
+    states, node_weights, factors, weights = case
+    dim = factors.shape[1]
+    operator, charge = one_charge_operator(seed, dim)
+    image = charge_block_image(charge_blocks(factors, weights), operator)
+    offsets = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    assert np.all(image[offsets != charge] == 0)
+    assert_close(image, luders_image(states, node_weights, operator))
+
 def check_charge_sparse_symbols(case, seed):
     """Each operator of a (2, 3) stack keeps a random subset of its signed charges."""
     states, _, factors, weights = case
