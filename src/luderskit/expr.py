@@ -289,40 +289,55 @@ def parse_expression(text: str) -> ExprNode:
 
 
 def to_source(node: ExprNode) -> str:
-    """Render an AST back to grammar text; parse(to_source(e)) == e."""
+    """Render an AST back to grammar text.
+
+    Trees the parser makes round-trip as trees, parse(to_source(e)) == e; every
+    tree round-trips in value, normal_order(parse(to_source(e))) == normal_order(e).
+    """
     return _render(node, 0)
 
 
-# precedence levels: 0 add/sub, 1 mul, 2 unary minus, 3 power/atom
+def _chain(node: ExprNode, kinds) -> list[tuple[ExprNode, int]]:
+    """The operands of a left-nested chain of `kinds` nodes, left to right, each with its sign.
+
+    The sign is -1 after a Sub, else +1.  The parser nests a chain of N
+    operands N deep, so the chain is walked in a loop: recursing down it
+    would overflow the interpreter stack for long normal forms.
+    """
+    operands = []
+    while isinstance(node, kinds):
+        operands.append((node.rhs, -1 if isinstance(node, Sub) else 1))
+        node = node.lhs
+    operands.append((node, 1))
+    operands.reverse()
+    return operands
+
+
+# A node's text binds at 1 (sums), 2 (products, unary minus, literals printed as
+# -c or c*i) or 3 (powers); symbols and the other literals are atoms.  The text
+# is parenthesized where its context is at least its binding.
+_ATOM = 4
+
+
 def _render(node: ExprNode, context: int) -> str:
     if isinstance(node, Literal):
         text = str(node.value)
-        needs_parens = text.startswith("-") and context >= 2
-        return f"({text})" if needs_parens else text
-    if isinstance(node, Symbol):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _render(node.operand, 2)
-        text = f"-{inner}"
-        return f"({text})" if context >= 2 else text
-    # left-nested chains render without recursion, as the ordering engine evaluates them
-    if isinstance(node, (Add, Sub)):
-        pieces = []
-        while isinstance(node, (Add, Sub)):
-            pieces.append(f" {'+' if isinstance(node, Add) else '-'} {_render(node.rhs, 1)}")
-            node = node.lhs
-        text = _render(node, 0) + "".join(reversed(pieces))
-        return f"({text})" if context >= 1 else text
-    if isinstance(node, Mul):
-        pieces = []
-        while isinstance(node, Mul):
-            pieces.append(_render(node.rhs, 2))
-            node = node.lhs
-        text = "*".join([_render(node, 1)] + pieces[::-1])
-        return f"({text})" if context >= 2 else text
-    if isinstance(node, Pow):
-        base = _render(node.base, 3)
-        if isinstance(node.base, Pow):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
+        binding = 2 if text.startswith("-") or text.endswith("*i") else _ATOM
+    elif isinstance(node, Symbol):
+        text, binding = node.name, _ATOM
+    elif isinstance(node, Neg):
+        text, binding = "-" + _render(node.operand, 2), 2
+    elif isinstance(node, (Add, Sub)):
+        (first, _), *rest = _chain(node, (Add, Sub))
+        text = _render(first, 0) + "".join(
+            f" {'+' if sign > 0 else '-'} {_render(operand, 1)}" for operand, sign in rest)
+        binding = 1
+    elif isinstance(node, Mul):
+        (first, _), *rest = _chain(node, Mul)
+        text = "*".join([_render(first, 1)] + [_render(factor, 2) for factor, _ in rest])
+        binding = 2
+    elif isinstance(node, Pow):
+        text, binding = f"{_render(node.base, 3)}^{node.exponent}", 3
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return f"({text})" if context >= binding else text

@@ -310,8 +310,9 @@ class DampingReport:
 
     @property
     def max_deviation(self) -> float:
+        """Largest deviation over the compared points; NaN when every point is flagged."""
         live = ~self.flagged
-        return float(self.deviations[live].max()) if live.any() else 0.0
+        return float(self.deviations[live].max()) if live.any() else float("nan")
 
 
 def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature,

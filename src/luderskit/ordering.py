@@ -32,6 +32,7 @@ from .expr import (
     Sub,
     Symbol,
     I_UNIT,
+    _chain,
     parse_expression,
 )
 
@@ -301,7 +302,7 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
     if isinstance(node, Neg):
         return -_eval_node(node.operand)
     if isinstance(node, (Add, Sub)):
-        return _eval_sum(node)
+        return _signed_sum((_eval_node(operand), sign) for operand, sign in _chain(node, (Add, Sub)))
     if isinstance(node, Mul):
         return _eval_product(node)
     if isinstance(node, Pow):
@@ -371,22 +372,8 @@ def _check_degree(degree: int):
         raise DegreeError(f"a product of degree {degree} exceeds the degree cap {MAX_DEGREE}")
 
 
-def _eval_sum(node: Add | Sub) -> NormalPolynomial:
-    """Evaluate a left-nested chain of + and - as one signed sum, without recursion.
-
-    The parser nests a sum of N terms N deep, so recursing down the chain
-    would overflow the interpreter stack for long normal forms.
-    """
-    operands = []
-    while isinstance(node, (Add, Sub)):
-        operands.append((node.rhs, -1 if isinstance(node, Sub) else 1))
-        node = node.lhs
-    operands.append((node, 1))
-    return _signed_sum((_eval_node(operand), sign) for operand, sign in reversed(operands))
-
-
 def _eval_product(node: Mul) -> NormalPolynomial:
-    """Evaluate a left-nested chain of * left to right, without recursion, as `_eval_sum` does.
+    """Evaluate a `*` chain left to right, as `expr._chain` walks it.
 
     Factors of one term fold into one word (re + i·im)/den · a†^m a^n while
     it stays in normal order (no a†-power after an a-power).  From the first
@@ -394,15 +381,10 @@ def _eval_product(node: Mul) -> NormalPolynomial:
     polynomial products.  A zero word is kept at degree 0, as the zero
     polynomial is, so the degree checks see the degrees the products have.
     """
-    factors = []
-    while isinstance(node, Mul):
-        factors.append(node.rhs)
-        node = node.lhs
-    factors.append(node)
     m = n = im = 0
     re = den = 1
     out = None
-    for factor in reversed(factors):
+    for factor, _ in _chain(node, Mul):
         if out is not None:
             rhs = _eval_node(factor)
             _check_degree(out.degree() + rhs.degree())

@@ -267,8 +267,9 @@ def test_order_refuses_degrees_past_the_cap_fast(capsys, text):
     ("1" * 5000, 2),
     ("0." + "1" * 5000, 2),
     ("1/" + "7" * 5000, 2),
+    ("a" + " - ad + a" * 1500, 0),
 ], ids=["id_chain", "nested_sums_at_limit", "parentheses", "unary_minus", "integer",
-        "decimal", "denominator"])
+        "decimal", "denominator", "signed_sum"])
 def test_order_front_end_limits_exit_fast(capsys, text, status):
     start = time.perf_counter()
     assert run(["order", text]) == status

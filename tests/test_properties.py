@@ -676,6 +676,13 @@ _ONE = ComplexRational.real(1)
 _HALF = ComplexRational.real(Fraction(1, 2))
 _HALF_I = ComplexRational(Fraction(0), Fraction(1, 2))
 
+GAUSSIAN_RATIONALS = st.builds(  # zero, real, imaginary and complex values alike
+    lambda re, im, den: ComplexRational(Fraction(re, den), Fraction(im, den)),
+    st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9),
+    st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9),
+    st.integers(1, 9))
+
+
 LEAVES = st.one_of(  # the ladder symbols twice, so most trees are not scalars
     st.sampled_from(OPERATOR_SYMBOLS).map(Symbol),
     st.sampled_from(("q", "p", "a", "ad")).map(Symbol),
@@ -706,6 +713,22 @@ def expressions(draw, depth=4, degree=8):
         return Mul(draw(expressions(depth - 1, left)), draw(expressions(depth - 1, degree - left)))
     operator = Add if kind == "add" else Sub
     return operator(draw(expressions(depth - 1, degree)), draw(expressions(depth - 1, degree)))
+
+
+@st.composite
+def valued_expressions(draw, depth=3):
+    """A tree whose literals take any sign and phase (`GAUSSIAN_RATIONALS`), unlike the parser's.
+
+    Exponents are 0..3, so the normal form has degree at most 3^depth.
+    """
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(LEAVES, GAUSSIAN_RATIONALS.map(Literal)))
+    kind = draw(st.sampled_from((Neg, Add, Sub, Mul, Pow)))
+    if kind is Neg:
+        return Neg(draw(valued_expressions(depth - 1)))
+    if kind is Pow:
+        return Pow(draw(valued_expressions(depth - 1)), draw(st.integers(0, 3)))
+    return kind(draw(valued_expressions(depth - 1)), draw(valued_expressions(depth - 1)))
 
 
 # Oracle: the normal form on ComplexRational arithmetic, {(m, n): coefficient of a†^m a^n}.
@@ -802,6 +825,22 @@ def test_to_source_parses_back_to_the_tree(node):
 
 
 @ENGINE
+@given(valued_expressions())
+def test_to_source_keeps_the_value_of_every_tree(node):
+    assert normal_order(parse_expression(to_source(node))) == normal_order(node)
+
+
+@pytest.mark.parametrize("value, text", [
+    (ComplexRational(Fraction(0), Fraction(2)), "(2*i)^2"),
+    (ComplexRational(Fraction(0), Fraction(1, 2)), "(1/2*i)^2"),
+])
+def test_to_source_parenthesizes_an_imaginary_power_base(value, text):
+    node = Pow(Literal(value), 2)
+    assert to_source(node) == text
+    assert normal_order(text) == normal_order(node)
+
+
+@ENGINE
 @given(expressions(), st.data())
 def test_parse_error_points_at_an_inserted_character(node, data):
     text = to_source(node)
@@ -825,13 +864,6 @@ def test_parse_error_points_at_an_exponent_past_the_cap(node, exponent):
 
 
 # --- closed-form affine powers, folded word products, integer rendering --------------
-
-GAUSSIAN_RATIONALS = st.builds(  # zero, real, imaginary and complex values alike
-    lambda re, im, den: ComplexRational(Fraction(re, den), Fraction(im, den)),
-    st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9),
-    st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9),
-    st.integers(1, 9))
-
 
 def affine_tree(c, x, y):
     """c + x·ad + y·a as a parser tree."""
