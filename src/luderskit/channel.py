@@ -133,9 +133,6 @@ class WeightedProjectorFamily:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self):
-        return self.states.shape[0]
-
 
 @dataclass(frozen=True)
 class SuperoperatorMatrix:
@@ -213,36 +210,36 @@ def channel_spectrum(chan: SuperoperatorMatrix) -> SpectralReport:
     """Full spectrum plus an orthonormal Hermitian basis of the fixed space.
 
     The superoperator is Hermitian, so a dense Hermitian eigensolver is
-    used and the spectrum is real.  Eigenvectors with eigenvalue within
-    FIXED_POINT_TOL of 1 span the fixed space; they are Hermitized and
-    Gram-Schmidt orthonormalized in the Hilbert-Schmidt inner product.
+    used and the spectrum is real; its ascending output is reversed.
+    Eigenvectors with eigenvalue within FIXED_POINT_TOL of 1 span the
+    fixed space, and `_hermitian_fixed_basis` turns them into a Hermitian
+    basis, orthonormal in the Hilbert-Schmidt inner product.
     """
     evals, evecs = np.linalg.eigh(chan.matrix)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     basis = _hermitian_fixed_basis(evecs[:, _near_one(evals)], chan.dim)
     return SpectralReport(eigenvalues=evals.astype(complex), fixed_basis=basis)
 
 
 def _hermitian_fixed_basis(vectors: np.ndarray, dim: int) -> tuple:
-    """Hermitian HS-orthonormal basis of the span of the given eigenvectors, one per vector."""
-    candidates = []
-    for j in range(vectors.shape[1]):
-        f = unvec(vectors[:, j], dim)
-        candidates.append(0.5 * (f + f.conj().T))
-        candidates.append((f - f.conj().T) / 2j)
-    basis: list[np.ndarray] = []
-    for cand in candidates:
-        for b in basis:
-            cand = cand - np.trace(b.conj().T @ cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            basis.append(cand / norm)
-    if len(basis) != vectors.shape[1]:
-        raise RuntimeError(f"fixed-space Hermitization produced {len(basis)} elements, "
-                           f"expected {vectors.shape[1]}")
-    return tuple(b.copy() for b in basis)
+    """Hermitian HS-orthonormal basis of the span of the given eigenvectors, one per vector.
+
+    The k eigenvectors F_j are HS-orthonormal and span a space closed under
+    B ↦ B†, so the 2k Hermitian parts (F + F†)/2 and (F − F†)/2i, read as
+    real vectors (Re, Im), are a tight frame of its Hermitian part: k
+    singular values are 1 and the rest 0.  The first k right singular
+    vectors are the basis; a rank other than k raises RuntimeError.
+    """
+    k = vectors.shape[1]
+    f = vectors.T.reshape(k, dim, dim).transpose(0, 2, 1)  # unvec of each column
+    f_dag = f.conj().transpose(0, 2, 1)
+    parts = np.concatenate([(f + f_dag) / 2, (f - f_dag) / 2j]).reshape(2 * k, dim * dim)
+    _, sigma, rows = np.linalg.svd(np.hstack([parts.real, parts.imag]), full_matrices=False)
+    rank = int(np.count_nonzero(sigma > 1e-8))
+    if rank != k:
+        raise RuntimeError(f"fixed-space Hermitization produced {rank} elements, expected {k}")
+    basis = rows[:k, :dim * dim] + 1j * rows[:k, dim * dim:]
+    return tuple(basis.reshape(k, dim, dim))
 
 
 def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:

@@ -326,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_order = sub.add_parser("order", help="run the exact ordering engine")
     p_order.add_argument("expression", help="operator expression, e.g. 'q^2 - p^2'; "
-                         f"exponents and degrees up to {MAX_DEGREE}")
+                         f"exponents and degrees up to {MAX_DEGREE}; put '--' before "
+                         "one that starts with '-'")
     p_order.add_argument("--fixed-space", type=int, metavar="N",
                          help="also enumerate the invariant space of degree <= N, "
                          f"0..{MAX_DEGREE}")

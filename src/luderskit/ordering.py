@@ -484,30 +484,6 @@ class FixedSpaceResult:
     family_coordinates: tuple[LuedersFamilyCoefficients, ...]
 
 
-def _hermitian_basis(max_degree: int):
-    """Real basis of the Hermitian polynomials of total degree <= max_degree."""
-    basis = []
-    for m in range(max_degree + 1):
-        for n in range(m + 1):
-            if m + n > max_degree:
-                continue
-            if m == n:
-                basis.append(("diag", m, n))
-            else:
-                basis.append(("re", m, n))
-                basis.append(("im", m, n))
-    return basis
-
-
-def _basis_polynomial(tag) -> NormalPolynomial:
-    kind, m, n = tag
-    if kind == "diag":
-        return NormalPolynomial({(m, m): ONE})
-    if kind == "re":
-        return NormalPolynomial({(m, n): ONE, (n, m): ONE})
-    return NormalPolynomial({(m, n): I_UNIT, (n, m): -I_UNIT})
-
-
 def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamilyCoefficients:
     """Express a polynomial as b0 I + sum_n (bq_n Bq_n + bp_n Bp_n), exactly.
 
@@ -550,7 +526,9 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
                     f"Lüders image of a†^{m} a^{n} is not triangular in its charge "
                     f"chain: terms on {sorted(keys)}"
                 )
-    heads = tuple(_basis_polynomial(tag) for tag in _hermitian_basis(max_degree) if tag[2] == 0)
+    heads = (NormalPolynomial.identity(),) + tuple(
+        NormalPolynomial({(n, 0): c, (0, n): c.conjugate()})
+        for n in range(1, max_degree + 1) for c in (ONE, I_UNIT))
     coords = tuple(decompose_in_family(poly, max_degree) for poly in heads)
     return FixedSpaceResult(max_degree, len(heads), heads, coords)
 

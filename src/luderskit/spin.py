@@ -88,11 +88,16 @@ class SpherePoint:
         )
 
 
+def _binomials(two_s: int) -> np.ndarray:
+    """C(2s, k) for k = 0..2s as floats: exact through two_s 56 (C(56, 28) < 2^53), then rounded."""
+    return np.array([float(comb(two_s, k)) for k in range(two_s + 1)])
+
+
 def _coherent_rows(space: SpinSpace, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Rows ⟨s,m|n⟩ = sqrt(C(2s,s+m)) cos^(s+m)(θ/2) sin^(s-m)(θ/2) e^(-imφ)."""
     two_s = space.two_s
     k = np.arange(space.dim)          # basis index, m = s - k, so s+m = 2s-k
-    amps = np.sqrt([comb(two_s, two_s - kk) for kk in k])
+    amps = np.sqrt(_binomials(two_s))  # C(2s, 2s-k) = C(2s, k)
     half = thetas[:, None] / 2
     mag = amps[None, :] * np.cos(half) ** (two_s - k)[None, :] * np.sin(half) ** k[None, :]
     return mag * np.exp(-1j * np.outer(phis, space.spin - k))
@@ -187,7 +192,7 @@ def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[RingFactors,
     weights = _alias_free(weights, space.dim)
     with np.errstate(divide="ignore"):  # a ring at θ = 0 has log t = −inf
         log_t = np.log(np.tan(thetas / 2))
-    log_h = np.log([comb(space.two_s, k) for k in range(space.dim)]) / 2
+    log_h = np.log(_binomials(space.two_s)) / 2
     rows = _coherent_rows(space, thetas, np.zeros(len(thetas))).real
     return RingFactors(rows, log_t, log_h), weights
 
@@ -237,11 +242,8 @@ def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.
     """Y_lm at the given angles (any sign of m)."""
     if abs(m) > l:
         raise ValueError("|m| must not exceed l")
-    for mm, block, phase in harmonic_blocks(l, np.asarray(thetas, float),
-                                            np.asarray(phis, float)):
-        if mm == m:
-            return block[:, l - abs(m)] * phase
-    raise AssertionError("unreachable")
+    blocks = harmonic_blocks(l, np.asarray(thetas, float), np.asarray(phis, float))
+    return next(block[:, l - abs(m)] * phase for mm, block, phase in blocks if mm == m)
 
 
 def _check_degree(grid: SphereQuadrature, space: SpinSpace):

@@ -189,6 +189,23 @@ def test_orthonormal_basis_family_fixed_space_is_diagonal_algebra():
     assert report.fixed_space_dim == 3
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_orthonormal_family_fixed_basis_is_hermitian_orthonormal_fixed_and_diagonal(dim):
+    # the fixed space of a complete orthogonal measurement is the D-dimensional diagonal algebra
+    family = orthonormal_family(np.random.default_rng(100 + dim), dim)
+    chan = build_luders_channel(family)
+    basis = channel_spectrum(chan).fixed_basis
+    assert len(basis) == dim
+    stacked = np.array(basis)
+    assert np.abs(stacked - stacked.conj().transpose(0, 2, 1)).max() < 1e-12
+    gram = np.einsum("aij,bij->ab", stacked.conj(), stacked)
+    assert np.abs(gram - np.eye(dim)).max() < 1e-12
+    for fixed in basis:
+        assert np.abs(apply_channel(chan, fixed) - fixed).max() <= 1e-9
+        in_family = family.states.conj() @ fixed @ family.states.T
+        assert np.abs(in_family - np.diag(np.diag(in_family))).max() < 1e-12
+
+
 def test_iterated_application_converges_to_normalized_trace():
     rng = np.random.default_rng(34)
     space = SpinSpace(2)

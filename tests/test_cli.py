@@ -278,6 +278,12 @@ def test_order_front_end_limits_exit_fast(capsys, text, status):
         assert "position" in capsys.readouterr().err
 
 
+def test_order_takes_a_leading_minus_after_a_double_dash(capsys):
+    # a printed normal form pasted back: argparse would read "-1500…" as an option
+    assert run(["order", "--", "-1500*ad + 1501*a"]) == 0
+    assert "normal_form: -1500*ad + 1501*a" in capsys.readouterr().out
+
+
 def test_order_refuses_coefficients_past_the_digit_limit(capsys):
     # a 70-digit base to the 64th has about 4,500 digits: more than a literal may have
     start = time.perf_counter()

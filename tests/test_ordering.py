@@ -250,14 +250,6 @@ def test_fixed_space_degree_cap():
         luders_fixed_space(-1)
 
 
-def test_hermitian_space_dimension_is_counted_not_assumed():
-    # dimension of the Hermitian coefficient space must match the kernel
-    # computation's basis length for each degree
-    from luderskit.ordering import _hermitian_basis
-    for n_max in range(0, 9):
-        assert len(_hermitian_basis(n_max)) == (n_max + 1) * (n_max + 2) // 2
-
-
 def test_to_matrix_identity_and_number():
     space = FockSpace(12, guard_dim=4)
     assert np.allclose(to_matrix(NormalPolynomial.identity(), space), np.eye(12))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from luderskit import spin
 from luderskit.channel import apply_channel, build_luders_channel
 from luderskit.spin import (
     SpherePoint,
@@ -459,3 +460,18 @@ def test_ladder_matrices_are_built_on_first_use_and_read_only():
 def test_sph_harm_values_refuses_m_past_l():
     with pytest.raises(ValueError, match="must not exceed l"):
         sph_harm_values(1, 2, np.array([0.5]), np.array([0.0]))
+
+
+def test_states_and_ring_factors_past_64_bit_binomials(monkeypatch):
+    # C(68, 34) > 2^64, past numpy's integer types; the rows read C(2s, k) from a float table
+    monkeypatch.setattr(spin, "MAX_TWO_S", 100)
+    rng = np.random.default_rng(68)
+    for two_s in (68, 100):
+        space = SpinSpace(two_s)
+        for point in random_points(rng, 5) + [SpherePoint(0.0, 0.0), SpherePoint(pi, 0.0)]:
+            assert abs(np.linalg.norm(spin_coherent_state(space, point)) - 1.0) < 1e-12
+        grid = sphere_quadrature(space)
+        factors, weights = ring_factors(space, grid)
+        states = coherent_state_matrix(space, grid)
+        assert np.array_equal(factors.rows, states[::weights.shape[1]].real)
+        assert np.all(np.isfinite(factors.log_h))
