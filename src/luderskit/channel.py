@@ -27,15 +27,17 @@ the image only the c′ charges congruent to ±q (mod n_φ) for one of them
 (c′ = c on an alias-free grid).  `ring_charge_sums` returns the per-ring
 charge sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] that the symbols
 Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for consumers that need
-only their φ-transform (the spin harmonics) and no node.  An image
-costs O(D² + n_r·D·4(c + c′) + n_r·n_φ·(c + c′)) against the state
-matrix's O(n_r·n_φ·D²).  The D² is one scan of B's nonzero mask for its
-live charges and one indexed gather of their offset diagonals, scaled by
-κ, into X (D × 2c); the sums are then c = t^q ⊙ (F² @ X), one matrix
-product (GEMM) of n_r·D·4c flops, and the image κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)),
-one GEMM of n_r·D·4c′ written back with one indexed store.  A dense B
-(c = D) costs O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.
-When the angle
+only their φ-transform (the spin harmonics) and no node.  Between B and
+its image the core works on offset diagonals alone, and
+`ring_diagonal_image` exposes that kernel: from the diagonals X (D × 2c)
+of B's c charges, the sums c = t^q ⊙ (F² @ (κ ⊙ X)) are one matrix
+product (GEMM) of n_r·D·4c flops, and the image diagonals
+κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)) on the c′ image charges one GEMM of n_r·D·4c′:
+O(n_r·D·4(c + c′) + n_r·n_φ·(c + c′)) in all, one call per stack.  A
+matrix B adds O(D²) to that: one scan of its nonzero mask for the live
+charges, one indexed gather of X and one indexed store of the image,
+against the state matrix's O(n_r·n_φ·D²).  A dense B (c = D) costs
+O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.  When the angle
 grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
 refuses any other grid) the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
@@ -488,26 +490,27 @@ def _phase_rows(dim: int, n_angular: int, charges: np.ndarray) -> np.ndarray:
     return (table if len(charges) == dim else table[:, charges]).reshape(-1, n_angular)
 
 
-def _live_sums(factors: RingFactors, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, charges): sums[…, r, 0, i] = c[r, −q] and sums[…, r, 1, i] = c[r, q] for q = charges[i].
-
-    The charges are the live charges of B and c those of `ring_charge_sums`.
-    One indexed gather reads their offset diagonals as
-    X[…, j, :, i] = κ[q, j] (B[j, j + q], B[j + q, j]), and c = t^q ⊙ (F² @ X)
-    is one matrix product per operator of the stack.
-    """
-    dim = _ring_dim(factors)
-    operator = _square(operator, dim)
-    charges = _live_charges(operator)
-    flat = operator.reshape(operator.shape[:-2] + (-1,))
-    diagonals = np.take(flat, _columns(_diagonal_index(dim), charges), axis=-1)
-    # κ = 0 past each diagonal's end, where the index repeats its last entry: a NaN
-    # or inf read there reaches only the sums of its own charge, which it reaches anyway
+def _diagonal_sums(factors: RingFactors, diagonals: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """sums[…, r, 0, i] = c[r, −q] and sums[…, r, 1, i] = c[r, q] for q = charges[i], from B's
+    offset diagonals X: c = t^q ⊙ (F² @ (κ ⊙ X)), one product per B.  Scales X in place."""
     diagonals *= _columns(factors.ratios, charges)[:, None]
     sums = factors.squares @ diagonals.view(float).reshape(diagonals.shape[:-2] + (-1,))
     sums = sums.view(complex).reshape(sums.shape[:-1] + (2, len(charges)))
     sums *= _columns(factors.powers, charges)[:, None]
-    return sums, charges
+    return sums
+
+
+def _live_sums(factors: RingFactors, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, charges): `_diagonal_sums` on the live charges of B, whose offset diagonals
+    X[…, j, :, i] = (B[j, j + q], B[j + q, j]), q = charges[i], one indexed gather reads."""
+    dim = _ring_dim(factors)
+    operator = _square(operator, dim)
+    charges = _live_charges(operator)
+    flat = operator.reshape(operator.shape[:-2] + (-1,))
+    # κ = 0 past each diagonal's end, where the gather repeats its last entry: a NaN
+    # or inf read there reaches only the sums of its own charge, which it reaches anyway
+    diagonals = np.take(flat, _columns(_diagonal_index(dim), charges), axis=-1)
+    return _diagonal_sums(factors, diagonals, charges), charges
 
 
 def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
@@ -524,12 +527,10 @@ def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_symbols(factors: RingFactors, n_angular: int,
-                  operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, charges): the symbols of `ring_q_symbols` and the live charges of B they came from."""
-    sums, charges = _live_sums(factors, operator)
-    if charges[0] == 0:
-        sums[..., 0, 0] = 0  # c[r, −0] is c[r, 0] again
+def _ring_symbols(factors: RingFactors, n_angular: int, sums: np.ndarray,
+                  charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, charges): the symbols of `ring_q_symbols` from the sums of `_diagonal_sums`."""
+    sums[..., 0, charges == 0] = 0  # c[r, −0] is c[r, 0] again
     # c[r, −q] meets e^{iqφ_l} and c[r, q] meets e^{−iqφ_l}: one product over both signs
     phases = _phase_rows(np.shape(factors)[1], n_angular, charges)
     return sums.reshape(sums.shape[:-2] + (-1,)) @ phases, charges
@@ -543,28 +544,31 @@ def ring_q_symbols(factors: RingFactors, n_angular: int,
     over the charges where some B of the stack is nonzero, and
     Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
-    return _ring_symbols(factors, n_angular, operator)[0]
+    return _ring_symbols(factors, n_angular, *_live_sums(factors, operator))[0]
 
 
-def _ring_resolution(factors: RingFactors, values: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """`ring_resolution` on the charges `charges` only; the other charges are 0.
-
-    With hats[r, 0, i] = V̂[r, q] and hats[r, 1, i] = V̂[r, −q], the image
-    is κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)): one matrix product, written back along the
-    offset diagonals with one indexed store.
-    """
+def _diagonal_resolution(factors: RingFactors, values: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """`ring_resolution`'s offset diagonals on `charges`, 0 past each one's end, in
+    `_diagonal_index`'s layout: κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)), one product per V of the stack."""
     dim = _ring_dim(factors)
-    hats = (values @ _phase_rows(dim, values.shape[1], charges).T).reshape(len(values), 2, -1)
+    hats = values @ _phase_rows(dim, values.shape[-1], charges).T
+    hats = hats.reshape(hats.shape[:-1] + (2, -1))
     hats *= _columns(factors.powers, charges)[:, None]
-    images = factors.squares.T @ hats.view(float).reshape(len(values), -1)
-    images = images.view(complex).reshape(dim, 2, -1)
+    images = factors.squares.T @ hats.view(float).reshape(hats.shape[:-2] + (-1,))
+    images = images.view(complex).reshape(images.shape[:-1] + (2, -1))
     images *= _columns(factors.ratios, charges)[:, None]
-    # V̂[r, q] goes to B[i + q, i] and V̂[r, −q] to B[i, i + q]: the gather's index with
-    # its signs swapped, and the writes past a diagonal's end sent to a spare row
+    return images[..., ::-1, :]  # V̂[r, q] goes to B[i + q, i], slot 1 of the layout
+
+
+def _on_diagonals(images: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """The D × D matrix with the offset diagonals `images` on `charges` and 0 elsewhere."""
+    dim = len(images)
+    # one indexed store, past each diagonal's end into a spare row, with both slots swapped:
+    # `_diagonal_resolution` returns a reversed view, stored so without a buffered copy
     index = _columns(_diagonal_index(dim), charges)[:, ::-1]
     index = np.where(np.arange(dim)[:, None, None] + charges < dim, index, dim * dim)
     out = np.zeros((dim + 1, dim), dtype=complex)
-    out.reshape(-1)[index] = images
+    out.reshape(-1)[index] = images[:, ::-1]
     return out[:dim]
 
 
@@ -577,20 +581,40 @@ def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != len(factors):
         raise ValueError(f"values must have shape ({len(factors)}, n_angular), got {values.shape}")
-    return _ring_resolution(factors, values, np.arange(np.shape(factors)[1]))
+    charges = np.arange(np.shape(factors)[1])
+    return _on_diagonals(_diagonal_resolution(factors, values, charges), charges)
+
+
+def _symbol_image(factors: RingFactors, weights: np.ndarray, symbols: np.ndarray,
+                  charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(images, image charges): Λ(B)'s offset diagonals from B's symbols Q and live charges.
+    With W constant along each ring, the φ-sum keeps charge q of Q only on the image
+    charges q′ ≡ ±q (mod n_φ), and Λ(B) is exactly 0 on the others; else every charge is formed."""
+    weights = np.asarray(weights, dtype=float)
+    dim, n_angular = np.shape(factors)[1], weights.shape[1]
+    uniform = np.all(weights == weights[:, :1])
+    charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(dim)
+    return _diagonal_resolution(factors, weights * symbols, charges), charges
+
+
+def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np.ndarray,
+                        charges) -> tuple[np.ndarray, np.ndarray]:
+    """(images, image charges): Λ(B) on its offset diagonals, for B given on its own.
+
+    `diagonals` (…, D, 2, c) holds B in `_diagonal_index`'s layout, [i, 0, k] = B[i, i + q]
+    and [i, 1, k] = B[i + q, i] for the distinct charges q = charges[k] ≥ 0; B is 0 on the
+    other charges, and the entries past a diagonal's end meet κ = 0.  The images come in
+    the same layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.
+    """
+    _ring_dim(factors)  # TypeError unless they are a RingFactors
+    charges = np.asarray(charges, dtype=int)
+    sums = _diagonal_sums(factors, np.array(diagonals, dtype=complex), charges)  # scales a copy
+    return _symbol_image(factors, weights, *_ring_symbols(factors, np.shape(weights)[1], sums, charges))
 
 
 def ring_luders_image(factors: RingFactors, weights: np.ndarray,
                       operator: np.ndarray) -> np.ndarray:
-    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors.
-
-    With W constant along each ring, the φ-sum keeps charge q of Q only on
-    the image charges q′ ≡ ±q (mod n_φ), so only those are formed; the
-    others are exactly 0.  Otherwise every charge is formed.
-    """
-    weights = np.asarray(weights, dtype=float)
-    dim, n_angular = np.shape(factors)[1], weights.shape[1]
-    symbols, charges = _ring_symbols(factors, n_angular, operator)
-    uniform = np.all(weights == weights[:, :1])
-    charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(dim)
-    return _ring_resolution(factors, weights * symbols, charges)
+    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors, formed on the
+    image charges of `_symbol_image` (exactly 0 on the others)."""
+    symbols, charges = _ring_symbols(factors, np.shape(weights)[1], *_live_sums(factors, operator))
+    return _on_diagonals(*_symbol_image(factors, weights, symbols, charges))

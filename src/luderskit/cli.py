@@ -40,6 +40,7 @@ from .channel import (
     charge_block_spectrum,
     charge_blocks,
     ring_charge_sums,
+    ring_diagonal_image,
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
@@ -204,10 +205,19 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("coherent_overlap_law", 0.0,
                 np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
-    worst = max(np.abs(ring_luders_image(factors, weights, space.ladder_word(m, n))
-                       - fock.disk_monomial_image(space, m, n, radius)).max()
-                for m in range(5) for n in range(5 - m))
-    run.numeric("grid_vs_symbolic_disk", 0.0, worst, 1e-9)
+    # each word a†^m a^n and its disk image sit on charge m − n: the words of equal
+    # |m − n| = q are one stack of offset diagonals and one kernel call, slot 0 holding
+    # charge −q (m < n), slot 1 charge q (m > n) and both the main diagonal (q = 0)
+    gaps = []
+    for q in range(5):
+        words = [(m, n) for m in range(5) for n in range(5 - m) if abs(m - n) == q]
+        slots = [[m <= n, m >= n] for m, n in words]
+        diagonals = [np.outer(space.ladder_diagonal(m, n), s) for (m, n), s in zip(words, slots)]
+        images, charges = ring_diagonal_image(factors, weights, np.stack(diagonals)[..., None], [q])
+        for image, (m, n), s in zip(images[..., np.searchsorted(charges, q)], words, slots):
+            image -= np.outer(fock.disk_monomial_diagonal(space, m, n, radius), s)
+        gaps.append(np.abs(images).max())
+    run.numeric("grid_vs_symbolic_disk", 0.0, np.max(gaps), 1e-9)
 
     lam_q2 = ordering.luders_symbolic(ordering.normal_order("q^2"))
     target = ordering.normal_order("q^2 + 1/2")

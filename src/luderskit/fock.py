@@ -14,7 +14,11 @@ split into the (F, W) pair of the ring core, which the grid helpers
 (`q_symbol_fock`, `grid_channel_apply`, `resolution_defect`,
 `verify_damping`) run on.
 `coherent_state_matrix` gives the dense (n_points, dim) matrix, and
-`fock_coherent_state` one row per label of an array of labels.
+`fock_coherent_state` one row per label of an array of labels.  A ladder
+word a†^m a^n and its disk-limit image sit on the charge m − n, whose one
+offset diagonal `FockSpace.ladder_diagonal` and `disk_monomial_diagonal`
+give (`ring_diagonal_image` maps it) and `ladder_word` and
+`disk_monomial_image` scatter.
 
 The module needs numpy alone.  Factorials enter through a cached table of
 log k!, and the incomplete-gamma factor P(a, R²), for integer a the
@@ -79,18 +83,32 @@ class FockSpace:
     def adag(self) -> np.ndarray:
         return self.a.conj().T
 
-    def ladder_word(self, m: int, n: int) -> np.ndarray:
-        """The truncated a†^m a^n: entry (j + m, j + n) is run(j, m) · run(j, n) (`_sqrt_run`)."""
+    def ladder_diagonal(self, m: int, n: int) -> np.ndarray:
+        """The truncated a†^m a^n on its charge m − n (`_on_charge`): entry min(m, n) + j
+        is run(j, m) · run(j, n) (`_sqrt_run`)."""
         j = np.arange(self.dim - max(m, n))
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[j + m, j + n] = _sqrt_run(j, m) * _sqrt_run(j, n)
+        out = np.zeros(self.dim)
+        out[min(m, n) + j] = _sqrt_run(j, m) * _sqrt_run(j, n)
         return out
+
+    def ladder_word(self, m: int, n: int) -> np.ndarray:
+        """The truncated a†^m a^n: entry (j + m, j + n) is run(j, m) · run(j, n)."""
+        return _on_charge(self.ladder_diagonal(m, n), m - n)
 
     def check_label(self, alpha):
         """Raise TruncationError unless max |α|² <= dim/4 over a label or an array of labels."""
         largest = np.max(np.abs(alpha) ** 2, initial=0.0)
         if not largest <= self.dim / 4:  # true for NaN too
             raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds dim/4 = {self.dim / 4}")
+
+
+def _on_charge(diagonal: np.ndarray, charge: int) -> np.ndarray:
+    """The D × D matrix with `diagonal` on the charge row − column = `charge` and 0 elsewhere:
+    entry i of the diagonal goes to (i + max(charge, 0), i + max(−charge, 0))."""
+    out = np.zeros((len(diagonal),) * 2, dtype=complex)
+    i = np.arange(len(diagonal) - abs(charge))
+    out[i + max(charge, 0), i + max(-charge, 0)] = diagonal[i]
+    return out
 
 
 def _sqrt_run(start: np.ndarray, length: int) -> np.ndarray:
@@ -120,17 +138,19 @@ def _log_gamma_p(size: int, x: float) -> np.ndarray:
     return _read_only(np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size])
 
 
+def _coherent_magnitudes(space: FockSpace, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, log |α|): e^(-|α|²/2) |α|^k / sqrt(k!), k = 0..dim-1, on a new last axis of the
+    moduli |α|, formed in logs against factorial overflow at high dim, and the log it used."""
+    with np.errstate(divide="ignore"):  # α = 0 gives log |α| = −inf, and level 0 still gives |0⟩
+        log_mags = np.log(mags)
+    return np.exp(-mags[..., None]**2 / 2 + _level_logs(log_mags, space.dim)
+                  - _log_factorials(space.dim) / 2), log_mags
+
+
 def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, on a new last axis of the labels α."""
-    k = np.arange(space.dim)
-    mags = np.abs(alphas)
-    # log-domain magnitudes avoid factorial overflow at high dim; level 0 of α = 0 gives |0⟩
-    with np.errstate(divide="ignore"):  # α = 0 gives log |α| = −inf
-        log_mags = np.log(mags)
-    log_mag = (-mags[..., None]**2 / 2 + _level_logs(log_mags, space.dim)
-               - _log_factorials(space.dim) / 2)
-    phases = np.exp(1j * k * np.angle(alphas)[..., None])
-    return np.exp(log_mag) * phases
+    phases = np.exp(1j * np.arange(space.dim) * np.angle(alphas)[..., None])
+    return _coherent_magnitudes(space, np.abs(alphas))[0] * phases
 
 
 def fock_coherent_state(space: FockSpace, alpha) -> np.ndarray:
@@ -211,9 +231,7 @@ def ring_factors(space: FockSpace, quad: PlaneQuadrature) -> tuple[RingFactors, 
     accepted: the ring core reproduces the grid's sums, aliasing included.
     """
     radii, weights = quad.rings
-    with np.errstate(divide="ignore"):  # a ring at α = 0 has log t = −inf
-        log_t = np.log(radii)
-    rows = _coherent_rows(space, radii).real
+    rows, log_t = _coherent_magnitudes(space, radii)  # the rows' own log t, −inf at α = 0
     return RingFactors(rows, log_t, -_log_factorials(space.dim) / 2), weights
 
 
@@ -245,22 +263,27 @@ def disk_identity_matrix(space: FockSpace, radius: float) -> np.ndarray:
     return disk_monomial_image(space, 0, 0, radius)
 
 
-def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
-    """Continuum disk-channel image of a†^m a^n, from its closed form.
+def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
+    """Continuum disk-channel image of a†^m a^n on its charge m − n (`_on_charge`).
 
     Over the whole plane the image is a^n a†^m; the disk |α| <= R scales
     entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
-    For max(n − m, 0) <= k < dim − m that entry is (k + m)! / √(k! (k + m − n)!) · P,
-    formed in logs so that neither the factorials nor P leave the float range
-    before the product does.
+    For max(n − m, 0) <= k < dim − m that entry, k − max(n − m, 0) of the diagonal,
+    is (k + m)! / √(k! (k + m − n)!) · P, formed in logs so that neither the
+    factorials nor P leave the float range before the product does.
     """
     k = np.arange(max(n - m, 0), space.dim - m)
     log_fact = _log_factorials(space.dim)
     log_p = _log_gamma_p(space.dim + 1, radius**2)
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[k + m - n, k] = np.exp(log_fact[k + m] - (log_fact[k] + log_fact[k + m - n]) / 2
-                               + log_p[k + m + 1])
+    out = np.zeros(space.dim)
+    out[:len(k)] = np.exp(log_fact[k + m] - (log_fact[k] + log_fact[k + m - n]) / 2
+                          + log_p[k + m + 1])
     return out
+
+
+def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
+    """Continuum disk-channel image of a†^m a^n: `disk_monomial_diagonal` on charge m − n."""
+    return _on_charge(disk_monomial_diagonal(space, m, n, radius), m - n)
 
 
 # --- symplectic-Fourier coefficients and the damping check --------------------

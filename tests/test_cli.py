@@ -130,6 +130,24 @@ def test_fock_command_forms_the_projector_image_once(monkeypatch):
     assert sum(abs(np.trace(op) - 1) < 1e-9 for op in images) == 1
 
 
+@pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
+def test_fock_ladder_row_is_the_matrix_expression_exactly(dim, radius):
+    # the row works on offset diagonals; the matrix path it replaces gives the same float
+    space = fock.FockSpace(dim)
+    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, radius=radius))
+    expected = max(np.abs(channel.ring_luders_image(factors, weights, space.ladder_word(m, n))
+                          - fock.disk_monomial_image(space, m, n, radius)).max()
+                   for m in range(5) for n in range(5 - m))
+    row, = (r for r in cli.cmd_fock(dim, radius, {}).results if r.name == "grid_vs_symbolic_disk")
+    assert row.actual == expected
+
+
+def test_fock_command_forms_no_ladder_word(monkeypatch):
+    calls = counting(monkeypatch, fock.FockSpace, "ladder_word")
+    assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
+    assert calls == []
+
+
 def test_spin_command_builds_no_state_matrix_or_projector_family(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("per-node spin path called")

@@ -18,6 +18,7 @@ from luderskit.channel import (
     q_symbols,
     resolution,
     ring_charge_sums,
+    ring_diagonal_image,
     ring_luders_image,
     ring_q_symbols,
     ring_resolution,
@@ -299,6 +300,57 @@ def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
     image = charge_block_image(charge_blocks(factors, ring_weights), operator)
     assert_close(ring_luders_image(factors, grid.weights.reshape(len(factors), -1), operator),
                  image)
+
+
+# --- the ring core on offset diagonals -----------------------------------------------
+
+@st.composite
+def diagonal_kernel_cases(draw):
+    """(factors, W, diagonals, charges, operators): dim 8..200 on an aliased or alias-free disk
+    grid, W uniform or varying along each ring, and a ladder word or a small stack on shared
+    charges, as offset diagonals in `_diagonal_index`'s layout and as matrices."""
+    dim = draw(st.integers(8, 200))
+    space = fock.FockSpace(dim)
+    radius = draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2
+    n_angular = draw(st.one_of(st.sampled_from([3, 5, 7, 64]),
+                               st.integers(2 * dim - 1, 2 * dim + 8)))
+    quad = fock.plane_quadrature(space, radius, draw(st.integers(2, 12)), n_angular)
+    factors, weights = fock.ring_factors(space, quad)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # every charge is formed
+        weights = weights * rng.uniform(0.5, 1.5, size=weights.shape)
+    if draw(st.booleans()):
+        m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        diagonals = np.outer(space.ladder_diagonal(m, n), [m <= n, m >= n])[None, :, :, None]
+        return factors, weights, diagonals, [abs(m - n)], space.ladder_word(m, n)[None]
+    charges = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=4)))
+    shape = (draw(st.integers(1, 3)), dim, 2, len(charges))
+    diagonals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    zero = [k for k, q in enumerate(charges) if q == 0]
+    diagonals[:, :, 1, zero] = diagonals[:, :, 0, zero]  # both slots of q = 0 are B[i, i]
+    operators = np.zeros((shape[0], dim, dim), dtype=complex)
+    for k, q in enumerate(charges):  # the entries past each diagonal's end stay unread
+        i = np.arange(dim - q)
+        operators[:, i, i + q] = diagonals[:, i, 0, k]
+        operators[:, i + q, i] = diagonals[:, i, 1, k]
+    return factors, weights, diagonals, charges, operators
+
+
+@DETERMINISTIC
+@given(diagonal_kernel_cases())
+def test_diagonal_image_is_the_matrix_image_exactly(case):
+    factors, weights, diagonals, charges, operators = case
+    dim = factors.shape[1]
+    images, image_charges = ring_diagonal_image(factors, weights, diagonals, charges)
+    assert images.shape == diagonals.shape[:-1] + (len(image_charges),)
+    offsets = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    for image, operator in zip(images, operators):
+        matrix = ring_luders_image(factors, weights, operator)
+        assert np.all(matrix[~np.isin(offsets, image_charges)] == 0)
+        for k, q in enumerate(image_charges):
+            assert np.array_equal(image[:dim - q, 0, k], np.diagonal(matrix, q))
+            assert np.array_equal(image[:dim - q, 1, k], np.diagonal(matrix, -q))
+            assert np.all(image[dim - q:, :, k] == 0)
 
 
 # --- operator stacks, and the ring image's invariants ---------------------------------
@@ -584,6 +636,23 @@ def test_closed_form_disk_image_is_the_dense_product(case):
     expected = dense_disk_monomial(space, m, n, radius)
     assert closed.shape == expected.shape
     assert np.all(np.abs(closed - expected) <= 1e-13 * np.abs(expected) + np.finfo(float).tiny)
+
+
+def on_charge(diagonal, charge):
+    """The D × D matrix with `diagonal` on the charge row − column = `charge`, by np.diag."""
+    dim = len(diagonal)
+    if abs(charge) >= dim:
+        return np.zeros((dim, dim), dtype=complex)
+    return np.diag(diagonal[:dim - abs(charge)], -charge).astype(complex)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(disk_monomials())
+def test_ladder_words_and_disk_images_are_their_diagonals_scattered(case):
+    space, m, n, radius = case
+    assert np.array_equal(space.ladder_word(m, n), on_charge(space.ladder_diagonal(m, n), m - n))
+    assert np.array_equal(fock.disk_monomial_image(space, m, n, radius),
+                          on_charge(fock.disk_monomial_diagonal(space, m, n, radius), m - n))
 
 
 # --- numpy-only special functions against SciPy as the oracle -----------------------
