@@ -24,10 +24,11 @@ F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
 every offset diagonal meets the rings in one shared matrix product.  The
 symbols visit only the c charges q = j − k on which B is nonzero, and
 the image only the c′ charges congruent to ±q (mod n_φ) for one of them
-(c′ = c on an alias-free grid).  `ring_charge_sums` returns the per-ring
-charge sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] that the symbols
-Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for consumers that need
-only their φ-transform (the spin harmonics) and no node.  Between B and
+(c′ = c on an alias-free grid); the resolution, the image of the symbol 1
+on charge 0, only q ≡ 0 (mod n_φ) when W is constant along each ring.
+`ring_charge_sums` returns the sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q]
+that the symbols Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for those
+that need only their φ-transform (the spin harmonics) and no node.  Between B and
 its image the core works on offset diagonals alone, and
 `ring_diagonal_image` exposes that kernel: from the diagonals X (D × 2c)
 of B's c charges, the sums c = t^q ⊙ (F² @ (κ ⊙ X)) are one matrix
@@ -41,9 +42,10 @@ O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.  When the angle
 grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
 refuses any other grid) the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
-(D−|q|)-square block; `charge_blocks`, `charge_block_image` and
-`charge_block_spectrum` give the channel, its image and its spectrum
-from those blocks: O(D³) memory and O(D⁴) time against the
+(D−|q|)-square block.  `charge_blocks` builds them all from one Gram
+product S = F²ᵀ diag(w) F² of O(n_r·D²) flops and O(D³) scaling by κ, and
+`charge_block_image` and `charge_block_spectrum` give the image and the
+spectrum from them: O(D³) memory and O(D⁴) time against the
 superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
 maps each charge to its matrix entries: the ring core's gather and store
 and the block image's per-charge reads and writes all go through it.  The
@@ -286,7 +288,7 @@ def _diagonal_index(dim: int) -> np.ndarray:
 
     The one map from a charge to its matrix entries: the ring core gathers
     the live offset diagonals through it and stores its image back through
-    it (`_live_sums`, `_ring_resolution`), and `charge_block_image` reads and
+    it (`_live_sums`, `_on_diagonals`), and `charge_block_image` reads and
     writes each b_±q through its first D − q rows.  Past the end of
     diagonal q (i + q ≥ D) both repeat its last entry, where κ is 0.
     """
@@ -306,23 +308,24 @@ def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
     return weights
 
 
-def charge_blocks(factors: np.ndarray, weights: np.ndarray) -> dict:
+def charge_blocks(factors: RingFactors, weights: np.ndarray) -> dict:
     """{q: M_q} for ψ[r·n_φ + l, k] = F[r, k] e^{ikφ_l} with node weights W, alias-free.
 
-    M_q = G_qᵀ diag(w) G_q with G_q[r, j] = F[r, j] F[r, j−q] and
-    w[r] = Σ_l W[r, l] acts on the charge-q offset diagonal of B.  M_{−q}
-    is M_q on the same index pairs shifted by q, so one array serves both.
-    Raises ValueError on an aliased grid or a W that varies along a ring
-    (`_alias_free`), and when M_0 is not unital within UNITALITY_TOL (the
-    weights do not resolve I).
+    M_q = G_qᵀ diag(w) G_q, G_q[r, j] = F[r, j] F[r, j−q] and w[r] = Σ_l W[r, l], acts on
+    the charge-q offset diagonal of B.  The Perelomov form makes every block
+    M_q[k, n] = S[k, n + q] κ[q, k]/κ[q, n] of one Gram product S = F²ᵀ diag(w) F², the
+    Hankel moment matrix S[i, j] = h_i² h_j² μ(i + j).  M_{−q} is M_q on the same index
+    pairs shifted by q, so one array serves both.  Raises ValueError on an aliased grid
+    or a W that varies along a ring (`_alias_free`), then TypeError unless F is a
+    `RingFactors`, and ValueError when M_0 is not unital within UNITALITY_TOL.
     """
-    factors = np.asarray(factors, dtype=float)
-    dim = factors.shape[1]
-    ring_weights = _alias_free(weights, dim).sum(axis=1)
+    ring_weights = _alias_free(weights, np.shape(factors)[1]).sum(axis=1)
+    dim = _ring_dim(factors)
+    gram = (factors.squares.T * ring_weights) @ factors.squares
     blocks = {}
     for charge in range(dim):
-        products = factors[:, charge:] * factors[:, :dim - charge]
-        blocks[charge] = blocks[-charge] = (products.T * ring_weights) @ products
+        kappa = factors.ratios[:dim - charge, charge]
+        blocks[charge] = blocks[-charge] = gram[:dim - charge, charge:] * kappa[:, None] / kappa
     defect = np.abs(blocks[0].sum(axis=1) - 1.0).max()
     if defect > UNITALITY_TOL:
         raise ValueError(f"charge block q = 0 is not unital (defect {defect:.3e})")
@@ -573,16 +576,12 @@ def _on_diagonals(images: np.ndarray, charges: np.ndarray) -> np.ndarray:
 
 
 def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
-    """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`.
-
-    Entry (j, j−q) is Σ_r F[r, j] F[r, j−q] V̂[r, q], with
-    V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2 or values.shape[0] != len(factors):
-        raise ValueError(f"values must have shape ({len(factors)}, n_angular), got {values.shape}")
-    charges = np.arange(np.shape(factors)[1])
-    return _on_diagonals(_diagonal_resolution(factors, values, charges), charges)
+    """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`: entry (j, j−q) is
+    Σ_r F[r, j] F[r, j−q] V̂[r, q], V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}, the image of the symbol 1
+    on charge 0, formed on `_symbol_image`'s charges and exactly 0 on the others."""
+    if np.ndim(values) != 2 or len(values) != len(factors):
+        raise ValueError(f"values must have shape ({len(factors)}, n_angular), got {np.shape(values)}")
+    return _on_diagonals(*_symbol_image(factors, values, 1, np.zeros(1, dtype=int)))
 
 
 def _symbol_image(factors: RingFactors, weights: np.ndarray, symbols: np.ndarray,
@@ -590,7 +589,7 @@ def _symbol_image(factors: RingFactors, weights: np.ndarray, symbols: np.ndarray
     """(images, image charges): Λ(B)'s offset diagonals from B's symbols Q and live charges.
     With W constant along each ring, the φ-sum keeps charge q of Q only on the image
     charges q′ ≡ ±q (mod n_φ), and Λ(B) is exactly 0 on the others; else every charge is formed."""
-    weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(weights)
     dim, n_angular = np.shape(factors)[1], weights.shape[1]
     uniform = np.all(weights == weights[:, :1])
     charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(dim)

@@ -179,7 +179,7 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
 
 
 def ring_factors(space: SpinSpace, grid: SphereQuadrature) -> tuple[RingFactors, np.ndarray]:
-    """(F, W) of a product grid, for `channel.charge_blocks` and the ring core.
+    """(F, W) of a product grid: F a `RingFactors`, as the ring core and `channel.charge_blocks` take it.
 
     F[r, k] is the state at ring r and φ = 0, real and non-negative, in the
     Perelomov form F[r, k] = cos^{2s}(θ_r/2) h_k t_r^k with t_r = tan(θ_r/2)

@@ -36,6 +36,12 @@ def test_spin_command_passes_and_writes_valid_json(tmp_path):
     assert all(r["pass"] for r in doc["results"])
 
 
+def test_spin_command_passes_every_row_up_to_the_cap():
+    for two_s in range(1, spin.MAX_TWO_S + 1):
+        results = cli.cmd_spin(two_s, {}).results
+        assert len(results) == 5 and all(r.passed for r in results), two_s
+
+
 def test_spin_rejects_invalid_two_s(capsys):
     assert run(["spin", "--two-s", "0"]) == 2
     assert "1..50" in capsys.readouterr().err

@@ -101,6 +101,23 @@ def test_blocks_reject_weights_that_do_not_resolve_identity(two_s):
         charge_blocks(factors, 1.001 * ring_weights)
 
 
+@pytest.mark.parametrize("oversized", [False, True])
+def test_blocks_are_the_per_charge_gram_products_up_to_the_cap(oversized):
+    # the blocks come from one Gram product of F² and the κ table; here each
+    # is written out as G_qᵀ diag(w) G_q with G_q[r, j] = F[r, j] F[r, j − q]
+    for two_s in range(13, spin.MAX_TWO_S + 1):
+        space = SpinSpace(two_s)
+        grid = (sphere_quadrature(space, two_s + 3, 2 * two_s + 5) if oversized
+                else sphere_quadrature(space))
+        factors, weights = ring_factors(space, grid)
+        blocks, dim = charge_blocks(factors, weights), space.dim
+        assert set(blocks) == set(range(1 - dim, dim))
+        for q in range(dim):
+            products = factors.rows[:, q:] * factors.rows[:, :dim - q]
+            assert_close(blocks[q], (products.T * weights.sum(axis=1)) @ products)
+            assert blocks[-q] is blocks[q]
+
+
 # --- the ring core against the dense core -------------------------------------------
 
 @st.composite
@@ -141,7 +158,11 @@ def check_ring_core_against_dense_core(case, seed):
     operator = random_operator(seed, states.shape[1])
     symbols = q_symbols(states, operator)
     assert_close(ring_q_symbols(factors, weights.shape[1], operator).ravel(), symbols)
-    assert_close(ring_resolution(factors, weights), resolution(states, node_weights))
+    povm = ring_resolution(factors, weights)
+    assert_close(povm, resolution(states, node_weights))
+    # W is constant along each ring, so only the charges ≡ 0 (mod n_φ) are formed
+    charge = np.subtract.outer(np.arange(len(povm)), np.arange(len(povm)))
+    assert not povm[charge % weights.shape[1] != 0].any()
     values = weights * symbols.reshape(weights.shape)
     assert_close(ring_resolution(factors, values), resolution(states, values.ravel()))
     assert_close(ring_luders_image(factors, weights, operator),
