@@ -261,7 +261,7 @@ def cmd_order(expression: str, fixed_space: int | None, overrides: dict) -> Repo
     poly = ordering.normal_order(expression)  # ParseError propagates to main
     anti = ordering.anti_normal_order(poly)
     luders = ordering.luders_symbolic(poly)
-    well = ordering.is_well_ordered(poly)
+    well = ordering._families_coincide(poly, anti)
     for name, form in (("normal form", poly), ("anti-normal form", anti), ("Lüders image", luders)):
         _check_printable(name, form)
     normal_form = poly.to_source()

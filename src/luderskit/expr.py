@@ -96,6 +96,7 @@ class ComplexRational:
         return f"({self.re} {sign} {imag})"
 
 
+_ZERO = Fraction(0)
 ONE = ComplexRational.real(1)
 I_UNIT = ComplexRational.imag_unit()
 
@@ -145,41 +146,46 @@ ExprNode = Literal | Symbol | Neg | Add | Sub | Mul | Pow
 
 OPERATOR_SYMBOLS = ("a", "ad", "q", "p", "id")
 
+# Nodes are frozen, so the parser hands out one node per symbol and one for i.
+_ATOMS = {name: Symbol(name) for name in OPERATOR_SYMBOLS}
+_ATOMS["i"] = Literal(I_UNIT)
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z]+)|(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<op>[-+*^/()])|(?P<junk>\S))"
 )
+_KINDS = (None, "name", "number", "op", "junk")  # by group index, as match.lastindex gives it
 
 
 def _tokenize(text: str):
     tokens = []
+    append = tokens.append
     for match in _TOKEN_RE.finditer(text):  # only trailing whitespace goes unmatched
-        kind = match.lastgroup
-        if kind == "junk":
-            raise ParseError(f"unexpected character {match.group(kind)!r}", match.start(kind))
-        tokens.append((kind, match.group(kind), match.start(kind)))
-    tokens.append(("end", "", len(text)))
+        group = match.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {match[group]!r}", match.start(group))
+        append((_KINDS[group], match[group], match.start(group)))
+    append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    The hot loops read self.tokens[self.index] directly.  An op token's value
+    is its one character, which no other token has, so they test the value
+    alone; the end token's value is "".
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
     def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
+        _, value, pos = self.tokens[self.index]
+        if value != op:
             raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+        self.index += 1
 
     def nested(self, parse, pos: int) -> ExprNode:
         """parse() one level deeper, refusing nesting past MAX_NESTING."""
@@ -193,87 +199,80 @@ class _Parser:
 
     def parse(self) -> ExprNode:
         node = self.parse_expr()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.index]
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return node
 
     def parse_expr(self) -> ExprNode:
+        tokens = self.tokens
         node = self.parse_term()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+            value = tokens[self.index][1]
+            if value == "+":
+                self.index += 1
+                node = Add(node, self.parse_term())
+            elif value == "-":
+                self.index += 1
+                node = Sub(node, self.parse_term())
             else:
                 return node
 
     def parse_term(self) -> ExprNode:
+        tokens = self.tokens
         node = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                node = Mul(node, self.parse_factor())
-            else:
-                return node
+        while tokens[self.index][1] == "*":
+            self.index += 1
+            node = Mul(node, self.parse_factor())
+        return node
 
     def parse_factor(self) -> ExprNode:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        tokens = self.tokens
+        kind, value, pos = tokens[self.index]
+        self.index += 1
+        if kind == "name":
+            node = _ATOMS.get(value)
+            if node is None:
+                raise ParseError(f"unknown symbol {value!r}", pos)
+        elif kind == "number":
+            node = Literal(ComplexRational(self.parse_rational_tail(value, pos), _ZERO))
+        elif value == "(":
+            node = self.nested(self.parse_expr, pos)
+            self.expect_op(")")
+        elif value == "-":
             return Neg(self.nested(self.parse_factor, pos))
-        node = self.parse_atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
+        else:
+            raise ParseError(f"expected an atom, got {value!r}" if value else "unexpected end of input", pos)
+        if tokens[self.index][1] == "^":
+            self.index += 1
             node = Pow(node, self.parse_uint_exponent())
         return node
 
     def parse_uint_exponent(self) -> int:
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.index]
         if kind != "number" or "." in value:
             raise ParseError("exponent must be a nonnegative integer", pos)
         # lengths first, so a long digit string is refused without converting it
         digits = value.lstrip("0") or "0"
         if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
             raise ParseError(f"exponent {value} exceeds the degree cap {MAX_DEGREE}", pos)
-        self.advance()
+        self.index += 1
         return int(digits)
-
-    def parse_atom(self) -> ExprNode:
-        kind, value, pos = self.advance()
-        if kind == "name":
-            if value == "i":
-                return Literal(I_UNIT)
-            if value in OPERATOR_SYMBOLS:
-                return Symbol(value)
-            raise ParseError(f"unknown symbol {value!r}", pos)
-        if kind == "number":
-            return Literal(ComplexRational.real(self.parse_rational_tail(value, pos)))
-        if kind == "op" and value == "(":
-            node = self.nested(self.parse_expr, pos)
-            self.expect_op(")")
-            return node
-        raise ParseError(f"expected an atom, got {value!r}" if value else "unexpected end of input", pos)
 
     def parse_rational_tail(self, text: str, pos: int) -> Fraction:
         _check_digits(text, pos)
         if "." in text:
             return Fraction(text)  # exact decimal
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "/":
-            self.advance()
-            dkind, dvalue, dpos = self.peek()
-            if dkind != "number" or "." in dvalue:
-                raise ParseError("denominator must be a positive integer", dpos)
-            _check_digits(dvalue, dpos)
-            self.advance()
-            if int(dvalue) == 0:
-                raise ParseError("zero denominator", dpos)
-            return Fraction(int(text), int(dvalue))
-        return Fraction(int(text))
+        if self.tokens[self.index][1] != "/":
+            return Fraction(int(text))
+        dkind, dvalue, dpos = self.tokens[self.index + 1]
+        if dkind != "number" or "." in dvalue:
+            raise ParseError("denominator must be a positive integer", dpos)
+        _check_digits(dvalue, dpos)
+        self.index += 2
+        if int(dvalue) == 0:
+            raise ParseError("zero denominator", dpos)
+        return Fraction(int(text), int(dvalue))
 
 
 def _check_digits(number: str, pos: int):

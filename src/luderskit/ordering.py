@@ -91,10 +91,22 @@ def _swapped_sum(words, sign: int) -> dict[tuple[int, int], list[int]]:
 
 
 def _gaussian(c: ComplexRational) -> tuple[int, int, int]:
-    """c as (re, im, den): a Gaussian-integer numerator over the lcm of its denominators."""
-    den = lcm(c.re.denominator, c.im.denominator)
-    return (c.re.numerator * (den // c.re.denominator),
-            c.im.numerator * (den // c.im.denominator), den)
+    """c as (re, im, den): a Gaussian-integer numerator over the lcm of its denominators.
+
+    The lcm of the reduced parts' denominators leaves no common factor, so
+    (re, im, den) is in lowest terms.
+    """
+    re, im = c.re, c.im
+    if not im:
+        return (re.numerator, 0, re.denominator)
+    den = lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den)
+
+
+def _lowest(re: int, im: int, den: int) -> tuple[int, int, int]:
+    """The scalar (re + i·im)/den, den > 0, in lowest terms; zero is (0, 0, 1)."""
+    g = gcd(re, im, den)
+    return (re // g, im // g, den // g)
 
 
 class _OrderedPolynomial:
@@ -290,23 +302,35 @@ def normal_order(expression: ExprNode | str) -> NormalPolynomial:
     """Normal-order an expression (or its source text) exactly."""
     if isinstance(expression, str):
         expression = parse_expression(expression)
-    return _eval_node(expression)
+    return _as_poly(_eval_node(expression))
 
 
-def _eval_node(node: ExprNode) -> NormalPolynomial:
+def _eval_node(node: ExprNode):
+    """The value of a tree: a lowest-terms scalar (re, im, den) or a NormalPolynomial.
+
+    A subtree with no operator symbol folds to its scalar on Gaussian
+    integers, with no polynomial formed; so does a `*` chain whose word
+    reduces to a number (a zero factor, id).
+    """
     if isinstance(node, Literal):
-        re, im, den = _gaussian(node.value)  # lowest terms already
-        return NormalPolynomial._stored({(0, 0): (re, im)} if re or im else {}, den)
+        return _gaussian(node.value)
+    if isinstance(node, Mul):
+        return _eval_product(node)
+    if isinstance(node, (Add, Sub)):
+        return _eval_sum(node)
     if isinstance(node, Symbol):
         return _SYMBOL_POLYS[node.name]
     if isinstance(node, Neg):
-        return -_eval_node(node.operand)
-    if isinstance(node, (Add, Sub)):
-        return _signed_sum((_eval_node(operand), sign) for operand, sign in _chain(node, (Add, Sub)))
-    if isinstance(node, Mul):
-        return _eval_product(node)
+        value = _eval_node(node.operand)
+        if type(value) is tuple:
+            re, im, den = value
+            return (-re, -im, den)
+        return -value
     if isinstance(node, Pow):
         base, k = _eval_node(node.base), node.exponent
+        if type(base) is tuple:
+            re, im, den = base
+            return _lowest(*_gaussian_powers((re, im), k)[k], den ** k)
         _check_degree(base.degree() * k)
         if len(base.num) == 1 and 0 in next(iter(base.num)):
             # c·a†^m or c·a^n: its power needs no reordering, only c^k
@@ -320,6 +344,28 @@ def _eval_node(node: ExprNode) -> NormalPolynomial:
             out = out * base
         return out
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _as_poly(value) -> NormalPolynomial:
+    """A value of `_eval_node` as a polynomial: a scalar (re, im, den) is its constant term."""
+    if type(value) is not tuple:
+        return value
+    re, im, den = value
+    return NormalPolynomial._stored({(0, 0): (re, im)} if re or im else {}, den)
+
+
+def _eval_sum(node: Add | Sub):
+    """A `+`/`-` chain: scalars summed on Gaussian integers while every operand is one."""
+    values = [(_eval_node(operand), sign) for operand, sign in _chain(node, (Add, Sub))]
+    if all(type(value) is tuple for value, _ in values):
+        den = lcm(*(d for (_, _, d), _ in values))
+        re = im = 0
+        for (r, i, d), sign in values:
+            f = sign * (den // d)
+            re += f * r
+            im += f * i
+        return _lowest(re, im, den)
+    return _signed_sum((_as_poly(value), sign) for value, sign in values)
 
 
 _AFFINE_KEYS = {(0, 0), (1, 0), (0, 1)}
@@ -372,7 +418,7 @@ def _check_degree(degree: int):
         raise DegreeError(f"a product of degree {degree} exceeds the degree cap {MAX_DEGREE}")
 
 
-def _eval_product(node: Mul) -> NormalPolynomial:
+def _eval_product(node: Mul):
     """Evaluate a `*` chain left to right, as `expr._chain` walks it.
 
     Factors of one term fold into one word (re + i·im)/den · a†^m a^n while
@@ -380,13 +426,14 @@ def _eval_product(node: Mul) -> NormalPolynomial:
     factor that needs reordering or has more terms on, the chain goes on by
     polynomial products.  A zero word is kept at degree 0, as the zero
     polynomial is, so the degree checks see the degrees the products have.
+    A chain whose word has no ladder power is the scalar (re, im, den).
     """
     m = n = im = 0
     re = den = 1
     out = None
     for factor, _ in _chain(node, Mul):
         if out is not None:
-            rhs = _eval_node(factor)
+            rhs = _as_poly(_eval_node(factor))
             _check_degree(out.degree() + rhs.degree())
             out = out * rhs
             continue
@@ -403,7 +450,9 @@ def _eval_product(node: Mul) -> NormalPolynomial:
         else:
             _check_degree(m + n + rhs.degree())
         out = NormalPolynomial._reduced({(m, n): (re, im)}, den) * rhs
-    return NormalPolynomial._reduced({(m, n): (re, im)}, den) if out is None else out
+    if out is not None:
+        return out
+    return NormalPolynomial._reduced({(m, n): (re, im)}, den) if m or n else _lowest(re, im, den)
 
 
 _WORD_SYMBOLS = {"a": (0, 1), "ad": (1, 0), "id": (0, 0)}
@@ -413,21 +462,21 @@ def _factor(node: ExprNode):
     """One factor of a `*` chain: the word (m, n, re, im, den) if it has at most one term, else
     its polynomial.
 
-    A zero factor is the word (0, 0, 0, 0, 1).  Numbers, a, ad, id and powers of
-    a and ad are read off the tree without forming a polynomial.
+    A zero factor is the word (0, 0, 0, 0, 1).  Numbers, a, ad, id, powers of
+    a and ad and every symbol-free subtree are read without forming a polynomial.
     """
-    if isinstance(node, Literal):
-        return (0, 0) + _gaussian(node.value)
     base, k = (node.base, node.exponent) if isinstance(node, Pow) else (node, 1)
     if isinstance(base, Symbol) and base.name in _WORD_SYMBOLS:
         m, n = _WORD_SYMBOLS[base.name]
         _check_degree((m + n) * k)
         return (m * k, n * k, 1, 0, 1)
-    poly = _eval_node(node)
-    if len(poly.num) > 1:
-        return poly
-    ((m, n), (re, im)), = poly.num.items() or (((0, 0), (0, 0)),)
-    return (m, n, re, im, poly.den)
+    value = _eval_node(node)
+    if type(value) is tuple:
+        return (0, 0) + value
+    if len(value.num) > 1:
+        return value
+    ((m, n), (re, im)), = value.num.items() or (((0, 0), (0, 0)),)
+    return (m, n, re, im, value.den)
 
 
 def anti_normal_order(poly: NormalPolynomial) -> AntiNormalPolynomial:
@@ -445,12 +494,18 @@ def luders_symbolic(poly: NormalPolynomial) -> NormalPolynomial:
 def is_well_ordered(poly: NormalPolynomial) -> bool:
     """True iff the normal and anti-normal coefficient families coincide.
 
+    This is equivalent to invariance under the Lüders map.
+    """
+    return _families_coincide(poly, anti_normal_order(poly))
+
+
+def _families_coincide(poly: NormalPolynomial, anti: AntiNormalPolynomial) -> bool:
+    """True iff `anti`, the anti-normal form of `poly`, has the coefficient family of `poly`.
+
     Families are matched through the symbol substitution a -> z, a† -> z*:
     the normal term a†^m a^n and the anti-normal term a^n a†^m both read as
     z*^m z^n, so the anti-normal key order is reversed before comparing.
-    This is equivalent to invariance under the Lüders map.
     """
-    anti = anti_normal_order(poly)
     return poly.den == anti.den and poly.num == {(n, m): c for (m, n), c in anti.num.items()}
 
 
@@ -508,7 +563,9 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
 
     Each ladder monomial a†^m a^n with m + n <= max_degree must map under
     (Λ - id) onto terms (m-s, n-s), s >= 1, of its charge chain m - n,
-    including (m-1, n-1) when min(m, n) >= 1; otherwise RuntimeError.  So
+    including (m-1, n-1) when min(m, n) >= 1; otherwise RuntimeError.  The
+    check reads Λ(a†^m a^n) alone: coefficient 1 at (m, n), the rest on the
+    chain below.  So
     Λ - id is strictly triangular per chain with a nonzero subdiagonal, and
     its kernel is spanned by 1, a†^n and a^n; its Hermitian part (dimension
     2*max_degree + 1) by 1, a†^n + a^n and i·a†^n - i·a^n, which are
@@ -518,8 +575,10 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
         raise ValueError(f"max_degree must be in 0..{MAX_DEGREE}, got {max_degree}")
     for m in range(max_degree + 1):
         for n in range(max_degree - m + 1):
-            word = NormalPolynomial.monomial(m, n)
-            keys = (luders_symbolic(word) - word).num.keys()
+            image = luders_symbolic(NormalPolynomial.monomial(m, n))
+            keys = set(image.num) | {(m, n)}  # the terms of Λ(word) - word
+            if image.num.get((m, n)) == (image.den, 0):
+                keys.remove((m, n))
             below = {(m - s, n - s) for s in range(1, min(m, n) + 1)}
             if not keys <= below or (below and (m - 1, n - 1) not in keys):
                 raise RuntimeError(

@@ -302,6 +302,38 @@ def test_order_front_end_limits_exit_fast(capsys, text, status):
         assert "position" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a^40*ad^30 +", "unexpected end of input (at position 12)"),
+    ("a^40*ad^30)", "unexpected trailing input ')' (at position 10)"),
+    ("(q+p)^64*(q+p)^64 )", "unexpected trailing input ')' (at position 18)"),
+])
+def test_order_parse_error_wins_over_an_earlier_degree_overflow(capsys, text, message):
+    # the product before the syntax error is past the degree cap, but the
+    # whole text is parsed before any of it is evaluated
+    from luderskit import ordering
+
+    with pytest.raises(ordering.DegreeError):
+        ordering.normal_order(text.rstrip(" +)"))
+    assert run(["order", text]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot parse expression: {message}" in err
+    assert "degree cap" not in err
+
+
+def test_order_keeps_a_zero_scalar_at_degree_zero_in_a_product(capsys):
+    # the zero scalar folds to 0 before a^64*ad, so the chain never reaches degree 65
+    assert run(["order", "((1/3 + i) - (1/3 + i))*a^64*ad"]) == 0
+    assert "  normal_form: 0\n" in capsys.readouterr().out
+
+
+def test_order_forms_the_anti_normal_form_once(monkeypatch):
+    from luderskit import ordering
+
+    calls = counting(monkeypatch, ordering, "anti_normal_order")
+    assert run(["order", "q^2 - p^2"]) == 0
+    assert len(calls) == 1
+
+
 def test_order_takes_a_leading_minus_after_a_double_dash(capsys):
     # a printed normal form pasted back: argparse would read "-1500…" as an option
     assert run(["order", "--", "-1500*ad + 1501*a"]) == 0

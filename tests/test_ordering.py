@@ -210,6 +210,27 @@ def test_fixed_space_certificate_rejects_identity_map(monkeypatch):
         luders_fixed_space(3)
 
 
+def test_fixed_space_certificate_rejects_a_scaled_image(monkeypatch):
+    # 2·Λ(word) has the terms of Λ(word): only the coefficient of the word
+    # itself, 2 instead of 1, tells the two maps apart
+    import luderskit.ordering as ordering
+
+    monkeypatch.setattr(ordering, "luders_symbolic",
+                        lambda poly: luders_symbolic(poly).scaled(ComplexRational.real(2)))
+    with pytest.raises(RuntimeError):
+        luders_fixed_space(3)
+
+
+def test_fixed_space_certificate_rejects_a_missing_diagonal(monkeypatch):
+    # Λ(word) - word drops the word itself from every image, so Λ - id has
+    # -1 on its diagonal: the word's key is absent, and must still count
+    import luderskit.ordering as ordering
+
+    monkeypatch.setattr(ordering, "luders_symbolic", lambda poly: luders_symbolic(poly) - poly)
+    with pytest.raises(RuntimeError):
+        luders_fixed_space(3)
+
+
 @pytest.mark.parametrize("leak", ["a", "a + ad"])
 def test_fixed_space_certificate_rejects_off_chain_leaks(monkeypatch, leak):
     # a term outside the charge chain of each image, including one that

@@ -920,6 +920,52 @@ def test_to_source_keeps_the_value_of_every_tree(node):
     assert normal_order(parse_expression(to_source(node))) == normal_order(node)
 
 
+@st.composite
+def scalar_texts(draw, depth=4):
+    """(text, value, binding) of a symbol-free expression, its value on ComplexRational arithmetic.
+
+    Leaves are integers, fractions, decimals and i; nodes are unary minus,
+    +, -, * and parentheses.  binding is 1 for a sum, 2 for a product or
+    unary minus and 3 for an atom; an operand is parenthesized where its
+    place needs it, and any node may be.
+    """
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(("integer", "fraction", "decimal", "i")))
+        if kind == "i":
+            return "i", I_UNIT, 3
+        if kind == "integer":
+            text = str(draw(st.integers(0, 99)))
+        elif kind == "fraction":
+            text = f"{draw(st.integers(0, 99))}/{draw(st.integers(1, 12))}"
+        else:
+            text = draw(st.sampled_from(("0.5", "2.25", ".125", "3.", "0.0", "10.75")))
+        return text, ComplexRational.real(Fraction(text)), 3
+    kind = draw(st.sampled_from(("neg", "add", "sub", "mul", "mul", "paren")))
+    text, value, binding = draw(scalar_texts(depth - 1))
+    if kind == "paren":
+        return f"({text})", value, 3
+    if kind == "neg":
+        return ("-" + text if binding >= 2 else f"-({text})"), -value, 2
+    rtext, rvalue, rbinding = draw(scalar_texts(depth - 1))
+    if kind == "mul":
+        left = text if binding >= 2 else f"({text})"
+        right = rtext if rbinding >= 2 else f"({rtext})"
+        return f"{left}*{right}", value * rvalue, 2
+    if kind == "add":
+        return f"{text} + {rtext}", value + rvalue, 1
+    return f"{text} - {rtext if rbinding >= 2 else f'({rtext})'}", value - rvalue, 1
+
+
+@ENGINE
+@given(scalar_texts())
+def test_symbol_free_trees_fold_to_their_complex_rational_value(case):
+    text, value, _ = case
+    tree = parse_expression(text)
+    assert normal_order(tree) == NormalPolynomial({(0, 0): value})
+    # the fold is a lowest-terms Gaussian-integer scalar, with no polynomial formed
+    assert ordering._eval_node(tree) == ordering._gaussian(value)
+
+
 @pytest.mark.parametrize("value, text", [
     (ComplexRational(Fraction(0), Fraction(2)), "(2*i)^2"),
     (ComplexRational(Fraction(0), Fraction(1, 2)), "(1/2*i)^2"),
