@@ -21,24 +21,24 @@ grid, aliased or not, `ring_q_symbols`, `ring_resolution` and
 W, without the state matrix.  The factors come as a `RingFactors`: both
 families' F takes the Perelomov form F[r, k] = g_r h_k t_r^k, so
 F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
-every offset diagonal meets the rings in one shared matrix product.  The
-symbols visit only the c charges q = j − k on which B is nonzero, and
-the image only the c′ charges congruent to ±q (mod n_φ) for one of them
-(c′ = c on an alias-free grid); the resolution, the image of the symbol 1
+every offset diagonal, one column per signed charge q = j − k, meets the
+rings in one shared matrix product.  The symbols visit only the c charges
+on which B is nonzero, and the image only the c′ charges q′ ≡ q (mod n_φ)
+for one of them (c′ = c on an alias-free grid); the resolution, the image of the symbol 1
 on charge 0, only q ≡ 0 (mod n_φ) when W is constant along each ring.
 `ring_charge_sums` returns the sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q]
 that the symbols Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for those
 that need only their φ-transform (the spin harmonics) and no node.  Between B and
 its image the core works on offset diagonals alone, and
-`ring_diagonal_image` exposes that kernel: from the diagonals X (D × 2c)
-of B's c charges, the sums c = t^q ⊙ (F² @ (κ ⊙ X)) are one matrix
-product (GEMM) of n_r·D·4c flops, and the image diagonals
-κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)) on the c′ image charges one GEMM of n_r·D·4c′:
-O(n_r·D·4(c + c′) + n_r·n_φ·(c + c′)) in all, one call per stack.  A
+`ring_diagonal_image` exposes that kernel: from the diagonals X (D × c)
+of B's c charges, the sums c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix
+product (GEMM) of n_r·D·2c real multiply-adds, and the image diagonals
+κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) on the c′ image charges one GEMM of n_r·D·2c′:
+O(n_r·D·2(c + c′) + n_r·n_φ·(c + c′)) in all, one call per stack.  A
 matrix B adds O(D²) to that: one scan of its nonzero mask for the live
 charges, one indexed gather of X and one indexed store of the image,
-against the state matrix's O(n_r·n_φ·D²).  A dense B (c = D) costs
-O(n_r·D² + n_r·n_φ·D); a ladder word a†^m a^n has c = 1.  When the angle
+against the state matrix's O(n_r·n_φ·D²).  A dense B (c = 2D − 1) costs
+O(n_r·D² + n_r·n_φ·D), reading each table whole; a word a†^m a^n has c = 1.  When the angle
 grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
 refuses any other grid) the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
@@ -47,8 +47,8 @@ product S = F²ᵀ diag(w) F² of O(n_r·D²) flops and O(D³) scaling by κ, an
 `charge_block_image` and `charge_block_spectrum` give the image and the
 spectrum from them: O(D³) memory and O(D⁴) time against the
 superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
-maps each charge to its matrix entries: the ring core's gather and store
-and the block image's per-charge reads and writes all go through it.  The
+maps each signed charge to its matrix entries: the ring core's gather and store,
+`fock`'s scatters and the block image's per-charge reads and writes go through it.  The
 superoperator stays as the dense reference.  The symbols and the block
 image also take a stack (…, D, D).
 """
@@ -260,41 +260,45 @@ def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:
 # --- U(1) charge blocks ---------------------------------------------------------
 
 def _live_charges(operator: np.ndarray) -> np.ndarray:
-    """The charges q ≥ 0 whose b_q or b_−q is nonzero in some operator of the stack, or [0]."""
+    """The signed charges q = j − k on which some operator of the stack is nonzero, or [0]."""
     dim = operator.shape[-1]
     # compare the float view and pair its Re/Im flags as one uint16: the same
     # mask as `operator != 0`, NaN and −0.0 included, at a fraction of the cost
     parts = np.ascontiguousarray(operator).view(float) != 0
     nonzero = (parts.view(np.uint16) != 0).reshape(-1, dim, dim).any(axis=0)
-    # read the zero-padded rows of length 2D as rows of length 2D + 1: row j
-    # shifts left by j, so column q holds the entries (j, j + q) of both signs
-    padded = np.zeros((dim + 1, 2 * dim), dtype=bool)
-    padded[:dim, :dim] = nonzero | nonzero.T
-    skew = padded.ravel()[:dim * (2 * dim + 1)].reshape(dim, 2 * dim + 1)[:, :dim]
-    live = np.flatnonzero(skew.any(axis=0))
+    # read the zero-padded rows of length 2D as rows of length 2D − 1: row j of the
+    # column-reversed mask shifts right by j, so column q + D − 1 holds the entries (j, j − q)
+    padded = np.hstack([nonzero[:, ::-1], np.zeros_like(nonzero)])
+    skew = padded.ravel()[:dim * (2 * dim - 1)].reshape(dim, 2 * dim - 1)
+    live = np.flatnonzero(skew.any(axis=0)) - (dim - 1)
     return live if live.size else np.zeros(1, dtype=int)
 
 
 def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
-    """The charges q′ in 0..D−1 with q′ ≡ ±q (mod n_φ) for some q of `charges`."""
-    hit = np.zeros(n_angular, dtype=bool)
-    hit[np.concatenate([charges, -charges]) % n_angular] = True
-    return np.flatnonzero(hit[np.arange(dim) % n_angular])
+    """The signed charges q′ in −(D−1)..D−1 with q′ ≡ q (mod n_φ) for some q of `charges`."""
+    hit = np.bincount(charges % n_angular, minlength=n_angular) > 0
+    signed = np.arange(1 - dim, dim)
+    return signed[hit[signed % n_angular]]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _diagonal_index(dim: int) -> np.ndarray:
-    """Read-only [i, 0, q] and [i, 1, q] → the flat indexes of B[i, i + q] and B[i + q, i].
+    """Read-only [i, q + D − 1] → the flat index of B[i + q, i] (q ≥ 0) or B[i, i − q] (q < 0).
 
     The one map from a charge to its matrix entries: the ring core gathers
     the live offset diagonals through it and stores its image back through
     it (`_live_sums`, `_on_diagonals`), and `charge_block_image` reads and
-    writes each b_±q through its first D − q rows.  Past the end of
-    diagonal q (i + q ≥ D) both repeat its last entry, where κ is 0.
+    writes each b_±q through its first D − |q| rows.  Past the end of
+    diagonal q (i + |q| ≥ D) it repeats the diagonal's last entry, where κ is 0.
     """
-    q = np.arange(dim)
-    i = np.minimum(q[:, None], dim - 1 - q)
-    return _read_only(np.stack([i * (dim + 1) + q, i * (dim + 1) + q * dim], axis=1))
+    q = np.arange(1 - dim, dim)
+    i = np.minimum(np.arange(dim)[:, None], dim - 1 - np.abs(q))
+    return _read_only(i * (dim + 1) + np.maximum(q, 0) * dim + np.maximum(-q, 0))
+
+
+def _table_columns(charges: np.ndarray, dim: int):
+    """The columns q + D − 1 of `charges` in the signed tables; a slice (views) when all 2D − 1."""
+    return slice(None) if len(charges) == 2 * dim - 1 else charges + (dim - 1)
 
 
 def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
@@ -315,11 +319,11 @@ def charge_blocks(factors: RingFactors, weights: np.ndarray) -> dict:
     the charge-q offset diagonal of B.  The Perelomov form makes every block
     M_q[k, n] = S[k, n + q] κ[q, k]/κ[q, n] of one Gram product S = F²ᵀ diag(w) F², the
     Hankel moment matrix S[i, j] = h_i² h_j² μ(i + j).  M_{−q} is M_q on the same index
-    pairs shifted by q, so one array serves both.  Raises ValueError on an aliased grid
-    or a W that varies along a ring (`_alias_free`), then TypeError unless F is a
-    `RingFactors`, and ValueError when M_0 is not unital within UNITALITY_TOL.
+    pairs shifted by q, so one array serves both.  Raises ValueError on an aliased grid, a
+    W that varies along a ring (`_alias_free`) or has not one row per ring (`_per_ring`),
+    then TypeError unless F is a `RingFactors`, and ValueError when M_0 is not unital.
     """
-    ring_weights = _alias_free(weights, np.shape(factors)[1]).sum(axis=1)
+    ring_weights = _per_ring(factors, _alias_free(weights, np.shape(factors)[1])).sum(axis=1)
     dim = _ring_dim(factors)
     gram = (factors.squares.T * ring_weights) @ factors.squares
     blocks = {}
@@ -333,16 +337,17 @@ def charge_blocks(factors: RingFactors, weights: np.ndarray) -> dict:
 
 
 def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
-    """Λ(B) charge by charge: one product M_q [b_q, b_−q] per q ≥ 0; B may be a stack (…, D, D)."""
+    """Λ(B) charge by charge: one product M_q [b_−q, b_q] per q ≥ 0; B may be a stack (…, D, D)."""
     dim = len(blocks[0])
     operator = _square(operator, dim)
     flat = operator.reshape(operator.shape[:-2] + (dim * dim,))
-    out = np.empty_like(flat)  # the D charges of both signs cover every entry
+    out = np.empty_like(flat)  # the 2D − 1 charges cover every entry
     for charge in range(dim):
-        index = _diagonal_index(dim)[:dim - charge, :, charge]
-        # (…, D−q, 4): Re and Im of b_−q, then of b_q; `take` returns a C-contiguous copy
-        pairs = np.take(flat, index, axis=-1).view(float)
-        out[..., index] = (blocks[charge] @ pairs).view(complex)
+        # the columns of charges −q and q, 2q apart (one column at q = 0), as a view
+        pair = _diagonal_index(dim)[:dim - charge, dim - 1 - charge:dim + charge:2 * charge or 1]
+        # (…, D−q, 4): Re and Im of b_−q, then of b_q (2 at q = 0); `take` copies C-contiguous
+        pairs = np.take(flat, pair, axis=-1).view(float)
+        out[..., pair] = (blocks[charge] @ pairs).view(complex)
     return out.reshape(operator.shape)
 
 
@@ -415,7 +420,8 @@ class RingFactors:
     `log_h` log h_k per level.  The form gives F[r, i + q] F[r, i] =
     F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, so the ring core
     meets every offset diagonal through three tables, built on first use
-    and kept on the instance: `squares` F², `powers` t_r^q and `ratios` κ.
+    and kept on the instance: `squares` F², and t_r^|q| and κ[|q|, i] per
+    signed charge q, whose q ≥ 0 halves are `powers` and `ratios`.
     `shape`, `len` and `np.asarray` read F.  Raises ValueError unless the
     shapes agree and (D − 1)·max log t_r stays below log(float max), where
     t^q would overflow.
@@ -454,17 +460,28 @@ class RingFactors:
         return _read_only(self.rows * self.rows)
 
     @cached_property
-    def powers(self) -> np.ndarray:
-        """Read-only t_r^q at [r, q] for q = 0..D−1: exactly 1 at q = 0, even at t = 0."""
-        return _read_only(np.exp(_level_logs(self.log_t, self.shape[1])))
+    def _charge_powers(self) -> np.ndarray:
+        """Read-only t_r^|q| at [r, q + D − 1] for each signed q: 1 at q = 0, even at t = 0."""
+        dim = self.shape[1]
+        return _read_only(np.exp(_level_logs(self.log_t, dim))[:, np.abs(np.arange(1 - dim, dim))])
 
     @cached_property
+    def _charge_ratios(self) -> np.ndarray:
+        """Read-only κ[|q|, i] at [i, q + D − 1] for each signed q, and 0 where i + |q| ≥ D."""
+        dim = self.shape[1]
+        i, q = np.arange(dim)[:, None], np.abs(np.arange(1 - dim, dim))
+        logs = self.log_h[np.minimum(i + q, dim - 1)] - self.log_h[i]
+        return _read_only(np.exp(logs, out=np.zeros((dim, 2 * dim - 1)), where=i + q < dim))
+
+    @property
+    def powers(self) -> np.ndarray:
+        """Read-only t_r^q at [r, q] for q = 0..D−1: exactly 1 at q = 0, even at t = 0."""
+        return self._charge_powers[:, self.shape[1] - 1:]
+
+    @property
     def ratios(self) -> np.ndarray:
         """Read-only κ[q, i] = h_{i+q}/h_i at [i, q], and 0 past the end of diagonal q (i + q ≥ D)."""
-        dim = self.shape[1]
-        i, q = np.ogrid[:dim, :dim]
-        logs = self.log_h[np.minimum(i + q, dim - 1)] - self.log_h[i]
-        return _read_only(np.exp(logs, out=np.zeros((dim, dim)), where=i + q < dim))
+        return self._charge_ratios[:, self.shape[1] - 1:]
 
 
 def _ring_dim(factors) -> int:
@@ -474,45 +491,42 @@ def _ring_dim(factors) -> int:
     return factors.shape[1]
 
 
+def _per_ring(factors: RingFactors, values) -> np.ndarray:
+    """W or V as an array; raises ValueError unless it is n_r × n_φ, one row per ring of F."""
+    if np.ndim(values) != 2 or len(values) != len(factors):
+        raise ValueError(f"values must have shape ({len(factors)}, n_angular), "
+                         f"got {np.shape(values)}")
+    return np.asarray(values)
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
-    """Read-only E[0, q, l] = e^{iqφ_l} and E[1, q, l] = e^{−iqφ_l} for q = 0..D−1, φ_l = 2πl/n_φ."""
+    """Read-only E[q + D − 1, l] = e^{−iqφ_l} for q = −(D−1)..D−1, φ_l = 2πl/n_φ."""
     roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
     minus = roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
-    return _read_only([minus.conj(), minus])
-
-
-def _columns(table: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """table[..., q] for each q of `charges`, in order: the table itself when all are live."""
-    return table if len(charges) == table.shape[-1] else table[..., charges]
-
-
-def _phase_rows(dim: int, n_angular: int, charges: np.ndarray) -> np.ndarray:
-    """(2c, n_φ): e^{iqφ_l} for each q of `charges`, then e^{−iqφ_l} for each, in order."""
-    table = _angle_phases(dim, n_angular)
-    return (table if len(charges) == dim else table[:, charges]).reshape(-1, n_angular)
+    return _read_only(np.concatenate([minus[:0:-1].conj(), minus]))
 
 
 def _diagonal_sums(factors: RingFactors, diagonals: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """sums[…, r, 0, i] = c[r, −q] and sums[…, r, 1, i] = c[r, q] for q = charges[i], from B's
-    offset diagonals X: c = t^q ⊙ (F² @ (κ ⊙ X)), one product per B.  Scales X in place."""
-    diagonals *= _columns(factors.ratios, charges)[:, None]
-    sums = factors.squares @ diagonals.view(float).reshape(diagonals.shape[:-2] + (-1,))
-    sums = sums.view(complex).reshape(sums.shape[:-1] + (2, len(charges)))
-    sums *= _columns(factors.powers, charges)[:, None]
+    """sums[…, r, k] = c[r, q] for q = charges[k], from B's diagonals X in `_diagonal_index`'s
+    layout: c = t^|q| ⊙ (F² @ (κ ⊙ X)), one product per B.  Scales X in place."""
+    columns = _table_columns(charges, _ring_dim(factors))
+    diagonals *= factors._charge_ratios[:, columns]
+    sums = (factors.squares @ diagonals.view(float)).view(complex)
+    sums *= factors._charge_powers[:, columns]
     return sums
 
 
 def _live_sums(factors: RingFactors, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sums, charges): `_diagonal_sums` on the live charges of B, whose offset diagonals
-    X[…, j, :, i] = (B[j, j + q], B[j + q, j]), q = charges[i], one indexed gather reads."""
+    X[…, i, k] one indexed gather reads through `_diagonal_index`."""
     dim = _ring_dim(factors)
     operator = _square(operator, dim)
     charges = _live_charges(operator)
     flat = operator.reshape(operator.shape[:-2] + (-1,))
     # κ = 0 past each diagonal's end, where the gather repeats its last entry: a NaN
     # or inf read there reaches only the sums of its own charge, which it reaches anyway
-    diagonals = np.take(flat, _columns(_diagonal_index(dim), charges), axis=-1)
+    diagonals = np.take(flat, _diagonal_index(dim)[:, _table_columns(charges, dim)], axis=-1)
     return _diagonal_sums(factors, diagonals, charges), charges
 
 
@@ -524,19 +538,16 @@ def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
     """
     dim = np.shape(factors)[1]
     sums, charges = _live_sums(factors, operator)
-    out = np.zeros(sums.shape[:-2] + (2 * dim - 1,), dtype=complex)
-    out[..., dim - 1 - charges] = sums[..., 0, :]
-    out[..., dim - 1 + charges] = sums[..., 1, :]
+    out = np.zeros(sums.shape[:-1] + (2 * dim - 1,), dtype=complex)
+    out[..., _table_columns(charges, dim)] = sums
     return out
 
 
 def _ring_symbols(factors: RingFactors, n_angular: int, sums: np.ndarray,
-                  charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, charges): the symbols of `ring_q_symbols` from the sums of `_diagonal_sums`."""
-    sums[..., 0, charges == 0] = 0  # c[r, −0] is c[r, 0] again
-    # c[r, −q] meets e^{iqφ_l} and c[r, q] meets e^{−iqφ_l}: one product over both signs
-    phases = _phase_rows(np.shape(factors)[1], n_angular, charges)
-    return sums.reshape(sums.shape[:-2] + (-1,)) @ phases, charges
+                  charges: np.ndarray) -> np.ndarray:
+    """The symbols of `ring_q_symbols` from the sums of `_diagonal_sums`: one product."""
+    dim = np.shape(factors)[1]
+    return sums @ _angle_phases(dim, n_angular)[_table_columns(charges, dim)]
 
 
 def ring_q_symbols(factors: RingFactors, n_angular: int,
@@ -547,73 +558,65 @@ def ring_q_symbols(factors: RingFactors, n_angular: int,
     over the charges where some B of the stack is nonzero, and
     Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
-    return _ring_symbols(factors, n_angular, *_live_sums(factors, operator))[0]
+    return _ring_symbols(factors, n_angular, *_live_sums(factors, operator))
 
 
-def _diagonal_resolution(factors: RingFactors, values: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """`ring_resolution`'s offset diagonals on `charges`, 0 past each one's end, in
-    `_diagonal_index`'s layout: κ ⊙ (F²ᵀ @ (t^q ⊙ V̂)), one product per V of the stack."""
-    dim = _ring_dim(factors)
-    hats = values @ _phase_rows(dim, values.shape[-1], charges).T
-    hats = hats.reshape(hats.shape[:-1] + (2, -1))
-    hats *= _columns(factors.powers, charges)[:, None]
-    images = factors.squares.T @ hats.view(float).reshape(hats.shape[:-2] + (-1,))
-    images = images.view(complex).reshape(images.shape[:-1] + (2, -1))
-    images *= _columns(factors.ratios, charges)[:, None]
-    return images[..., ::-1, :]  # V̂[r, q] goes to B[i + q, i], slot 1 of the layout
-
-
-def _on_diagonals(images: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """The D × D matrix with the offset diagonals `images` on `charges` and 0 elsewhere."""
+def _on_diagonals(images: np.ndarray, charges) -> np.ndarray:
+    """The D × D matrix with the offset diagonals `images` (D × c) on the signed `charges`, in
+    `_diagonal_index`'s layout, and 0 elsewhere; a charge with |q| ≥ D has no entries."""
     dim = len(images)
-    # one indexed store, past each diagonal's end into a spare row, with both slots swapped:
-    # `_diagonal_resolution` returns a reversed view, stored so without a buffered copy
-    index = _columns(_diagonal_index(dim), charges)[:, ::-1]
-    index = np.where(np.arange(dim)[:, None, None] + charges < dim, index, dim * dim)
-    out = np.zeros((dim + 1, dim), dtype=complex)
-    out.reshape(-1)[index] = images[:, ::-1]
-    return out[:dim]
+    index = _diagonal_index(dim)[:, _table_columns(np.clip(charges, 1 - dim, dim - 1), dim)]
+    # one indexed store, the entries past each diagonal's end into a spare last entry
+    index = np.where(np.arange(dim)[:, None] < dim - np.abs(charges), index, dim * dim)
+    out = np.zeros(dim * dim + 1, dtype=complex)
+    out[index] = images
+    return out[:-1].reshape(dim, dim)
 
 
 def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
     """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`: entry (j, j−q) is
     Σ_r F[r, j] F[r, j−q] V̂[r, q], V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}, the image of the symbol 1
-    on charge 0, formed on `_symbol_image`'s charges and exactly 0 on the others."""
-    if np.ndim(values) != 2 or len(values) != len(factors):
-        raise ValueError(f"values must have shape ({len(factors)}, n_angular), got {np.shape(values)}")
-    return _on_diagonals(*_symbol_image(factors, values, 1, np.zeros(1, dtype=int)))
+    (c[r, 0] = 1) on charge 0, formed on `_symbol_image`'s charges and exactly 0 on the others."""
+    unit = np.ones((len(factors), 1))
+    return _on_diagonals(*_symbol_image(factors, values, unit, np.zeros(1, dtype=int)))
 
 
-def _symbol_image(factors: RingFactors, weights: np.ndarray, symbols: np.ndarray,
+def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                   charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(images, image charges): Λ(B)'s offset diagonals from B's symbols Q and live charges.
-    With W constant along each ring, the φ-sum keeps charge q of Q only on the image
-    charges q′ ≡ ±q (mod n_φ), and Λ(B) is exactly 0 on the others; else every charge is formed."""
-    weights = np.asarray(weights)
-    dim, n_angular = np.shape(factors)[1], weights.shape[1]
+    """(images, image charges): Λ(B)'s diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)), V = W ⊙ Q, from B's
+    live sums; W must pass `_per_ring`.  With W constant along each ring, the φ-sum keeps charge q
+    of Q only on the image charges q′ ≡ q (mod n_φ), exactly 0 elsewhere; else all are formed."""
+    weights = _per_ring(factors, weights)
+    dim, n_angular = _ring_dim(factors), weights.shape[1]
+    values = weights * _ring_symbols(factors, n_angular, sums, charges)
     uniform = np.all(weights == weights[:, :1])
-    charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(dim)
-    return _diagonal_resolution(factors, weights * symbols, charges), charges
+    charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(1 - dim, dim)
+    columns = _table_columns(charges, dim)
+    # V̂[r, q] = Σ_l V[r, l] e^{iqφ_l} on `charges`, through conj(V) and the table as it is stored
+    hats = values.conj() @ _angle_phases(dim, n_angular)[columns].T
+    np.conjugate(hats, out=hats)
+    hats *= factors._charge_powers[:, columns]
+    images = (factors.squares.T @ hats.view(float)).view(complex)
+    images *= factors._charge_ratios[:, columns]
+    return images, charges
 
 
 def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np.ndarray,
                         charges) -> tuple[np.ndarray, np.ndarray]:
     """(images, image charges): Λ(B) on its offset diagonals, for B given on its own.
 
-    `diagonals` (…, D, 2, c) holds B in `_diagonal_index`'s layout, [i, 0, k] = B[i, i + q]
-    and [i, 1, k] = B[i + q, i] for the distinct charges q = charges[k] ≥ 0; B is 0 on the
-    other charges, and the entries past a diagonal's end meet κ = 0.  The images come in
-    the same layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.
+    `diagonals` (…, D, c) holds B in `_diagonal_index`'s layout, [i, k] the entry of lower
+    index i on the signed charge q = charges[k], increasing; B is 0 on the other charges, and
+    the entries past a diagonal's end (i + |q| ≥ D) meet κ = 0.  The images come in the same
+    layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.
     """
-    _ring_dim(factors)  # TypeError unless they are a RingFactors
     charges = np.asarray(charges, dtype=int)
-    sums = _diagonal_sums(factors, np.array(diagonals, dtype=complex), charges)  # scales a copy
-    return _symbol_image(factors, weights, *_ring_symbols(factors, np.shape(weights)[1], sums, charges))
+    sums = _diagonal_sums(factors, np.array(diagonals, complex, order="C"), charges)  # a copy
+    return _symbol_image(factors, weights, sums, charges)
 
 
 def ring_luders_image(factors: RingFactors, weights: np.ndarray,
                       operator: np.ndarray) -> np.ndarray:
     """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors, formed on the
     image charges of `_symbol_image` (exactly 0 on the others)."""
-    symbols, charges = _ring_symbols(factors, np.shape(weights)[1], *_live_sums(factors, operator))
-    return _on_diagonals(*_symbol_image(factors, weights, symbols, charges))
+    return _on_diagonals(*_symbol_image(factors, weights, *_live_sums(factors, operator)))

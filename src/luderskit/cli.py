@@ -206,16 +206,14 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
                 np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
     # each word a†^m a^n and its disk image sit on charge m − n: the words of equal
-    # |m − n| = q are one stack of offset diagonals and one kernel call, slot 0 holding
-    # charge −q (m < n), slot 1 charge q (m > n) and both the main diagonal (q = 0)
+    # charge q are one stack of offset diagonals and one kernel call
     gaps = []
-    for q in range(5):
-        words = [(m, n) for m in range(5) for n in range(5 - m) if abs(m - n) == q]
-        slots = [[m <= n, m >= n] for m, n in words]
-        diagonals = [np.outer(space.ladder_diagonal(m, n), s) for (m, n), s in zip(words, slots)]
-        images, charges = ring_diagonal_image(factors, weights, np.stack(diagonals)[..., None], [q])
-        for image, (m, n), s in zip(images[..., np.searchsorted(charges, q)], words, slots):
-            image -= np.outer(fock.disk_monomial_diagonal(space, m, n, radius), s)
+    for q in range(-4, 5):
+        words = [(m, n) for m in range(5) for n in range(5 - m) if m - n == q]
+        diagonals = np.stack([space.ladder_diagonal(m, n) for m, n in words])[..., None]
+        images, charges = ring_diagonal_image(factors, weights, diagonals, [q])
+        images[..., np.searchsorted(charges, q)] -= [
+            fock.disk_monomial_diagonal(space, m, n, radius) for m, n in words]
         gaps.append(np.abs(images).max())
     run.numeric("grid_vs_symbolic_disk", 0.0, np.max(gaps), 1e-9)
 

@@ -18,7 +18,7 @@ split into the (F, W) pair of the ring core, which the grid helpers
 word a†^m a^n and its disk-limit image sit on the charge m − n, whose one
 offset diagonal `FockSpace.ladder_diagonal` and `disk_monomial_diagonal`
 give (`ring_diagonal_image` maps it) and `ladder_word` and
-`disk_monomial_image` scatter.
+`disk_monomial_image` scatter with the ring core's `_on_diagonals`.
 
 The module needs numpy alone.  Factorials enter through a cached table of
 log k!, and the incomplete-gamma factor P(a, R²), for integer a the
@@ -41,6 +41,7 @@ from .channel import (
     RingFactors,
     _gauss_legendre,
     _level_logs,
+    _on_diagonals,
     _read_only,
     ring_luders_image,
     ring_q_symbols,
@@ -84,8 +85,8 @@ class FockSpace:
         return self.a.conj().T
 
     def ladder_diagonal(self, m: int, n: int) -> np.ndarray:
-        """The truncated a†^m a^n on its charge m − n (`_on_charge`): entry min(m, n) + j
-        is run(j, m) · run(j, n) (`_sqrt_run`)."""
+        """The truncated a†^m a^n on its charge m − n, in `channel._diagonal_index`'s layout:
+        entry min(m, n) + j is run(j, m) · run(j, n) (`_sqrt_run`)."""
         j = np.arange(self.dim - max(m, n))
         out = np.zeros(self.dim)
         out[min(m, n) + j] = _sqrt_run(j, m) * _sqrt_run(j, n)
@@ -93,22 +94,13 @@ class FockSpace:
 
     def ladder_word(self, m: int, n: int) -> np.ndarray:
         """The truncated a†^m a^n: entry (j + m, j + n) is run(j, m) · run(j, n)."""
-        return _on_charge(self.ladder_diagonal(m, n), m - n)
+        return _on_diagonals(self.ladder_diagonal(m, n)[:, None], [m - n])
 
     def check_label(self, alpha):
         """Raise TruncationError unless max |α|² <= dim/4 over a label or an array of labels."""
         largest = np.max(np.abs(alpha) ** 2, initial=0.0)
         if not largest <= self.dim / 4:  # true for NaN too
             raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds dim/4 = {self.dim / 4}")
-
-
-def _on_charge(diagonal: np.ndarray, charge: int) -> np.ndarray:
-    """The D × D matrix with `diagonal` on the charge row − column = `charge` and 0 elsewhere:
-    entry i of the diagonal goes to (i + max(charge, 0), i + max(−charge, 0))."""
-    out = np.zeros((len(diagonal),) * 2, dtype=complex)
-    i = np.arange(len(diagonal) - abs(charge))
-    out[i + max(charge, 0), i + max(-charge, 0)] = diagonal[i]
-    return out
 
 
 def _sqrt_run(start: np.ndarray, length: int) -> np.ndarray:
@@ -264,7 +256,7 @@ def disk_identity_matrix(space: FockSpace, radius: float) -> np.ndarray:
 
 
 def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
-    """Continuum disk-channel image of a†^m a^n on its charge m − n (`_on_charge`).
+    """Continuum disk-channel image of a†^m a^n on its charge m − n, in `ladder_diagonal`'s layout.
 
     Over the whole plane the image is a^n a†^m; the disk |α| <= R scales
     entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
@@ -283,7 +275,7 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
 
 def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
     """Continuum disk-channel image of a†^m a^n: `disk_monomial_diagonal` on charge m − n."""
-    return _on_charge(disk_monomial_diagonal(space, m, n, radius), m - n)
+    return _on_diagonals(disk_monomial_diagonal(space, m, n, radius)[:, None], [m - n])
 
 
 # --- symplectic-Fourier coefficients and the damping check --------------------

@@ -543,10 +543,13 @@ def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamil
     """Express a polynomial as b0 I + sum_n (bq_n Bq_n + bp_n Bp_n), exactly.
 
     Raises ValueError if the polynomial has any mixed a†^m a^n term with
-    m, n >= 1, i.e. falls outside the invariant family.
+    m, n >= 1, i.e. falls outside the invariant family, or a term of degree
+    above max_degree, which the coordinates could not hold.
     """
     if any(m >= 1 and n >= 1 for m, n in poly.num):
         raise ValueError("polynomial is not in the well-ordered invariant family")
+    if poly.degree() > max_degree:
+        raise ValueError(f"polynomial of degree {poly.degree()} exceeds max_degree {max_degree}")
     if not poly.is_hermitian():
         raise ValueError("polynomial is not Hermitian")
     num, den = poly.num, poly.den

@@ -294,14 +294,15 @@ def test_live_charges_are_those_of_the_complex_nonzero_mask():
     signed = np.subtract.outer(np.arange(dim), np.arange(dim))
     stack *= np.isin(signed, (-6, -2, 0, 3))
     stack[0, 5, 0] = complex(-0.0, -0.0)  # charge 5 stays dead
-    stack[1, 1, 5] = complex(0.0, np.nan)  # charge 4 becomes live
+    stack[1, 1, 5] = complex(0.0, np.nan)  # charge −4 becomes live
     stack[1, 6, 5] = complex(0.0, 1e-300)  # charge 1 becomes live
 
     def reference(operators):
         nonzero = (operators != 0).any(axis=0)
-        return [q for q in range(dim) if nonzero.diagonal(q).any() or nonzero.diagonal(-q).any()]
-    for operators in (stack, stack.swapaxes(-1, -2)):
-        assert list(channel._live_charges(operators)) == reference(operators) == [0, 1, 2, 3, 4, 6]
+        return [q for q in range(1 - dim, dim) if nonzero.diagonal(-q).any()]
+    for operators, live in ((stack, [-6, -4, -2, 0, 1, 3]),
+                            (stack.swapaxes(-1, -2), [-3, -1, 0, 2, 4, 6])):
+        assert list(channel._live_charges(operators)) == reference(operators) == live
     assert list(channel._live_charges(np.zeros((dim, dim), dtype=complex))) == [0]
 
 
@@ -319,6 +320,23 @@ def test_ring_resolution_refuses_values_of_the_wrong_shape():
     for values in (weights.ravel(), weights[1:], weights[None]):
         with pytest.raises(ValueError, match="values must have shape"):
             ring_resolution(factors, values)
+
+
+def test_ring_core_refuses_weights_with_the_wrong_ring_count():
+    # one row of W broadcast over the 6 rings once gave an image 0.35 off, with no error
+    space = FockSpace(12)
+    word = space.ladder_word(2, 0)
+    for n_angular in (10, 24):  # aliased, then alias-free for the charge blocks
+        factors, weights = fock.ring_factors(space, plane_quadrature(space, 1.5, 6, n_angular))
+        calls = [lambda: channel.ring_luders_image(factors, weights[:1], word),
+                 lambda: channel.ring_diagonal_image(factors, weights[:1],
+                                                     space.ladder_diagonal(2, 0)[:, None], [2]),
+                 lambda: ring_resolution(factors, weights[:1])]
+        if n_angular > 2 * (space.dim - 1):
+            calls.append(lambda: charge_blocks(factors, weights[:1]))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"must have shape \(6, n_angular\)"):
+                call()
 
 
 # --- ring factors in the Perelomov form F[r, k] = g_r h_k t_r^k ---------------------

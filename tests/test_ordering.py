@@ -359,3 +359,10 @@ def test_monomial_refuses_negative_powers():
 def test_decompose_in_family_refuses_a_non_hermitian_polynomial():
     with pytest.raises(ValueError, match="not Hermitian"):
         decompose_in_family(normal_order("i*ad"), 2)
+
+
+def test_decompose_in_family_refuses_terms_above_max_degree():
+    with pytest.raises(ValueError, match="degree 5 exceeds max_degree 3"):
+        decompose_in_family(family_q(5), 3)
+    coords = decompose_in_family(family_q(5), 5)  # at max_degree, the term is kept
+    assert coords.bq == (0, 0, 0, 0, 1) and coords.bp == (0,) * 5 and coords.b0 == 0

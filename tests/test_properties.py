@@ -222,6 +222,39 @@ def test_one_charge_image_lives_on_the_aliases_on_spin_grids(case, seed):
 
 
 
+def check_image_on_its_alias_class(factors, weights, seed):
+    """Λ(B) of an operator on one signed charge q is exactly 0 on every charge q′ ≢ q (mod n_φ),
+    the mirror −q included when 2q ≢ 0, as a matrix and through the diagonal kernel."""
+    dim, n_angular = factors.shape[1], weights.shape[1]
+    rng = np.random.default_rng(seed)
+    charge = int(rng.integers(1 - dim, dim))
+    diagonal = np.zeros(dim, dtype=complex)
+    diagonal[:dim - abs(charge)] = rng.normal(size=dim - abs(charge)) + 1j
+    image = ring_luders_image(factors, weights, np.diag(diagonal[:dim - abs(charge)], -charge))
+    signed = np.subtract.outer(np.arange(dim), np.arange(dim))
+    assert np.all(image[(signed - charge) % n_angular != 0] == 0)
+    images, image_charges = ring_diagonal_image(factors, weights, diagonal[None, :, None], [charge])
+    assert list(image_charges) == [q for q in range(1 - dim, dim) if (q - charge) % n_angular == 0]
+    if 2 * charge % n_angular:
+        assert -charge not in image_charges
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_one_signed_charge_image_lives_on_its_alias_class_on_fock_grids(case, seed):
+    _, _, factors, weights = case
+    check_image_on_its_alias_class(factors, weights, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_one_signed_charge_image_lives_on_its_alias_class_on_spin_grids(case, n_angular, seed):
+    # the spin rings under any uniform angle grid, aliased below 2·two_s + 1 nodes
+    _, _, factors, weights = case
+    uniform = np.repeat(weights.sum(axis=1, keepdims=True) / n_angular, n_angular, axis=1)
+    check_image_on_its_alias_class(factors, uniform, seed)
+
+
 @DETERMINISTIC
 @given(spin_ring_grids(), st.integers(0, 2**32 - 1))
 def test_one_charge_block_image_lives_on_its_charge(case, seed):
@@ -329,7 +362,7 @@ def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
 def diagonal_kernel_cases(draw):
     """(factors, W, diagonals, charges, operators): dim 8..200 on an aliased or alias-free disk
     grid, W uniform or varying along each ring, and a ladder word or a small stack on shared
-    charges, as offset diagonals in `_diagonal_index`'s layout and as matrices."""
+    signed charges, as offset diagonals in `_diagonal_index`'s layout and as matrices."""
     dim = draw(st.integers(8, 200))
     space = fock.FockSpace(dim)
     radius = draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2
@@ -342,18 +375,15 @@ def diagonal_kernel_cases(draw):
         weights = weights * rng.uniform(0.5, 1.5, size=weights.shape)
     if draw(st.booleans()):
         m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-        diagonals = np.outer(space.ladder_diagonal(m, n), [m <= n, m >= n])[None, :, :, None]
-        return factors, weights, diagonals, [abs(m - n)], space.ladder_word(m, n)[None]
-    charges = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=4)))
-    shape = (draw(st.integers(1, 3)), dim, 2, len(charges))
+        diagonals = space.ladder_diagonal(m, n)[None, :, None]
+        return factors, weights, diagonals, [m - n], space.ladder_word(m, n)[None]
+    charges = sorted(draw(st.sets(st.integers(1 - dim, dim - 1), min_size=1, max_size=4)))
+    shape = (draw(st.integers(1, 3)), dim, len(charges))
     diagonals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    zero = [k for k, q in enumerate(charges) if q == 0]
-    diagonals[:, :, 1, zero] = diagonals[:, :, 0, zero]  # both slots of q = 0 are B[i, i]
     operators = np.zeros((shape[0], dim, dim), dtype=complex)
     for k, q in enumerate(charges):  # the entries past each diagonal's end stay unread
-        i = np.arange(dim - q)
-        operators[:, i, i + q] = diagonals[:, i, 0, k]
-        operators[:, i + q, i] = diagonals[:, i, 1, k]
+        i = np.arange(dim - abs(q))
+        operators[:, i + max(q, 0), i + max(-q, 0)] = diagonals[:, i, k]
     return factors, weights, diagonals, charges, operators
 
 
@@ -364,14 +394,13 @@ def test_diagonal_image_is_the_matrix_image_exactly(case):
     dim = factors.shape[1]
     images, image_charges = ring_diagonal_image(factors, weights, diagonals, charges)
     assert images.shape == diagonals.shape[:-1] + (len(image_charges),)
-    offsets = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    signed = np.subtract.outer(np.arange(dim), np.arange(dim))
     for image, operator in zip(images, operators):
         matrix = ring_luders_image(factors, weights, operator)
-        assert np.all(matrix[~np.isin(offsets, image_charges)] == 0)
+        assert np.all(matrix[~np.isin(signed, image_charges)] == 0)
         for k, q in enumerate(image_charges):
-            assert np.array_equal(image[:dim - q, 0, k], np.diagonal(matrix, q))
-            assert np.array_equal(image[:dim - q, 1, k], np.diagonal(matrix, -q))
-            assert np.all(image[dim - q:, :, k] == 0)
+            assert np.array_equal(image[:dim - abs(q), k], np.diagonal(matrix, -q))
+            assert np.all(image[dim - abs(q):, k] == 0)
 
 
 # --- operator stacks, and the ring image's invariants ---------------------------------
