@@ -47,10 +47,10 @@ product S = F²ᵀ diag(w) F² of O(n_r·D²) flops and O(D³) scaling by κ, an
 `charge_block_image` and `charge_block_spectrum` give the image and the
 spectrum from them: O(D³) memory and O(D⁴) time against the
 superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
-maps each signed charge to its matrix entries: the ring core's gather and store,
-`fock`'s scatters and the block image's per-charge reads and writes go through it.  The
-superoperator stays as the dense reference.  The symbols and the block
-image also take a stack (…, D, D).
+maps each signed charge to its matrix entries: the live-charge scan, the ring core's
+gather and store, `fock`'s scatters and the block image's per-charge reads and writes
+go through it.  The superoperator stays as the dense reference.  The symbols and the
+block image also take a stack (…, D, D).
 """
 
 from __future__ import annotations
@@ -79,6 +79,13 @@ def _read_only(value, dtype=None) -> np.ndarray:
     out = np.array(value, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; raises ValueError unless it is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _square(operator: np.ndarray, dim: int) -> np.ndarray:
@@ -260,17 +267,17 @@ def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:
 # --- U(1) charge blocks ---------------------------------------------------------
 
 def _live_charges(operator: np.ndarray) -> np.ndarray:
-    """The signed charges q = j − k on which some operator of the stack is nonzero, or [0]."""
+    """The signed charges q = j − k on which some operator of the stack is nonzero, or [0].
+
+    The stack's nonzero mask is read through `_diagonal_index`, one column
+    per charge, whose repeats past each diagonal's end are that diagonal's own entries.
+    """
     dim = operator.shape[-1]
     # compare the float view and pair its Re/Im flags as one uint16: the same
     # mask as `operator != 0`, NaN and −0.0 included, at a fraction of the cost
     parts = np.ascontiguousarray(operator).view(float) != 0
-    nonzero = (parts.view(np.uint16) != 0).reshape(-1, dim, dim).any(axis=0)
-    # read the zero-padded rows of length 2D as rows of length 2D − 1: row j of the
-    # column-reversed mask shifts right by j, so column q + D − 1 holds the entries (j, j − q)
-    padded = np.hstack([nonzero[:, ::-1], np.zeros_like(nonzero)])
-    skew = padded.ravel()[:dim * (2 * dim - 1)].reshape(dim, 2 * dim - 1)
-    live = np.flatnonzero(skew.any(axis=0)) - (dim - 1)
+    nonzero = (parts.view(np.uint16) != 0).reshape(-1, dim * dim).any(axis=0)
+    live = np.flatnonzero(nonzero[_diagonal_index(dim)].any(axis=0)) - (dim - 1)
     return live if live.size else np.zeros(1, dtype=int)
 
 
@@ -285,9 +292,10 @@ def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
 def _diagonal_index(dim: int) -> np.ndarray:
     """Read-only [i, q + D − 1] → the flat index of B[i + q, i] (q ≥ 0) or B[i, i − q] (q < 0).
 
-    The one map from a charge to its matrix entries: the ring core gathers
-    the live offset diagonals through it and stores its image back through
-    it (`_live_sums`, `_on_diagonals`), and `charge_block_image` reads and
+    The one map from a charge to its matrix entries: `_live_charges` scans
+    the nonzero mask through it, the ring core gathers the live offset
+    diagonals through it and stores its image back through it (`_live_sums`,
+    `_on_diagonals`), and `charge_block_image` reads and
     writes each b_±q through its first D − |q| rows.  Past the end of
     diagonal q (i + |q| ≥ D) it repeats the diagonal's last entry, where κ is 0.
     """
@@ -534,10 +542,13 @@ def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
     """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for q = −(D−1)..D−1, per B of a stack.
 
     The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; the sums are
-    formed only on the live charges of the stack and are exactly 0 elsewhere.
+    formed only on the live charges of the stack and are exactly 0 elsewhere,
+    and come back as formed, with no copy, when every charge is live.
     """
     dim = np.shape(factors)[1]
     sums, charges = _live_sums(factors, operator)
+    if len(charges) == 2 * dim - 1:  # every charge live: the sums have the layout already
+        return sums
     out = np.zeros(sums.shape[:-1] + (2 * dim - 1,), dtype=complex)
     out[..., _table_columns(charges, dim)] = sums
     return out
@@ -608,9 +619,18 @@ def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np
     `diagonals` (…, D, c) holds B in `_diagonal_index`'s layout, [i, k] the entry of lower
     index i on the signed charge q = charges[k], increasing; B is 0 on the other charges, and
     the entries past a diagonal's end (i + |q| ≥ D) meet κ = 0.  The images come in the same
-    layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.
+    layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.  Raises
+    ValueError unless `charges` is a strictly increasing list of integers in −(D−1)..D−1
+    and `diagonals` has D rows and one column per charge.
     """
-    charges = np.asarray(charges, dtype=int)
+    dim, charges = _ring_dim(factors), np.asarray(charges)
+    if (charges.ndim != 1 or not np.issubdtype(charges.dtype, np.integer)
+            or np.any(np.diff(charges) <= 0) or np.any(np.abs(charges) >= dim)):
+        raise ValueError(f"charges must be strictly increasing integers in {1 - dim}..{dim - 1}, "
+                         f"got {charges}")
+    if np.ndim(diagonals) < 2 or np.shape(diagonals)[-2:] != (dim, len(charges)):
+        raise ValueError(f"diagonals must have shape (..., {dim}, {len(charges)}), "
+                         f"got {np.shape(diagonals)}")
     sums = _diagonal_sums(factors, np.array(diagonals, complex, order="C"), charges)  # a copy
     return _symbol_image(factors, weights, sums, charges)
 

@@ -40,6 +40,7 @@ from .channel import (
     TABLE_CACHE_SIZE,
     RingFactors,
     _gauss_legendre,
+    _integer,
     _level_logs,
     _on_diagonals,
     _read_only,
@@ -69,6 +70,8 @@ class FockSpace:
     guard_dim: int = -1  # -1 means dim - DEFAULT_GUARD_MARGIN
 
     def __post_init__(self):
+        for name in ("dim", "guard_dim"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if self.guard_dim == -1:
@@ -87,6 +90,7 @@ class FockSpace:
     def ladder_diagonal(self, m: int, n: int) -> np.ndarray:
         """The truncated a†^m a^n on its charge m − n, in `channel._diagonal_index`'s layout:
         entry min(m, n) + j is run(j, m) · run(j, n) (`_sqrt_run`)."""
+        _check_powers(m, n)
         j = np.arange(self.dim - max(m, n))
         out = np.zeros(self.dim)
         out[min(m, n) + j] = _sqrt_run(j, m) * _sqrt_run(j, n)
@@ -101,6 +105,12 @@ class FockSpace:
         largest = np.max(np.abs(alpha) ** 2, initial=0.0)
         if not largest <= self.dim / 4:  # true for NaN too
             raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds dim/4 = {self.dim / 4}")
+
+
+def _check_powers(m: int, n: int):
+    """Raise ValueError unless both powers of a word a†^m a^n are nonnegative."""
+    if m < 0 or n < 0:
+        raise ValueError("ladder powers must be nonnegative")
 
 
 def _sqrt_run(start: np.ndarray, length: int) -> np.ndarray:
@@ -264,6 +274,7 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
     is (k + m)! / √(k! (k + m − n)!) · P, formed in logs so that neither the
     factorials nor P leave the float range before the product does.
     """
+    _check_powers(m, n)
     k = np.arange(max(n - m, 0), space.dim - m)
     log_fact = _log_factorials(space.dim)
     log_p = _log_gamma_p(space.dim + 1, radius**2)

@@ -25,7 +25,9 @@ from .channel import (
     RingFactors,
     WeightedProjectorFamily,
     _alias_free,
+    _angle_phases,
     _gauss_legendre,
+    _integer,
     _read_only,
     q_symbols,
     split_rings,
@@ -41,7 +43,8 @@ class SpinSpace:
     two_s: int
 
     def __post_init__(self):
-        if not isinstance(self.two_s, int) or self.two_s < 1:
+        object.__setattr__(self, "two_s", _integer(self.two_s, "two_s"))
+        if self.two_s < 1:
             raise ValueError("two_s must be a positive integer")
         if self.two_s > MAX_TWO_S:
             raise ValueError(f"two_s capped at {MAX_TWO_S}")
@@ -210,10 +213,10 @@ def harmonic_blocks(lmax: int, thetas: np.ndarray, phis: np.ndarray):
 
     Y_lm = P[:, l - |m|] * phase for l = |m|..lmax: fully normalized
     harmonics with the Condon-Shortley phase.  P is the real block of
-    normalized associated Legendre values, shared by ±m; the blocks of all
-    |m| come from one stable three-term recurrence over l, vectorised over
-    m.  The charge lives in the phase, e^(imφ) for m >= 0 and
-    (-1)^m conj(e^(imφ)) for -m.
+    normalized associated Legendre values, for m < 0 the m > 0 block times
+    (-1)^m (a new array for odd m), the one place that sign is applied; the
+    blocks of all |m| come from one stable three-term recurrence over l,
+    vectorised over m.  The charge lives in the phase, e^(imφ) for either sign of m.
     """
     x = np.cos(thetas)
     ms = np.arange(lmax + 1)
@@ -231,11 +234,11 @@ def harmonic_blocks(lmax: int, thetas: np.ndarray, phis: np.ndarray):
         table[l, :l - 1] = a[l, :l - 1] * (x * table[l - 1, :l - 1]
                                            - table[l - 2, :l - 1] / a[l - 1, :l - 1])
     phases = np.exp(1j * np.outer(ms, phis))
-    mirrored = (-1.0) ** ms[:, None] * phases.conj()
     for m in range(lmax + 1):
-        yield m, table[m:, m].T, phases[m]
-        if m > 0:
-            yield -m, table[m:, m].T, mirrored[m]
+        block = table[m:, m].T
+        yield m, block, phases[m]
+        if m > 0:  # even m share the block: a copy per m was measurably slower
+            yield -m, -block if m % 2 else block, phases[m].conj()
 
 
 def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -254,12 +257,12 @@ def _check_degree(grid: SphereQuadrature, space: SpinSpace):
 
 def _legendre_contraction(hat: np.ndarray, ring_weights: np.ndarray, grid: SphereQuadrature,
                           space: SpinSpace) -> np.ndarray:
-    """B_lm = sqrt(4π/(2s+1)) σ_m Σ_r P_l|m|(θ_r) v[r] ŵ[…, r, m + 2s] in row l² + l + m.
+    """B_lm = sqrt(4π/(2s+1)) Σ_r P_lm(θ_r) v[r] ŵ[…, r, m + 2s] in row l² + l + m.
 
     v[r] ŵ[…, r, m + 2s] is ring r's φ-sum Σ_l W[r, l] Q[…, r, l] e^(-imφ_l),
-    and σ_m = (-1)^m for m < 0, else 1, the sign of the phases of
-    `harmonic_blocks`.  The ring weights v go into the Legendre blocks, so
-    ŵ may be any strided view; each m meets its block in one real product.
+    and P_lm the signed Legendre block of `harmonic_blocks`.  The ring weights
+    v go into the blocks, so ŵ may be any strided view; each m meets its
+    block in one real product.
     """
     thetas, phis, _ = grid.rings
     lmax = space.two_s
@@ -271,8 +274,7 @@ def _legendre_contraction(hat: np.ndarray, ring_weights: np.ndarray, grid: Spher
         l = np.arange(abs(m), lmax + 1)
         # (r, Re/Im of each symbol) as one contiguous real matrix
         slab = np.ascontiguousarray(hat[:, :, m + lmax].T).view(float)
-        sign = (-1) ** m if m < 0 else 1
-        coeffs[l * l + l + m] = (sign * scale * block).T @ slab
+        coeffs[l * l + l + m] = (scale * block).T @ slab
     return coeffs.view(complex).reshape((space.dim ** 2,) + lead)
 
 
@@ -285,15 +287,15 @@ def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
     Returns a complex array of shape ((2s+1)²,) + the leading shape: B_lm
     sits in row l² + l + m, the order of `expected_spectrum`, so row i is
     damped by that spectrum's entry i.  W∘Q is summed over φ against every
-    e^(-imφ) in one product, then contracted ring by ring with the Legendre
-    blocks, the same contraction as `charge_harmonic_coefficients`.
+    e^(-imφ) of the ring core's cached table (`channel._angle_phases`) in one
+    product, then contracted ring by ring with the Legendre blocks, the same
+    contraction as `charge_harmonic_coefficients`.
     """
     _check_degree(grid, space)
-    _, phis, weights = grid.rings
+    weights = grid.rings[2]
     wq = weights * np.reshape(samples, np.shape(samples)[:-1] + weights.shape)
-    ms = np.arange(-space.two_s, space.two_s + 1)
-    return _legendre_contraction(wq @ np.exp(-1j * np.outer(phis, ms)), np.ones(len(weights)),
-                                 grid, space)
+    return _legendre_contraction(wq @ _angle_phases(space.dim, weights.shape[1]).T,
+                                 np.ones(len(weights)), grid, space)
 
 
 def charge_harmonic_coefficients(sums: np.ndarray, grid: SphereQuadrature,

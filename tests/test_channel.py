@@ -339,6 +339,26 @@ def test_ring_core_refuses_weights_with_the_wrong_ring_count():
                 call()
 
 
+def test_diagonal_image_refuses_charges_out_of_order_range_or_count():
+    # a reversed charge list once gave a wrong image with no error, q = −15 at D = 8 was
+    # read as charge 5, and q = ±8 failed deep in numpy
+    space = FockSpace(8)
+    factors, weights = fock.ring_factors(space, plane_quadrature(space, 1.0, 6, 20))
+    full = np.arange(-7, 8)
+    diagonals = np.random.default_rng(3).normal(size=(8, 15)) + 0j
+    for charges, columns in ((full[::-1], diagonals[:, ::-1]), ([1, 1], diagonals[:, :2]),
+                             ([-15], diagonals[:, :1]), ([-8], diagonals[:, :1]),
+                             ([8], diagonals[:, :1]), ([0.0], diagonals[:, :1]),
+                             ([[0]], diagonals[:, :1])):
+        with pytest.raises(ValueError, match="strictly increasing integers in -7..7"):
+            channel.ring_diagonal_image(factors, weights, columns, charges)
+    for columns in (diagonals[:, :2], diagonals[:7, :1], diagonals[:, 0]):
+        with pytest.raises(ValueError, match=r"diagonals must have shape \(\.\.\., 8, 1\)"):
+            channel.ring_diagonal_image(factors, weights, columns, [0])
+    images, charges = channel.ring_diagonal_image(factors, weights, diagonals, full)
+    assert list(charges) == list(full) and images.shape == (8, 15)
+
+
 # --- ring factors in the Perelomov form F[r, k] = g_r h_k t_r^k ---------------------
 
 def test_ring_factor_rows_are_the_phi_zero_states_bit_for_bit():

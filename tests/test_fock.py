@@ -61,6 +61,28 @@ def test_space_validation():
         FockSpace(10, guard_dim=11)
 
 
+def test_space_takes_integer_sizes_only():
+    # FockSpace(2.5) once built a 3 × 3 a, and FockSpace(9.0) failed later with TypeError
+    for size in (2.5, 9.0, True, "8", None):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            FockSpace(size)
+    with pytest.raises(ValueError, match="guard_dim must be an integer"):
+        FockSpace(10, guard_dim=4.0)
+    space = FockSpace(np.int64(9), guard_dim=np.int32(3))
+    assert (space.dim, space.guard_dim) == (9, 3) and type(space.dim) is int
+    assert space.a.shape == (9, 9) and space == FockSpace(9, 3)
+
+
+def test_negative_ladder_powers_are_refused():
+    # a†^-1 once came back as a shift matrix and a^-2 as a row of ones
+    space = FockSpace(8)
+    for call in (lambda: space.ladder_word(-1, 0), lambda: space.ladder_diagonal(0, -2),
+                 lambda: fock.disk_monomial_diagonal(space, -1, 0, 1.0),
+                 lambda: disk_monomial_image(space, 2, -3, 1.0)):
+        with pytest.raises(ValueError, match="ladder powers must be nonnegative"):
+            call()
+
+
 def test_vacuum_coherent_state(space):
     state = fock_coherent_state(space, 0.0)
     assert abs(state[0] - 1.0) < 1e-15

@@ -50,6 +50,16 @@ def test_space_validation():
         SpinSpace(1.5)
 
 
+def test_space_takes_integer_sizes_only():
+    # SpinSpace(np.int64(3)) was once refused and SpinSpace(True) read as spin ½
+    for two_s in (True, 3.0, "3", None):
+        with pytest.raises(ValueError, match="two_s must be an integer"):
+            SpinSpace(two_s)
+    space = SpinSpace(np.int64(3))
+    assert space.two_s == 3 and type(space.two_s) is int and space == SpinSpace(3)
+    assert space.jz.shape == (4, 4)
+
+
 @pytest.mark.parametrize("two_s", [1, 2, 3, 5, 8])
 def test_su2_commutators_and_casimir(two_s):
     space = SpinSpace(two_s)
