@@ -387,15 +387,22 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(map(_read_only, np.polynomial.legendre.leggauss(n)))
 
 
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
+
 def split_rings(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(radii, W) of flat polar nodes ρe^{iφ} laid out as rings × a uniform φ-grid.
 
     n_φ is the length of the first ring; node r·n_φ + l must sit at
     radii[r]·e^{2πil/n_φ}, radii[r] ≥ 0, and W[r, l] is its weight.
-    Raises ValueError for any other layout.
+    Positions are compared to 1e-12 of the largest radius; a grid with every
+    node within √tiny ≈ 1.5e-154 of the origin, where a squared radius is
+    subnormal and rings may coincide, is one ring.  Raises ValueError for any
+    other layout.
     """
     mags = np.abs(points)
-    atol = 1e-12 * max(1.0, mags.max())
+    largest = mags.max()
+    atol = 1e-12 * largest if largest > _SQRT_TINY else 2 * _SQRT_TINY
     # the first node off the first ring ends the angle grid
     n_angular = int(np.argmax(np.abs(mags - mags[0]) > atol)) or len(points)
     if len(points) % n_angular == 0:

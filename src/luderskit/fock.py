@@ -26,13 +26,20 @@ Poisson tail Σ_{j≥a} e^{−R²} R^{2j}/j!, is summed in logs from the far
 tail down, so it neither overflows nor underflows before the final
 exponential.  `displacement_matrix` exponentiates through the eigenbasis
 of the Hermitian generator.
+
+The symplectic-Fourier coefficients B_ξ of a node symbol (`xi_coefficients`)
+run ring by ring through the Jacobi–Anger expansion: one angular transform per
+ring and a table of Bessel J_n over the rings × the distinct |ξ|, from Miller's
+backward recurrence (`_bessel_table`), in place of an (n_nodes × n_ξ) table of
+exponentials.  Its cost grows with 2·max|α|·max|ξ|, so points that would need
+more than MAX_XI_ORDER orders are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lgamma, pi, sqrt
+from math import lgamma, log, pi, sqrt
 
 import numpy as np
 
@@ -56,6 +63,9 @@ DEFAULT_RADIUS = 3.0
 DEFAULT_N_RADIAL = 40
 DEFAULT_N_ANGULAR = 64
 XI_FLOOR = 1e-8  # |B_xi| below this is too ill-conditioned for a ratio
+MAX_XI_ORDER = 1000  # Bessel orders the ξ transform may sum: its cost grows with them
+_LOG_UNIT_ROUNDOFF = -53 * log(2)
+_SMALL_BESSEL_Z = 2.0 ** -26  # (z/2)² ≤ 2^-54: below it J_n is its leading series term
 
 
 class TruncationError(ValueError):
@@ -299,16 +309,136 @@ class XiSpectrum:
     coeffs: np.ndarray
 
 
+def _jacobi_anger_order(z_max: float) -> int:
+    """The first order N ≥ z_max/2 at which (z_max/2)^N / N! is below rounding, or
+    MAX_XI_ORDER + 1 if that order lies past the cap.
+
+    |J_n(z)| ≤ (z/2)^n / n! for z ≥ 0, and past z/2 the bound falls with n, so
+    the orders above N add less than rounding for every z ≤ z_max.
+    """
+    half = z_max / 2
+    if half == 0:
+        return 0
+    if half > MAX_XI_ORDER:  # N ≥ z/2 is past the cap already: do not search
+        return MAX_XI_ORDER + 1
+    n, log_term, log_half = 0, 0.0, log(half)
+    while n <= MAX_XI_ORDER and (n < half or log_term >= _LOG_UNIT_ROUNDOFF):
+        n += 1
+        log_term += log_half - log(n)
+    return n
+
+
+def _bessel_table(z: np.ndarray, orders: int) -> np.ndarray:
+    """J[n, …] = J_n(z) for n = 0..orders on a new first axis of an array z ≥ 0.
+
+    Arguments up to `_SMALL_BESSEL_Z` take the leading series term
+    (z/2)^n / n! in logs, which is exact at z = 0 and within rounding of J_n
+    there; the rest take Miller's backward recurrence (`_miller_bessel`).
+    """
+    z = np.asarray(z, dtype=float)
+    small = z <= _SMALL_BESSEL_Z
+    if not small.any():
+        return _miller_bessel(z.ravel(), orders).reshape((orders + 1,) + z.shape)
+    table = np.empty((orders + 1,) + z.shape)
+    with np.errstate(divide="ignore"):  # z = 0 gives log z = −inf, and J_0 = 1 still
+        log_half = np.log(z[small]) - log(2)  # not log(z / 2): z / 2 may round to 0
+    table[:, small] = np.exp(_level_logs(log_half, orders + 1)
+                             - _log_factorials(orders + 1)).T
+    if not small.all():
+        table[:, ~small] = _miller_bessel(z[~small], orders)
+    return table
+
+
+def _miller_bessel(z: np.ndarray, orders: int) -> np.ndarray:
+    """J[n, k] = J_n(z[k]) for n = 0..orders and a 1-D z above `_SMALL_BESSEL_Z`.
+
+    f_{n−1} = (2n/z) f_n − f_{n+1} runs down from f_{M+1} = 0, f_M = 1 at
+    M = max(orders, `_jacobi_anger_order(max z)`) and is normalized by
+    J_0 + 2 Σ_k J_2k = 1 (Abramowitz & Stegun 9.1.46, Numerical Recipes §6.5).
+    Starting there leaves an absolute error of about J_{M+1}(z), below rounding
+    for every z ≤ max z.  Each step grows the pair max(|f_n|, |f_{n+1}|) by at
+    most 2M/min z + 1, so every column is rescaled by its pair before that
+    growth could pass 1e300.
+    """
+    start = max(orders, _jacobi_anger_order(float(z.max())))
+    rows = np.zeros((start + 2, len(z)))
+    rows[start] = 1.0
+    block = max(1, int(log(1e300) / log(2 * start / z.min() + 1)))
+    # row views made once, positional out arguments and no (orders × z) ratio table:
+    # the loop's cost is per-call overhead
+    f, two_over_z, ratio = list(rows), 2 / z, np.empty_like(z)
+    multiply, subtract = np.multiply, np.subtract
+    n = start
+    while n > 0:
+        stop = max(n - block, 0)
+        for m in range(n, stop, -1):
+            multiply(two_over_z, m, ratio)
+            multiply(f[m], ratio, f[m - 1])
+            subtract(f[m - 1], f[m + 1], f[m - 1])
+        n = stop
+        if n:
+            rows[n:] /= np.maximum(np.abs(rows[n]), np.abs(rows[n + 1]))
+    table = rows[:orders + 1]
+    table /= rows[0] + 2 * rows[2::2].sum(axis=0)
+    return table
+
+
 def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
                     xi_points: np.ndarray) -> XiSpectrum:
-    """B_ξ = Σ_k w_k Q(α_k) exp(ᾱ_k ξ - α_k ξ̄) per symbol of a (..., n_nodes) stack."""
+    """B_ξ = Σ_k w_k Q(α_k) exp(ᾱ_k ξ - α_k ξ̄) per symbol of a (..., n_nodes) stack.
+
+    The sum runs ring by ring (`quad.rings`).  With α = u_r e^{iφ_l} and
+    ξ = ρ e^{iψ}, ᾱξ − αξ̄ = 2iu_rρ sin(ψ − φ_l), and Jacobi–Anger
+    (e^{iz sin θ} = Σ_n J_n(z) e^{inθ}) gives
+
+        B_ξ = Σ_r Σ_n J_n(2u_rρ) e^{inψ} V̂[r, n mod n_φ],
+        V̂[r, m] = Σ_l W[r, l] Q[r, l] e^{−imφ_l},
+
+    exact whatever the aliasing.  The n-sum stops at `_jacobi_anger_order` of
+    the largest argument; J_{−n} = (−1)^n J_n folds n < 0 onto one Bessel
+    table over the rings × distinct |ξ|, and V̂ at ±n is one product with a
+    table gathered from the n_φ roots of unity.
+
+    Raises ValueError, before any table is built, unless the ξ points are a
+    finite 1-D array, the samples' last axis has one entry per node, and the
+    series needs at most MAX_XI_ORDER orders.  The cap is reached at
+    2·max|α|·max|ξ| ≈ 712; there one call on the 40 × 64 grid at radius 6.3,
+    for two symbols at the 25 default points scaled out, took about 15 ms and
+    raised the peak RSS by 13 MB (one BLAS thread, 2-core x86-64).
+    """
     xi_points = np.asarray(xi_points, dtype=complex)
-    kern = np.exp(
-        np.outer(quad.alphas.conj(), xi_points)
-        - np.outer(quad.alphas, xi_points.conj())
-    )
-    coeffs = (quad.weights * np.asarray(samples)) @ kern
-    return XiSpectrum(xi_points, coeffs)
+    if xi_points.ndim != 1 or not np.isfinite(xi_points).all():
+        raise ValueError("xi points must be a finite 1-D array")
+    samples = np.asarray(samples)
+    if samples.shape[-1:] != (len(quad),):
+        raise ValueError(f"samples must end in an axis of {len(quad)} nodes, "
+                         f"got shape {samples.shape}")
+    radii, weights = quad.rings
+    n_r, n_phi = weights.shape
+    rhos, which = np.unique(np.abs(xi_points), return_inverse=True)
+    order = _jacobi_anger_order(2 * float(radii.max()) * float(rhos.max(initial=0.0)))
+    if order > MAX_XI_ORDER:
+        raise ValueError(f"the xi transform needs more than {MAX_XI_ORDER} Bessel orders: "
+                         f"max|xi| * max|alpha| = {rhos.max() * radii.max():.4g} is too large")
+    n = np.arange(order + 1)
+    # V̂ at n, then at −n signed by (−1)^n = J_{−n}/J_n: columns e^{−inφ_l} and
+    # (−1)^n e^{inφ_l}, the second n = 0 column zeroed, as n = 0 counts once
+    roots = np.exp(-2j * pi * np.arange(n_phi) / n_phi)
+    table = roots[np.outer(np.arange(n_phi), np.concatenate([n, -n])) % n_phi]
+    table[:, order + 1:] *= np.where(n % 2, -1.0, 1.0)
+    table[:, order + 1] = 0
+    hats = (weights * samples.reshape((-1, n_r, n_phi))) @ table
+    del table  # freed before the Bessel table: fewer temporaries live at once
+    # to (n, r, stack × ±), complex entries as real pairs: one real batched product with
+    # J[n, k, r] sums the rings
+    hats = np.ascontiguousarray(hats.reshape(-1, n_r, 2, order + 1).transpose(3, 1, 0, 2))
+    bessel = _bessel_table(np.multiply.outer(2 * rhos, radii), order)
+    sums = (bessel @ hats.view(float).reshape(order + 1, n_r, -1)).view(complex)
+    phases = np.exp(1j * np.outer(n, np.angle(xi_points)))
+    sums = sums.reshape(order + 1, len(rhos), -1, 2)[:, which]
+    coeffs = (np.einsum("njs,nj->sj", sums[..., 0], phases)
+              + np.einsum("njs,nj->sj", sums[..., 1], phases.conj()))
+    return XiSpectrum(xi_points, coeffs.reshape(samples.shape[:-1] + xi_points.shape))
 
 
 def default_xi_points() -> np.ndarray:

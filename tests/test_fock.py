@@ -327,6 +327,56 @@ def test_xi_coefficient_conjugation_symmetry(space, quad):
     assert np.abs(minus.coeffs - plus.coeffs.conj()).max() < 1e-10
 
 
+def test_xi_coefficients_refuse_non_finite_or_non_1d_points(space, quad):
+    samples = np.ones(len(quad))
+    for points in ([0.5, np.inf], [0.5, complex(0.0, np.nan)], [[0.5, 1.0]], 0.5):
+        with pytest.raises(ValueError, match="finite 1-D"):
+            xi_coefficients(samples, quad, points)
+    with pytest.raises(ValueError, match="finite 1-D"):
+        verify_damping(space, np.eye(space.dim), quad, np.array([np.nan]))
+
+
+def test_xi_coefficients_refuse_samples_off_the_grid(quad):
+    for shape in ((len(quad) - 1,), (2, len(quad) + 1), (len(quad), 2), ()):
+        with pytest.raises(ValueError, match="nodes"):
+            xi_coefficients(np.ones(shape), quad, default_xi_points())
+
+
+def test_xi_coefficients_refuse_orders_past_the_cap(monkeypatch, quad):
+    samples = np.ones(len(quad))
+    # 2 · max|α| · |ξ| = 1e12 would ask for about 1.4e12 orders: refused before any search
+    for xi in (1e12 / (2 * quad.radius), 400.0):
+        with pytest.raises(ValueError, match="Bessel orders"):
+            xi_coefficients(samples, quad, [0.5, xi])
+    # and the cap itself is the limit: the order there is accepted, one more is not
+    order = fock._jacobi_anger_order(2 * quad.rings[0].max() * 2.0)
+    monkeypatch.setattr(fock, "MAX_XI_ORDER", order)
+    xi_coefficients(samples, quad, [2.0])
+    monkeypatch.setattr(fock, "MAX_XI_ORDER", order - 1)
+    with pytest.raises(ValueError, match="Bessel orders"):
+        xi_coefficients(samples, quad, [2.0])
+
+
+def test_bessel_table_matches_scipy_jv():
+    from scipy.special import jv
+
+    small = fock._SMALL_BESSEL_Z
+    z = np.concatenate([[0.0, 5e-324, 1e-170, small * (1 - 1e-9), small, small * (1 + 1e-9),
+                         1e-7, 1e-3], np.linspace(0.01, 60.0, 400)])
+    orders = np.arange(121)
+    table = fock._bessel_table(z, 120)
+    assert table.shape == (121, len(z))
+    # scipy's jv is itself off by 1.8e-15 from 40-digit values near z = 55.6
+    assert np.abs(table - jv(orders[:, None], z)).max() < 4e-15
+    assert table[0, 0] == 1.0 and not table[1:, 0].any()
+    # few orders at large arguments: the recurrence starts past them, where J_n is below rounding
+    assert np.abs(fock._bessel_table(z, 5) - jv(orders[:6, None], z)).max() < 4e-15
+    # one argument at a time: the start order of a mixed table is not what keeps it accurate
+    for single in (small * (1 + 1e-9), 0.01, 30.0):
+        assert np.abs(fock._bessel_table(np.array([single]), 120)[:, 0]
+                      - jv(orders, single)).max() < 4e-15
+
+
 def test_default_xi_points_layout():
     points = default_xi_points()
     assert len(points) == 25
@@ -407,6 +457,20 @@ def test_plane_rings_are_split_once_and_read_only(space):
     assert np.array_equal(weights.ravel(), quad.weights)
     for array in quad.rings:
         assert not array.flags.writeable and array.flags.c_contiguous
+
+
+def test_plane_rings_split_at_every_radius(space):
+    # positions are compared relative to the largest radius: tiny disks keep their rings
+    for radius in (1e-11, 1e-13, 1e-100, 2e-154):
+        quad = plane_quadrature(space, radius=radius, n_radial=40, n_angular=64)
+        radii, weights = quad.rings
+        assert weights.shape == (40, 64)
+        roots = np.exp(2j * pi * np.arange(64) / 64)
+        assert np.abs(radii[:, None] * roots - quad.alphas.reshape(40, 64)).max() <= 1e-14 * radius
+    # inside √tiny a squared radius is subnormal and rings may coincide: one ring
+    for radius in (1e-160, 1e-170):
+        quad = plane_quadrature(space, radius=radius, n_radial=40, n_angular=64)
+        assert quad.rings[1].shape == (1, 40 * 64)
 
 
 def test_nan_label_and_nan_radius_are_refused(space):

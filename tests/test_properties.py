@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln, sph_harm_y
 
@@ -560,6 +560,49 @@ def test_damping_check_transforms_both_symbols_in_one_call(monkeypatch):
     for symbols, coeffs in ((report.source_symbols, report.source_coeffs),
                             (report.image_symbols, report.image_coeffs)):
         assert_close(coeffs, fock.xi_coefficients(symbols, quad, report.xi_points).coeffs)
+
+
+def node_sum_xi_coefficients(samples, quad, xi_points):
+    """B_ξ = Σ_k w_k Q(α_k) e^{ᾱ_kξ − α_kξ̄}, node by node: the oracle of the ring route."""
+    kernel = np.exp(np.outer(quad.alphas.conj(), xi_points)
+                    - np.outer(quad.alphas, xi_points.conj()))
+    return (quad.weights * samples) @ kernel
+
+
+@st.composite
+def xi_grids(draw):
+    """(dim, radius, n_radial, n_angular): a disk grid of 1..70 phi nodes, aliased or not,
+    at a radius from 1e-170 to √dim/2, log-uniform."""
+    dim = draw(st.integers(8, 48))
+    top = np.log10(np.sqrt(dim) / 2)
+    radius = min(10.0 ** draw(st.floats(-170.0, top)), np.sqrt(dim) / 2)
+    return dim, radius, draw(st.integers(1, 40)), draw(st.integers(1, 70))
+
+
+@DETERMINISTIC
+@given(xi_grids(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example((16, 1.8, 40, 64), 2, 0)
+@example((40, 1.9, 40, 64), 2, 1)
+@example((160, 6.3, 40, 64), 2, 2)
+@example((200, 7.07, 40, 64), 2, 3)
+@example((16, 1e-4, 40, 64), 2, 4)
+@example((8, 1.0, 40, 64), 2, 5)
+@example((8, 1e-170, 40, 64), 2, 6)
+@example((8, 1e-11, 40, 64), 1, 7)
+@example((8, 1e-13, 40, 64), 1, 8)
+def test_xi_coefficients_are_the_node_sum(grid, n_symbols, seed):
+    dim, radius, n_radial, n_angular = grid
+    quad = fock.plane_quadrature(fock.FockSpace(dim), radius, n_radial, n_angular)
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(n_symbols, len(quad))) + 1j * rng.normal(size=(n_symbols, len(quad)))
+    n_xi = rng.integers(2, 9)
+    xi = rng.uniform(0, 4, n_xi) * np.exp(2j * np.pi * rng.uniform(size=n_xi))
+    xi[:2] = 0, 4 * np.exp(2j * np.pi * rng.uniform())
+    coeffs = fock.xi_coefficients(samples, quad, xi).coeffs
+    expected = node_sum_xi_coefficients(samples, quad, xi)
+    assert coeffs.shape == expected.shape
+    assert np.abs(coeffs - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert_close(fock.xi_coefficients(samples[0], quad, xi).coeffs, coeffs[0])
 
 
 # --- the one split and the ring-by-ring harmonic transform ----------------------------
