@@ -23,22 +23,29 @@ families' F takes the Perelomov form F[r, k] = g_r h_k t_r^k, so
 F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
 every offset diagonal, one column per signed charge q = j − k, meets the
 rings in one shared matrix product.  The symbols visit only the c charges
-on which B is nonzero, and the image only the c′ charges q′ ≡ q (mod n_φ)
-for one of them (c′ = c on an alias-free grid); the resolution, the image of the symbol 1
-on charge 0, only q ≡ 0 (mod n_φ) when W is constant along each ring.
+on which B is nonzero.  When W is constant along each ring, the image visits
+only the c′ image charges q′ ≡ q (mod n_φ) for one of them (c′ = c on an
+alias-free grid), exactly 0 on the others, and its φ-sum is the alias fold
+V̂[r, q′] = n_φ W[r, 0] Σ_{q ≡ q′ (mod n_φ)} c[r, q] of the charge sums, with no
+symbol on the nodes; the resolution, the image of the symbol 1 on charge 0,
+visits only q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the
+symbols on the nodes and forms every charge.
 `ring_charge_sums` returns the sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q]
 that the symbols Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for those
-that need only their φ-transform (the spin harmonics) and no node.  Between B and
+that need only their φ-transform (the spin harmonics) and no node, and
+`ring_luders_symbols` returns the symbols of B and of Λ(B) together, the
+second from Λ(B)'s image diagonals with no D × D image.  Between B and
 its image the core works on offset diagonals alone, and
 `ring_diagonal_image` exposes that kernel: from the diagonals X (D × c)
 of B's c charges, the sums c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix
 product (GEMM) of n_r·D·2c real multiply-adds, and the image diagonals
 κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) on the c′ image charges one GEMM of n_r·D·2c′:
-O(n_r·D·2(c + c′) + n_r·n_φ·(c + c′)) in all, one call per stack.  A
+O(n_r·D·2(c + c′)) in all with the fold's O(n_r·(span + n_φ)), span the
+width of B's charges, one call per stack.  A
 matrix B adds O(D²) to that: one scan of its nonzero mask for the live
 charges, one indexed gather of X and one indexed store of the image,
 against the state matrix's O(n_r·n_φ·D²).  A dense B (c = 2D − 1) costs
-O(n_r·D² + n_r·n_φ·D), reading each table whole; a word a†^m a^n has c = 1.  When the angle
+O(n_r·D²), reading each table whole; a word a†^m a^n has c = 1.  When the angle
 grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
 refuses any other grid) the channel preserves the U(1) charge q = j − k and
 acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
@@ -49,8 +56,8 @@ spectrum from them: O(D³) memory and O(D⁴) time against the
 superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
 maps each signed charge to its matrix entries: the live-charge scan, the ring core's
 gather and store, `fock`'s scatters and the block image's per-charge reads and writes
-go through it.  The superoperator stays as the dense reference.  The symbols and the
-block image also take a stack (…, D, D).
+go through it.  The superoperator stays as the dense reference.  The symbols, the ring
+image and the block image also take a stack (…, D, D).
 """
 
 from __future__ import annotations
@@ -580,15 +587,16 @@ def ring_q_symbols(factors: RingFactors, n_angular: int,
 
 
 def _on_diagonals(images: np.ndarray, charges) -> np.ndarray:
-    """The D × D matrix with the offset diagonals `images` (D × c) on the signed `charges`, in
-    `_diagonal_index`'s layout, and 0 elsewhere; a charge with |q| ≥ D has no entries."""
-    dim = len(images)
+    """The D × D matrices with the offset diagonals `images` (…, D, c) on the signed `charges`,
+    in `_diagonal_index`'s layout, and 0 elsewhere; a charge with |q| ≥ D has no entries."""
+    dim, lead = images.shape[-2], images.shape[:-2]
     index = _diagonal_index(dim)[:, _table_columns(np.clip(charges, 1 - dim, dim - 1), dim)]
-    # one indexed store, the entries past each diagonal's end into a spare last entry
+    # one indexed store over the leading axes, the entries past each diagonal's end into a
+    # spare last entry
     index = np.where(np.arange(dim)[:, None] < dim - np.abs(charges), index, dim * dim)
-    out = np.zeros(dim * dim + 1, dtype=complex)
-    out[index] = images
-    return out[:-1].reshape(dim, dim)
+    out = np.zeros(lead + (dim * dim + 1,), dtype=complex)
+    out[..., index] = images
+    return out[..., :-1].reshape(lead + (dim, dim))
 
 
 def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
@@ -599,20 +607,46 @@ def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
     return _on_diagonals(*_symbol_image(factors, values, unit, np.zeros(1, dtype=int)))
 
 
+def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
+                 charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V̂, image charges) for W constant along each ring, by the alias fold
+    V̂[…, r, q′] = n_φ W[r, 0] Σ_{q ≡ q′ (mod n_φ)} c[…, r, q] on the image charges q′ of
+    `_alias_charges`: the sums on the sorted `charges`, padded to whole turns of n_φ from the
+    lowest, summed over the turns and gathered onto the q′."""
+    dim, n_angular = _ring_dim(factors), weights.shape[1]
+    turns = -(-(charges[-1] - charges[0] + 1) // n_angular)
+    padded = np.zeros(sums.shape[:-1] + (turns * n_angular,), dtype=complex)
+    padded[..., charges - charges[0]] = sums
+    folded = padded.reshape(sums.shape[:-1] + (turns, n_angular)).sum(axis=-2)
+    image_charges = _alias_charges(charges, dim, n_angular)
+    # `take`, not fancy indexing: its copy is C-contiguous, so the image product can view it
+    hats = np.take(folded, (image_charges - charges[0]) % n_angular, axis=-1)
+    hats *= n_angular * weights[:, :1]
+    return hats, image_charges
+
+
+def _node_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
+               charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V̂, every charge) for any W: V̂[…, r, q′] = Σ_l V[r, l] e^{iq′φ_l}, V = W ⊙ Q, from the
+    ring symbols Q on the nodes."""
+    dim, n_angular = _ring_dim(factors), weights.shape[1]
+    values = weights * _ring_symbols(factors, n_angular, sums, charges)
+    # through conj(V) and the phase table as it is stored
+    hats = values.conj() @ _angle_phases(dim, n_angular).T
+    np.conjugate(hats, out=hats)
+    return hats, np.arange(1 - dim, dim)
+
+
 def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                   charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(images, image charges): Λ(B)'s diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)), V = W ⊙ Q, from B's
-    live sums; W must pass `_per_ring`.  With W constant along each ring, the φ-sum keeps charge q
-    of Q only on the image charges q′ ≡ q (mod n_φ), exactly 0 elsewhere; else all are formed."""
+    live sums on the sorted `charges`; W must pass `_per_ring`.  With W constant along each ring,
+    V̂ is the alias fold of the sums (`_folded_hats`), formed only on the image charges
+    q′ ≡ q (mod n_φ) and exactly 0 elsewhere; else it comes from the symbols on the nodes."""
     weights = _per_ring(factors, weights)
-    dim, n_angular = _ring_dim(factors), weights.shape[1]
-    values = weights * _ring_symbols(factors, n_angular, sums, charges)
-    uniform = np.all(weights == weights[:, :1])
-    charges = _alias_charges(charges, dim, n_angular) if uniform else np.arange(1 - dim, dim)
-    columns = _table_columns(charges, dim)
-    # V̂[r, q] = Σ_l V[r, l] e^{iqφ_l} on `charges`, through conj(V) and the table as it is stored
-    hats = values.conj() @ _angle_phases(dim, n_angular)[columns].T
-    np.conjugate(hats, out=hats)
+    hats_from = _folded_hats if np.all(weights == weights[:, :1]) else _node_hats
+    hats, charges = hats_from(factors, weights, sums, charges)
+    columns = _table_columns(charges, _ring_dim(factors))
     hats *= factors._charge_powers[:, columns]
     images = (factors.squares.T @ hats.view(float)).view(complex)
     images *= factors._charge_ratios[:, columns]
@@ -645,5 +679,20 @@ def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np
 def ring_luders_image(factors: RingFactors, weights: np.ndarray,
                       operator: np.ndarray) -> np.ndarray:
     """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors, formed on the
-    image charges of `_symbol_image` (exactly 0 on the others)."""
+    image charges of `_symbol_image` (exactly 0 on the others); B may be a stack (…, D, D)."""
     return _on_diagonals(*_symbol_image(factors, weights, *_live_sums(factors, operator)))
+
+
+def ring_luders_symbols(factors: RingFactors, weights: np.ndarray,
+                        operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q_B, Q_Λ(B)): the `ring_q_symbols` of B and of `ring_luders_image`(B), per B of a stack.
+
+    B is gathered once and its sums formed once; Λ(B)'s sums come straight
+    from its image diagonals, with no D × D image and no second scan or gather.
+    """
+    sums, charges = _live_sums(factors, operator)
+    images, image_charges = _symbol_image(factors, weights, sums, charges)  # checks W
+    image_sums = _diagonal_sums(factors, images, image_charges)
+    n_angular = np.shape(weights)[1]
+    return (_ring_symbols(factors, n_angular, sums, charges),
+            _ring_symbols(factors, n_angular, image_sums, image_charges))

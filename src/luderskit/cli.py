@@ -28,10 +28,11 @@ from math import exp, lgamma, log
 import numpy as np
 
 from . import __version__, fock, ordering, spin
-# cmd_spin works from the charge blocks and the ring charge sums; apply_channel,
-# build_luders_channel and channel_spectrum stay imported because bench/spans.py
-# traces them under these names and bench/selftest.py reads
-# cli.build_luders_channel, and ring_q_symbols because tests patch it here
+# cmd_spin works from the charge blocks and the ring charge sums, cmd_fock from offset
+# diagonals; apply_channel, build_luders_channel and channel_spectrum stay imported because
+# bench/spans.py traces them under these names and bench/selftest.py reads
+# cli.build_luders_channel, and ring_luders_image, ring_luders_symbols and ring_q_symbols
+# only because tests patch them here to count or refuse their calls
 from .channel import (
     apply_channel,
     build_luders_channel,
@@ -42,6 +43,7 @@ from .channel import (
     ring_charge_sums,
     ring_diagonal_image,
     ring_luders_image,
+    ring_luders_symbols,
     ring_q_symbols,
     ring_resolution,
 )
@@ -93,6 +95,21 @@ def _label_pairs(rng, space):
     a_pts, b_pts = labels[:, 0], labels[:, 1]
     va, vb = fock.fock_coherent_state(space, a_pts), fock.fock_coherent_state(space, b_pts)
     return a_pts, b_pts, va, vb, (va.conj() * vb).sum(axis=1)
+
+
+def _q_band(dim: int) -> np.ndarray:
+    """q[j, j + 1] = q[j + 1, j] = √(j + 1)/2, j = 0..D − 2: the two bands of the truncated
+    q = (a + a†)/2, which is 0 elsewhere."""
+    return np.sqrt(np.arange(1, dim)) / 2
+
+
+def _apply_q(states: np.ndarray) -> np.ndarray:
+    """q|ψ⟩ per row ψ, from q's two bands: (qψ)[j] = (√j ψ[j − 1] + √(j + 1) ψ[j + 1])/2."""
+    band = _q_band(states.shape[-1])
+    out = np.zeros_like(states)
+    out[..., 1:] = band * states[..., :-1]
+    out[..., :-1] += band * states[..., 1:]
+    return out
 
 
 class _CheckRunner:
@@ -221,15 +238,20 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     target = ordering.normal_order("q^2 + 1/2")
     run.numeric("lambda_q2_symbolic", 0.0, _largest_coefficient(lam_q2 - target), 0)
 
-    q_op = (space.a + space.adag) / 2
-    grid_image = ring_luders_image(factors, weights, q_op @ q_op)
-    disk_pred = (
-        fock.disk_monomial_image(space, 2, 0, radius)
-        + fock.disk_monomial_image(space, 0, 2, radius)
-        + 2 * fock.disk_monomial_image(space, 1, 1, radius)
-        + fock.disk_identity_matrix(space, radius)
-    ) / 4
-    run.numeric("lambda_q2_grid_disk", 0.0, np.abs(grid_image - disk_pred).max(), 1e-9)
+    # the truncated q² = (a² + a†² + a a† + a† a)/4 on its charges −2, 0 and 2; its a a†
+    # ends in 0, so entry D − 1 of charge 0 is (D − 1)/4
+    band = _q_band(dim)
+    squares = np.zeros((dim, 3))
+    squares[:dim - 2, 0] = squares[:dim - 2, 2] = band[1:] * band[:-1]
+    squares[:, 1] = (2 * np.arange(dim) + 1) / 4
+    squares[-1, 1] = (dim - 1) / 4
+    images, charges = ring_diagonal_image(factors, weights, squares, [-2, 0, 2])
+    for q, disk in ((-2, fock.disk_monomial_diagonal(space, 0, 2, radius)),
+                    (2, fock.disk_monomial_diagonal(space, 2, 0, radius)),
+                    (0, 2 * fock.disk_monomial_diagonal(space, 1, 1, radius)
+                     + fock.disk_monomial_diagonal(space, 0, 0, radius))):
+        images[:, np.searchsorted(charges, q)] -= disk / 4
+    run.numeric("lambda_q2_grid_disk", 0.0, np.abs(images).max(), 1e-9)
 
     vb = fock.fock_coherent_state(space, beta)
     damping = fock.verify_damping(space, np.outer(vb, vb.conj()), quad, ring=(factors, weights))
@@ -240,8 +262,8 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     a_pts, b_pts, va, vb, overlaps = _label_pairs(rng, space)
     # ⟨b|[q, P_a]|b⟩ = ⟨b|q|a⟩⟨a|b⟩ − ⟨b|a⟩⟨a|q|b⟩, one row per label pair
-    lhs = ((vb.conj() * (va @ q_op.T)).sum(axis=1) * overlaps
-           - overlaps.conj() * (va.conj() * (vb @ q_op.T)).sum(axis=1))
+    lhs = ((vb.conj() * _apply_q(va)).sum(axis=1) * overlaps
+           - overlaps.conj() * (va.conj() * _apply_q(vb)).sum(axis=1))
     rhs = 0.5 * ((a_pts - a_pts.conj()) - (b_pts - b_pts.conj())) \
         * np.exp(-np.abs(a_pts - b_pts) ** 2)
     run.numeric("commutator_formula", 0.0, np.abs(lhs - rhs).max(), 1e-8)

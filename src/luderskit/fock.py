@@ -12,7 +12,8 @@ The plane grid is rings × a uniform angle grid: `PlaneQuadrature.rings`
 splits it once with `channel.split_rings`, and `ring_factors` turns that
 split into the (F, W) pair of the ring core, which the grid helpers
 (`q_symbol_fock`, `grid_channel_apply`, `resolution_defect`,
-`verify_damping`) run on.
+`verify_damping`) run on; `verify_damping` takes Q_B and Q_Λ(B) together
+from `channel.ring_luders_symbols`, with no D × D image.
 `coherent_state_matrix` gives the dense (n_points, dim) matrix, and
 `fock_coherent_state` one row per label of an array of labels.  A ladder
 word a†^m a^n and its disk-limit image sit on the charge m − n, whose one
@@ -29,10 +30,10 @@ of the Hermitian generator.
 
 The symplectic-Fourier coefficients B_ξ of a node symbol (`xi_coefficients`)
 run ring by ring through the Jacobi–Anger expansion: one angular transform per
-ring and a table of Bessel J_n over the rings × the distinct |ξ|, from Miller's
-backward recurrence (`_bessel_table`), in place of an (n_nodes × n_ξ) table of
-exponentials.  Its cost grows with 2·max|α|·max|ξ|, so points that would need
-more than MAX_XI_ORDER orders are refused.
+ring and a table of Bessel J_n over the rings × the distinct |ξ| (moduli apart by
+rounding alone count once), from Miller's backward recurrence (`_bessel_table`), in
+place of an (n_nodes × n_ξ) table of exponentials.  Its cost grows with
+2·max|α|·max|ξ|, so points that would need more than MAX_XI_ORDER orders are refused.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .channel import (
     _on_diagonals,
     _read_only,
     ring_luders_image,
+    ring_luders_symbols,
     ring_q_symbols,
     ring_resolution,
     split_rings,
@@ -383,6 +385,22 @@ def _miller_bessel(z: np.ndarray, orders: int) -> np.ndarray:
     return table
 
 
+def _distinct_moduli(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ρ, which): the distinct moduli in increasing order, and each point's index into them.
+
+    Moduli within 4 units of rounding of the next smaller one are merged into the smallest of
+    their run: points built on one circle (`default_xi_points`) differ in |ξ| by rounding alone,
+    and each distinct ρ costs a Bessel table column per ring.
+    """
+    order = np.argsort(moduli, kind="stable")
+    ranked = moduli[order]
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = ranked[1:] - ranked[:-1] > 4 * np.finfo(float).eps * ranked[1:]
+    which = np.empty(len(ranked), dtype=int)
+    which[order] = np.cumsum(starts) - 1
+    return ranked[starts], which
+
+
 def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
                     xi_points: np.ndarray) -> XiSpectrum:
     """B_ξ = Σ_k w_k Q(α_k) exp(ᾱ_k ξ - α_k ξ̄) per symbol of a (..., n_nodes) stack.
@@ -415,7 +433,7 @@ def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
                          f"got shape {samples.shape}")
     radii, weights = quad.rings
     n_r, n_phi = weights.shape
-    rhos, which = np.unique(np.abs(xi_points), return_inverse=True)
+    rhos, which = _distinct_moduli(np.abs(xi_points))
     order = _jacobi_anger_order(2 * float(radii.max()) * float(rhos.max(initial=0.0)))
     if order > MAX_XI_ORDER:
         raise ValueError(f"the xi transform needs more than {MAX_XI_ORDER} Bessel orders: "
@@ -484,8 +502,7 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     if xi_points is None:
         xi_points = default_xi_points()
     factors, weights = ring_factors(space, quad) if ring is None else ring
-    stack = np.array([operator, ring_luders_image(factors, weights, operator)])
-    symbols = ring_q_symbols(factors, weights.shape[1], stack).reshape(2, -1)
+    symbols = np.stack(ring_luders_symbols(factors, weights, operator)).reshape(2, -1)
     xi = xi_coefficients(symbols, quad, xi_points)
     (source, image), (src, img) = symbols, xi.coeffs
     flagged = np.abs(src) < XI_FLOOR

@@ -213,10 +213,20 @@ def harmonic_blocks(lmax: int, thetas: np.ndarray, phis: np.ndarray):
 
     Y_lm = P[:, l - |m|] * phase for l = |m|..lmax: fully normalized
     harmonics with the Condon-Shortley phase.  P is the real block of
-    normalized associated Legendre values, for m < 0 the m > 0 block times
-    (-1)^m (a new array for odd m), the one place that sign is applied; the
-    blocks of all |m| come from one stable three-term recurrence over l,
-    vectorised over m.  The charge lives in the phase, e^(imφ) for either sign of m.
+    `_legendre_blocks`; the charge lives in the phase, e^(imφ) for either sign of m.
+    """
+    phases = np.exp(1j * np.outer(np.arange(lmax + 1), phis))
+    for m, block in _legendre_blocks(lmax, thetas):
+        yield m, block, phases[m] if m >= 0 else phases[-m].conj()
+
+
+def _legendre_blocks(lmax: int, thetas: np.ndarray):
+    """Yield (m, P) for m = 0, 1, -1, ..., lmax, -lmax: P[:, l - |m|] = P_lm(θ) at the nodes.
+
+    P is the real block of normalized associated Legendre values, for m < 0 the
+    m > 0 block times (-1)^m (a new array for odd m), the one place that sign is
+    applied; the blocks of all |m| come from one stable three-term recurrence
+    over l, vectorised over m.
     """
     x = np.cos(thetas)
     ms = np.arange(lmax + 1)
@@ -233,12 +243,11 @@ def harmonic_blocks(lmax: int, thetas: np.ndarray, phis: np.ndarray):
         table[l, l - 1] = np.sqrt(2 * l + 1) * x * pmm[l - 1]
         table[l, :l - 1] = a[l, :l - 1] * (x * table[l - 1, :l - 1]
                                            - table[l - 2, :l - 1] / a[l - 1, :l - 1])
-    phases = np.exp(1j * np.outer(ms, phis))
     for m in range(lmax + 1):
         block = table[m:, m].T
-        yield m, block, phases[m]
+        yield m, block
         if m > 0:  # even m share the block: a copy per m was measurably slower
-            yield -m, -block if m % 2 else block, phases[m].conj()
+            yield -m, -block if m % 2 else block
 
 
 def sph_harm_values(l: int, m: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -260,17 +269,17 @@ def _legendre_contraction(hat: np.ndarray, ring_weights: np.ndarray, grid: Spher
     """B_lm = sqrt(4π/(2s+1)) Σ_r P_lm(θ_r) v[r] ŵ[…, r, m + 2s] in row l² + l + m.
 
     v[r] ŵ[…, r, m + 2s] is ring r's φ-sum Σ_l W[r, l] Q[…, r, l] e^(-imφ_l),
-    and P_lm the signed Legendre block of `harmonic_blocks`.  The ring weights
+    and P_lm the signed Legendre block of `_legendre_blocks`.  The ring weights
     v go into the blocks, so ŵ may be any strided view; each m meets its
     block in one real product.
     """
-    thetas, phis, _ = grid.rings
+    thetas = grid.rings[0]
     lmax = space.two_s
     lead = hat.shape[:-2]
     hat = hat.reshape((-1,) + hat.shape[-2:])
     scale = np.sqrt(4 * pi / (lmax + 1)) * ring_weights[:, None]
     coeffs = np.empty((space.dim ** 2, 2 * len(hat)))
-    for m, block, _ in harmonic_blocks(lmax, thetas, phis):
+    for m, block in _legendre_blocks(lmax, thetas):
         l = np.arange(abs(m), lmax + 1)
         # (r, Re/Im of each symbol) as one contiguous real matrix
         slab = np.ascontiguousarray(hat[:, :, m + lmax].T).view(float)

@@ -58,12 +58,12 @@ def test_spin_command_skips_the_dense_superoperator(monkeypatch):
 
 def test_spin_command_builds_legendre_blocks_once(monkeypatch):
     calls = []
-    original = spin.harmonic_blocks
+    original = spin._legendre_blocks
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
-    monkeypatch.setattr(spin, "harmonic_blocks", counted)
+    monkeypatch.setattr(spin, "_legendre_blocks", counted)
     assert run(["spin", "--two-s", "3"]) == 0
     assert len(calls) == 1
 
@@ -124,13 +124,16 @@ def test_fock_command_forms_no_matrix_power(monkeypatch):
 
 def test_fock_command_forms_the_projector_image_once(monkeypatch):
     images = []
-    original = channel.ring_luders_image
 
-    def recorded(factors, weights, operator):
-        images.append(operator)
-        return original(factors, weights, operator)
-    for module in (cli, fock):
-        monkeypatch.setattr(module, "ring_luders_image", recorded)
+    def recorder(original):
+        def recorded(factors, weights, operator):
+            images.append(operator)
+            return original(factors, weights, operator)
+        return recorded
+    # the image as a matrix, or straight to the symbols of the operator and its image
+    for name in ("ring_luders_image", "ring_luders_symbols"):
+        for module in (cli, fock):
+            monkeypatch.setattr(module, name, recorder(getattr(channel, name)))
     assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
     # the coherent projector P_β is the only operator of trace 1 that the run maps
     assert sum(abs(np.trace(op) - 1) < 1e-9 for op in images) == 1
@@ -146,6 +149,30 @@ def test_fock_ladder_row_is_the_matrix_expression_exactly(dim, radius):
                    for m in range(5) for n in range(5 - m))
     row, = (r for r in cli.cmd_fock(dim, radius, {}).results if r.name == "grid_vs_symbolic_disk")
     assert row.actual == expected
+
+
+@pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
+def test_fock_q_rows_are_the_matrix_expressions_exactly(dim, radius):
+    # the rows work on q's bands and q²'s three diagonals; the matrix path they replace gives
+    # the same floats
+    space = fock.FockSpace(dim)
+    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, radius=radius))
+    q_op = (space.a + space.adag) / 2
+    disk = (fock.disk_monomial_image(space, 2, 0, radius)
+            + fock.disk_monomial_image(space, 0, 2, radius)
+            + 2 * fock.disk_monomial_image(space, 1, 1, radius)
+            + fock.disk_identity_matrix(space, radius)) / 4
+    q2 = np.abs(channel.ring_luders_image(factors, weights, q_op @ q_op) - disk).max()
+    rng = np.random.default_rng(cli._RNG_SEED)
+    cli._label_pairs(rng, space)
+    a_pts, b_pts, va, vb, overlaps = cli._label_pairs(rng, space)
+    lhs = ((vb.conj() * (va @ q_op.T)).sum(axis=1) * overlaps
+           - overlaps.conj() * (va.conj() * (vb @ q_op.T)).sum(axis=1))
+    rhs = 0.5 * ((a_pts - a_pts.conj()) - (b_pts - b_pts.conj())) \
+        * np.exp(-np.abs(a_pts - b_pts) ** 2)
+    rows = {r.name: r.actual for r in cli.cmd_fock(dim, radius, {}).results}
+    assert rows["lambda_q2_grid_disk"] == q2
+    assert rows["commutator_formula"] == np.abs(lhs - rhs).max()
 
 
 def test_fock_command_forms_no_ladder_word(monkeypatch):
@@ -169,14 +196,15 @@ def test_spin_command_builds_no_state_matrix_or_projector_family(monkeypatch, ca
 
 def test_spin_command_builds_legendre_blocks_on_the_rings(monkeypatch):
     sizes = []
-    original = spin.harmonic_blocks
+    original = spin._legendre_blocks
 
-    def recorded(lmax, thetas, phis):
-        sizes.append((len(thetas), len(phis)))
-        return original(lmax, thetas, phis)
-    monkeypatch.setattr(spin, "harmonic_blocks", recorded)
+    def recorded(lmax, thetas):
+        sizes.append(len(thetas))
+        return original(lmax, thetas)
+    monkeypatch.setattr(spin, "_legendre_blocks", recorded)
+    monkeypatch.setattr(spin, "harmonic_blocks", None)  # no phase e^(imφ) is formed
     assert run(["spin", "--two-s", "4"]) == 0
-    assert sizes == [(5, 9)]  # two_s + 1 rings, 2·two_s + 1 phi nodes
+    assert sizes == [5]  # two_s + 1 rings
 
 
 def test_fock_command_skips_the_dense_state_matrix(monkeypatch, capsys):

@@ -357,6 +357,27 @@ def test_xi_coefficients_refuse_orders_past_the_cap(monkeypatch, quad):
         xi_coefficients(samples, quad, [2.0])
 
 
+def test_xi_transform_takes_the_default_points_on_their_five_moduli(monkeypatch, quad):
+    # the 25 default points lie on 5 circles, but np.abs gives 11 distinct moduli
+    points = default_xi_points()
+    rhos, which = fock._distinct_moduli(np.abs(points))
+    assert np.unique(np.abs(points)).size > 5
+    assert np.array_equal(which, np.arange(25) // 5)
+    assert np.allclose(rhos, 0.4 * np.arange(1, 6), rtol=1e-15, atol=0)
+    arguments = []
+    original = fock._bessel_table
+
+    def recorded(z, orders):
+        arguments.append(np.shape(z))
+        return original(z, orders)
+    monkeypatch.setattr(fock, "_bessel_table", recorded)
+    xi_coefficients(np.ones(len(quad)), quad, points)
+    assert arguments == [(5, len(quad.rings[0]))]
+    # moduli apart by more than rounding stay apart, and a zero modulus is one of them
+    rhos, which = fock._distinct_moduli(np.array([1.0 + 1e-14, 0.0, 1.0, 1.0 + 2e-16, 0.0]))
+    assert list(rhos) == [0.0, 1.0, 1.0 + 1e-14] and list(which) == [2, 0, 1, 1, 0]
+
+
 def test_bessel_table_matches_scipy_jv():
     from scipy.special import jv
 

@@ -447,6 +447,87 @@ def test_stacked_block_images_are_the_single_ones(case, seed):
         assert np.array_equal(images[index], charge_block_image(blocks, stack[index]))
 
 
+def check_stacked_images_are_the_single_ones(case, seed):
+    states, node_weights, factors, weights = case
+    stack = random_stack(seed, factors.shape[1])
+    images = ring_luders_image(factors, weights, stack)
+    assert images.shape == stack.shape
+    for index in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(images[index], ring_luders_image(factors, weights, stack[index]))
+        assert_close(images[index], luders_image(states, node_weights, stack[index]))
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_ring_images_are_the_single_ones_on_fock_grids(case, seed):
+    check_stacked_images_are_the_single_ones(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_ring_images_are_the_single_ones_on_spin_grids(case, seed):
+    check_stacked_images_are_the_single_ones(case, seed)
+
+
+@st.composite
+def ring_uniform_cases(draw):
+    """(factors, W, operators): a disk grid of dim 2..200 under 1..70 phi nodes, aliased or
+    not, with W constant along each ring, and a dense operator, an operator on a sparse set
+    of signed charges (spanning more than n_φ when the ends are drawn) or a stack of two."""
+    dim = draw(st.integers(2, 200))
+    space = fock.FockSpace(dim)
+    radius = draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2
+    quad = fock.plane_quadrature(space, radius, draw(st.integers(1, 12)), draw(st.integers(1, 70)))
+    factors, weights = fock.ring_factors(space, quad)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signed = np.subtract.outer(np.arange(dim), np.arange(dim))
+    masks = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):  # dense
+            masks.append(np.ones((dim, dim), dtype=bool))
+            continue
+        charges = draw(st.sets(st.integers(1 - dim, dim - 1), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            charges |= {1 - dim, dim - 1}
+        masks.append(np.isin(signed, sorted(charges)))
+    masks = np.array(masks)
+    operators = np.where(masks, rng.normal(size=masks.shape) + 1j * rng.normal(size=masks.shape), 0)
+    return factors, weights, operators if len(operators) > 1 else operators[0]
+
+
+@DETERMINISTIC
+@given(ring_uniform_cases())
+def test_alias_fold_is_the_node_route(case):
+    # V̂[r, q′] = n_φ W[r, 0] Σ_{q ≡ q′ (mod n_φ)} c[r, q] against Σ_l W[r, l] Q[r, l] e^{iq′φ_l}
+    factors, weights, operators = case
+    dim = factors.shape[1]
+    sums, charges = channel._live_sums(factors, operators)
+    folded, image_charges = channel._folded_hats(factors, weights, sums, charges)
+    nodes, every_charge = channel._node_hats(factors, weights, sums, charges)
+    assert list(every_charge) == list(range(1 - dim, dim))
+    assert folded.shape == sums.shape[:-1] + (len(image_charges),)
+    full = np.zeros_like(nodes)
+    full[..., image_charges + dim - 1] = folded
+    assert np.abs(full - nodes).max() <= 1e-13 * np.abs(nodes).max()
+
+
+@pytest.mark.parametrize("dim, radius, n_angular", [
+    (16, 1.8, 64), (40, 3.0, 64), (160, 6.3, 64), (200, 7.07, 64), (33, 2.85, 64), (40, 3.0, 81)])
+def test_luders_symbols_are_the_symbols_of_the_image_bit_for_bit(dim, radius, n_angular):
+    space = fock.FockSpace(dim)
+    factors, weights = fock.ring_factors(
+        space, fock.plane_quadrature(space, radius, fock.DEFAULT_N_RADIAL, n_angular))
+    state = fock.fock_coherent_state(space, 1.0)
+    for operator in (np.outer(state, state.conj()), random_operator(dim, dim),
+                     space.ladder_word(2, 1)):
+        source, image = channel.ring_luders_symbols(factors, weights, operator)
+        assert np.array_equal(source, ring_q_symbols(factors, n_angular, operator))
+        assert np.array_equal(
+            image, ring_q_symbols(factors, n_angular, ring_luders_image(factors, weights, operator)))
+    with pytest.raises(ValueError, match="must have shape"):
+        channel.ring_luders_symbols(factors, weights[:1], operator)
+
+
 def check_ring_image_invariants(case, seed):
     """HS self-adjointness, Hermiticity and covariance under the grid's rotation."""
     _, _, factors, weights = case
