@@ -22,37 +22,34 @@ W, without the state matrix.  The factors come as a `RingFactors`: both
 families' F takes the Perelomov form F[r, k] = g_r h_k t_r^k, so
 F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
 every offset diagonal, one column per signed charge q = j − k, meets the
-rings in one shared matrix product.  The symbols visit only the c charges
-on which B is nonzero.  When W is constant along each ring, the image visits
-only the c′ image charges q′ ≡ q (mod n_φ) for one of them (c′ = c on an
-alias-free grid), exactly 0 on the others, and its φ-sum is the alias fold
-V̂[r, q′] = n_φ W[r, 0] Σ_{q ≡ q′ (mod n_φ)} c[r, q] of the charge sums, with no
-symbol on the nodes; the resolution, the image of the symbol 1 on charge 0,
-visits only q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the
-symbols on the nodes and forms every charge.
-`ring_charge_sums` returns the sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q]
-that the symbols Q[r, l] = Σ_q c[r, q] e^{−iqφ_l} are built from, for those
-that need only their φ-transform (the spin harmonics) and no node, and
-`ring_luders_symbols` returns the symbols of B and of Λ(B) together, the
-second from Λ(B)'s image diagonals with no D × D image.  Between B and
-its image the core works on offset diagonals alone, and
-`ring_diagonal_image` exposes that kernel: from the diagonals X (D × c)
-of B's c charges, the sums c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix
-product (GEMM) of n_r·D·2c real multiply-adds, and the image diagonals
-κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) on the c′ image charges one GEMM of n_r·D·2c′:
-O(n_r·D·2(c + c′)) in all with the fold's O(n_r·(span + n_φ)), span the
-width of B's charges, one call per stack.  A
-matrix B adds O(D²) to that: one scan of its nonzero mask for the live
-charges, one indexed gather of X and one indexed store of the image,
-against the state matrix's O(n_r·n_φ·D²).  A dense B (c = 2D − 1) costs
-O(n_r·D²), reading each table whole; a word a†^m a^n has c = 1.  When the angle
-grid is alias-free (n_φ > 2(D − 1), W constant along each ring; `charge_blocks`
-refuses any other grid) the channel preserves the U(1) charge q = j − k and
-acts on each offset diagonal b_q = (B[j, j−q])_j by one real symmetric
-(D−|q|)-square block.  `charge_blocks` builds them all from one Gram
-product S = F²ᵀ diag(w) F² of O(n_r·D²) flops and O(D³) scaling by κ, and
-`charge_block_image` and `charge_block_spectrum` give the image and the
-spectrum from them: O(D³) memory and O(D⁴) time against the
+rings in one shared matrix product.  The symbols visit only the c charges on which
+B is nonzero.  Every angular step is the alias fold C[r, m] = Σ_{q ≡ m (mod n_φ)} c[r, q]
+of the charge sums (`_fold`) and at most one length-n_φ `np.fft` per ring: the
+symbols are the FFT of C.  When W is constant along each ring, the image's φ-sum is
+V̂[r, q′] = n_φ W[r, 0] C[r, q′ mod n_φ], with no symbol on the nodes, on the c′ image
+charges q′ ≡ q (mod n_φ) for one of B's (c′ = c on an alias-free grid), exactly 0 on
+the others; the resolution, the image of the symbol 1 on charge 0, visits only
+q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the inverse FFT of W ⊙ Q
+on the nodes, on every charge.  `ring_charge_sums` returns the sums
+c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for those that need only their φ-transform
+(the spin harmonics) and no node, and `ring_luders_symbols` the symbols of B and of
+Λ(B) together, the second from Λ(B)'s image diagonals with no D × D image.  Between B
+and its image the core works on offset diagonals alone, and `ring_diagonal_image`
+exposes that kernel: from the diagonals X (D × c) of B's c charges, the sums
+c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix product (GEMM) of n_r·D·2c real
+multiply-adds, and the image diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) on the c′ image
+charges one GEMM of n_r·D·2c′: O(n_r·D·2(c + c′)) in all with the fold's
+O(n_r·(span + n_φ)), span the width of B's charges, one call per stack.  A matrix B
+adds O(D²) to that: one scan of its nonzero mask for the live charges, one indexed
+gather of X and one indexed store of the image, against the state matrix's
+O(n_r·n_φ·D²).  A dense B (c = 2D − 1) costs O(n_r·D²), reading each table whole;
+a word a†^m a^n has c = 1.  When the angle grid is alias-free (n_φ > 2(D − 1), W
+constant along each ring; `charge_blocks` refuses any other grid) the channel
+preserves the U(1) charge q = j − k and acts on each offset diagonal
+b_q = (B[j, j−q])_j by one real symmetric (D−|q|)-square block.  `charge_blocks`
+builds them all from one Gram product S = F²ᵀ diag(w) F² of O(n_r·D²) flops and
+O(D³) scaling by κ, and `charge_block_image` and `charge_block_spectrum` give the
+image and the spectrum from them: O(D³) memory and O(D⁴) time against the
 superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
 maps each signed charge to its matrix entries: the live-charge scan, the ring core's
 gather and store, `fock`'s scatters and the block image's per-charge reads and writes
@@ -73,8 +70,7 @@ RESOLUTION_TOL = 1e-10
 UNITALITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 FIXED_POINT_TOL = 1e-7  # eigenvalue window around 1; spectral gaps exceed 1e-1
-TABLE_CACHE_SIZE = 16  # sizes kept per cached table: ring-core phases and diagonal
-# indexes, Gauss-Legendre nodes, fock's log tables
+TABLE_CACHE_SIZE = 16  # sizes per cached table: diagonal indexes, Gauss-Legendre nodes, fock's logs
 
 
 class QuadratureError(ValueError):
@@ -521,12 +517,15 @@ def _per_ring(factors: RingFactors, values) -> np.ndarray:
     return np.asarray(values)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _angle_phases(dim: int, n_angular: int) -> np.ndarray:
-    """Read-only E[q + D − 1, l] = e^{−iqφ_l} for q = −(D−1)..D−1, φ_l = 2πl/n_φ."""
-    roots = np.exp(-2j * pi * np.arange(n_angular) / n_angular)
-    minus = roots[np.outer(np.arange(dim), np.arange(n_angular)) % n_angular]
-    return _read_only(np.concatenate([minus[:0:-1].conj(), minus]))
+def _fold(sums: np.ndarray, charges: np.ndarray, n_angular: int) -> np.ndarray:
+    """The alias fold C[…, m] = Σ_{q ≡ m (mod n_φ)} c[…, q], m = 0..n_φ − 1, of the sums c on the
+    sorted signed `charges`: padded to whole turns of n_φ from the multiple of n_φ at or below the
+    lowest charge, so residue m lands in column m with no roll, and summed over the turns."""
+    base = charges[0] - charges[0] % n_angular
+    turns = (charges[-1] - base) // n_angular + 1
+    padded = np.zeros(sums.shape[:-1] + (turns * n_angular,), dtype=complex)
+    padded[..., charges - base] = sums
+    return padded.reshape(sums.shape[:-1] + (turns, n_angular)).sum(axis=-2)
 
 
 def _diagonal_sums(factors: RingFactors, diagonals: np.ndarray, charges: np.ndarray) -> np.ndarray:
@@ -568,11 +567,10 @@ def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_symbols(factors: RingFactors, n_angular: int, sums: np.ndarray,
-                  charges: np.ndarray) -> np.ndarray:
-    """The symbols of `ring_q_symbols` from the sums of `_diagonal_sums`: one product."""
-    dim = np.shape(factors)[1]
-    return sums @ _angle_phases(dim, n_angular)[_table_columns(charges, dim)]
+def _ring_symbols(sums: np.ndarray, charges: np.ndarray, n_angular: int) -> np.ndarray:
+    """`ring_q_symbols` from the sums of `_diagonal_sums`: Q[…, r, l] = Σ_m C[…, r, m] e^{−2πilm/n_φ},
+    the FFT of their alias fold."""
+    return np.fft.fft(_fold(sums, charges, n_angular))
 
 
 def ring_q_symbols(factors: RingFactors, n_angular: int,
@@ -583,7 +581,7 @@ def ring_q_symbols(factors: RingFactors, n_angular: int,
     over the charges where some B of the stack is nonzero, and
     Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
-    return _ring_symbols(factors, n_angular, *_live_sums(factors, operator))
+    return _ring_symbols(*_live_sums(factors, operator), n_angular)
 
 
 def _on_diagonals(images: np.ndarray, charges) -> np.ndarray:
@@ -599,28 +597,27 @@ def _on_diagonals(images: np.ndarray, charges) -> np.ndarray:
     return out[..., :-1].reshape(lead + (dim, dim))
 
 
+def _resolution_diagonals(factors: RingFactors, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonals, charges) of `ring_resolution` in `ring_diagonal_image`'s layout: the image
+    of the symbol 1 (c[r, 0] = 1) on charge 0, on `_symbol_image`'s charges, 0 included."""
+    return _symbol_image(factors, values, np.ones((len(factors), 1)), np.zeros(1, dtype=int))
+
+
 def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
     """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`: entry (j, j−q) is
-    Σ_r F[r, j] F[r, j−q] V̂[r, q], V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}, the image of the symbol 1
-    (c[r, 0] = 1) on charge 0, formed on `_symbol_image`'s charges and exactly 0 on the others."""
-    unit = np.ones((len(factors), 1))
-    return _on_diagonals(*_symbol_image(factors, values, unit, np.zeros(1, dtype=int)))
+    Σ_r F[r, j] F[r, j−q] V̂[r, q], V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}, formed on the charges of
+    `_resolution_diagonals` and exactly 0 on the others."""
+    return _on_diagonals(*_resolution_diagonals(factors, values))
 
 
 def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                  charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V̂, image charges) for W constant along each ring, by the alias fold
-    V̂[…, r, q′] = n_φ W[r, 0] Σ_{q ≡ q′ (mod n_φ)} c[…, r, q] on the image charges q′ of
-    `_alias_charges`: the sums on the sorted `charges`, padded to whole turns of n_φ from the
-    lowest, summed over the turns and gathered onto the q′."""
+    """(V̂, image charges) for W constant along each ring: V̂[…, r, q′] = n_φ W[r, 0] C[…, r, q′
+    mod n_φ], C the alias fold of the sums (`_fold`), on the image charges q′ of `_alias_charges`."""
     dim, n_angular = _ring_dim(factors), weights.shape[1]
-    turns = -(-(charges[-1] - charges[0] + 1) // n_angular)
-    padded = np.zeros(sums.shape[:-1] + (turns * n_angular,), dtype=complex)
-    padded[..., charges - charges[0]] = sums
-    folded = padded.reshape(sums.shape[:-1] + (turns, n_angular)).sum(axis=-2)
     image_charges = _alias_charges(charges, dim, n_angular)
     # `take`, not fancy indexing: its copy is C-contiguous, so the image product can view it
-    hats = np.take(folded, (image_charges - charges[0]) % n_angular, axis=-1)
+    hats = np.take(_fold(sums, charges, n_angular), image_charges % n_angular, axis=-1)
     hats *= n_angular * weights[:, :1]
     return hats, image_charges
 
@@ -628,13 +625,11 @@ def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
 def _node_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(V̂, every charge) for any W: V̂[…, r, q′] = Σ_l V[r, l] e^{iq′φ_l}, V = W ⊙ Q, from the
-    ring symbols Q on the nodes."""
+    ring symbols Q on the nodes: the unscaled inverse DFT of V read at q′ mod n_φ."""
     dim, n_angular = _ring_dim(factors), weights.shape[1]
-    values = weights * _ring_symbols(factors, n_angular, sums, charges)
-    # through conj(V) and the phase table as it is stored
-    hats = values.conj() @ _angle_phases(dim, n_angular).T
-    np.conjugate(hats, out=hats)
-    return hats, np.arange(1 - dim, dim)
+    hats = np.fft.ifft(weights * _ring_symbols(sums, charges, n_angular), norm="forward")
+    every_charge = np.arange(1 - dim, dim)
+    return np.take(hats, every_charge % n_angular, axis=-1), every_charge
 
 
 def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
@@ -694,5 +689,4 @@ def ring_luders_symbols(factors: RingFactors, weights: np.ndarray,
     images, image_charges = _symbol_image(factors, weights, sums, charges)  # checks W
     image_sums = _diagonal_sums(factors, images, image_charges)
     n_angular = np.shape(weights)[1]
-    return (_ring_symbols(factors, n_angular, sums, charges),
-            _ring_symbols(factors, n_angular, image_sums, image_charges))
+    return _ring_symbols(sums, charges, n_angular), _ring_symbols(image_sums, image_charges, n_angular)

@@ -29,11 +29,11 @@ import numpy as np
 
 from . import __version__, fock, ordering, spin
 # cmd_spin works from the charge blocks and the ring charge sums, cmd_fock from offset
-# diagonals; apply_channel, build_luders_channel and channel_spectrum stay imported because
-# bench/spans.py traces them under these names and bench/selftest.py reads
-# cli.build_luders_channel, and ring_luders_image, ring_luders_symbols and ring_q_symbols
-# only because tests patch them here to count or refuse their calls
+# diagonals; apply_channel, build_luders_channel and channel_spectrum stay imported for
+# bench/spans.py and bench/selftest.py, and ring_luders_image, ring_luders_symbols and
+# ring_q_symbols only because tests patch them here to count or refuse their calls
 from .channel import (
+    _resolution_diagonals,
     apply_channel,
     build_luders_channel,
     channel_spectrum,
@@ -45,7 +45,6 @@ from .channel import (
     ring_luders_image,
     ring_luders_symbols,
     ring_q_symbols,
-    ring_resolution,
 )
 from .expr import MAX_DEGREE, MAX_NUMBER_DIGITS, ParseError
 from .reports import ReportDocument, ReportSchemaError
@@ -103,6 +102,13 @@ def _q_band(dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, dim)) / 2
 
 
+def _resolution_gap(factors, weights, diagonal) -> float:
+    """max |Σ w|ψ⟩⟨ψ| − diag(d)| over the entries, from the resolution's offset diagonals alone."""
+    images, charges = _resolution_diagonals(factors, weights)
+    images[:, np.searchsorted(charges, 0)] -= diagonal
+    return np.abs(images).max()
+
+
 def _apply_q(states: np.ndarray) -> np.ndarray:
     """q|ψ⟩ per row ψ, from q's two bands: (qψ)[j] = (√j ψ[j − 1] + √(j + 1) ψ[j + 1])/2."""
     band = _q_band(states.shape[-1])
@@ -156,8 +162,7 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
         "seed": _RNG_SEED,
     }, overrides)
 
-    run.numeric("resolution_of_unity", 0.0,
-                np.abs(ring_resolution(factors, weights) - np.eye(space.dim)).max(), 1e-12)
+    run.numeric("resolution_of_unity", 0.0, _resolution_gap(factors, weights, 1.0), 1e-12)
 
     blocks = charge_blocks(factors, weights)
     spectral = charge_block_spectrum(blocks)
@@ -213,8 +218,7 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
     run.numeric("resolution_of_unity_disk", 0.0,
-                np.abs(ring_resolution(factors, weights)
-                       - fock.disk_identity_matrix(space, radius)).max(),
+                _resolution_gap(factors, weights, fock.disk_monomial_diagonal(space, 0, 0, radius)),
                 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)

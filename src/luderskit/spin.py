@@ -25,7 +25,6 @@ from .channel import (
     RingFactors,
     WeightedProjectorFamily,
     _alias_free,
-    _angle_phases,
     _gauss_legendre,
     _integer,
     _read_only,
@@ -295,15 +294,16 @@ def harmonic_coefficients(samples: np.ndarray, grid: SphereQuadrature,
     `q_symbol_spin` (a ring-shaped (n_r, n_φ) array raises ValueError).
     Returns a complex array of shape ((2s+1)²,) + the leading shape: B_lm
     sits in row l² + l + m, the order of `expected_spectrum`, so row i is
-    damped by that spectrum's entry i.  W∘Q is summed over φ against every
-    e^(-imφ) of the ring core's cached table (`channel._angle_phases`) in one
-    product, then contracted ring by ring with the Legendre blocks, the same
+    damped by that spectrum's entry i.  Each ring's φ-sum of W∘Q against
+    e^(-imφ) is its DFT at m mod n_φ, one `np.fft.fft` for every ring and m,
+    then contracted ring by ring with the Legendre blocks, the same
     contraction as `charge_harmonic_coefficients`.
     """
     _check_degree(grid, space)
     weights = grid.rings[2]
     wq = weights * np.reshape(samples, np.shape(samples)[:-1] + weights.shape)
-    return _legendre_contraction(wq @ _angle_phases(space.dim, weights.shape[1]).T,
+    charges = np.arange(-space.two_s, space.two_s + 1)
+    return _legendre_contraction(np.fft.fft(wq)[..., charges % weights.shape[1]],
                                  np.ones(len(weights)), grid, space)
 
 

@@ -152,6 +152,27 @@ def test_fock_ladder_row_is_the_matrix_expression_exactly(dim, radius):
 
 
 @pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
+def test_fock_resolution_row_is_the_matrix_expression_exactly(dim, radius):
+    # the row works on the resolution's offset diagonals; the D × D path gives the same float
+    space = fock.FockSpace(dim)
+    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, radius=radius))
+    expected = np.abs(channel.ring_resolution(factors, weights)
+                      - fock.disk_identity_matrix(space, radius)).max()
+    row, = (r for r in cli.cmd_fock(dim, radius, {}).results
+            if r.name == "resolution_of_unity_disk")
+    assert row.actual == expected
+
+
+@pytest.mark.parametrize("two_s", range(1, spin.MAX_TWO_S + 1))
+def test_spin_resolution_row_is_the_matrix_expression_exactly(two_s):
+    space = spin.SpinSpace(two_s)
+    factors, weights = spin.ring_factors(space, spin.sphere_quadrature(space))
+    expected = np.abs(channel.ring_resolution(factors, weights) - np.eye(space.dim)).max()
+    row, = (r for r in cli.cmd_spin(two_s, {}).results if r.name == "resolution_of_unity")
+    assert row.actual == expected
+
+
+@pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
 def test_fock_q_rows_are_the_matrix_expressions_exactly(dim, radius):
     # the rows work on q's bands and q²'s three diagonals; the matrix path they replace gives
     # the same floats
@@ -494,6 +515,29 @@ def test_cli_runs_with_scipy_blocked():
     outcome = json.loads(proc.stdout)
     assert all(status in (0, 1) for status in outcome["statuses"]), outcome
     assert outcome["scipy"] == []
+
+
+LAZY_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+import luderskit.cli
+lazy = ("numpy.fft", "numpy.polynomial", "numpy.random", "scipy")
+on_import = [name for name in lazy if name in sys.modules]
+for argv in (["spin", "--two-s", "3"], ["order", "q^2", "--fixed-space", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        luderskit.cli.run(argv)
+print(json.dumps({"on_import": on_import, "fft_after_runs": "numpy.fft" in sys.modules}))
+"""
+
+
+def test_cli_loads_numpy_submodules_only_when_a_command_needs_them():
+    # numpy.fft adds about 0.2 MB of resident memory, and spin and order take no FFT
+    src = os.path.dirname(os.path.dirname(os.path.abspath(luderskit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORTS_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"on_import": [], "fft_after_runs": False}
 
 
 def test_console_entry_point_subprocess():

@@ -243,6 +243,13 @@ def test_guard_block_resolution_gap_is_large(space, quad):
     assert resolution_defect(space, quad, block=1) < 2e-4
 
 
+@pytest.mark.parametrize("block", [0, -15, 41, 2.0, True, "3"])
+def test_resolution_defect_refuses_a_block_outside_the_space(space, quad, block):
+    with pytest.raises(ValueError, match="block"):
+        resolution_defect(space, quad, block=block)
+    assert resolution_defect(space, quad, block=space.dim) > 0.9
+
+
 def test_grid_channel_unital_up_to_disk_factors(space, quad):
     image = grid_channel_apply(space, quad, np.eye(space.dim, dtype=complex))
     assert np.abs(image - disk_identity_matrix(space, quad.radius)).max() < 1e-9
