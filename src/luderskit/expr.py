@@ -10,6 +10,12 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 Negative literals are produced by the unary minus; 'i' is the imaginary
 unit, a scalar literal rather than an operator symbol.
+
+The lexer reads lexemes, not characters: a name, a decimal, an integer
+(or p/q as one token when q is a whole integer), '^k' as one token when k
+is a whole integer, an op, or one junk character, which is refused.  A
+printed term c/d*ad^m*a^n is 7 tokens.  An error inside a joined token
+names the lexeme it starts with ('^' of ^k, p of p/q) and its position.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 # Largest exponent the parser accepts and largest degree of any product the
 # ordering engine forms; a product's cost grows steeply with its degree (the
@@ -150,48 +157,74 @@ OPERATOR_SYMBOLS = ("a", "ad", "q", "p", "id")
 _ATOMS = {name: Symbol(name) for name in OPERATOR_SYMBOLS}
 _ATOMS["i"] = Literal(I_UNIT)
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z]+)|(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<op>[-+*^/()])|(?P<junk>\S))"
+_LEXEMES = (
+    r"[A-Za-z]+"                     # a name
+    r"|\d+\.\d*|\.\d+"               # a decimal
+    r"|\d+(?:\s*/\s*\d+(?![.\d]))?"  # an integer, or p/q when q is a whole integer
+    r"|\^\s*\d+(?![.\d])"            # ^k when k is a whole integer
+    r"|[-+*^/()]"                    # an op
 )
-_KINDS = (None, "name", "number", "op", "junk")  # by group index, as match.lastindex gives it
+_LEXEME_RE = re.compile(_LEXEMES)
+_TOKEN_RE = re.compile(rf"\s*({_LEXEMES}|\S)")  # \S: one junk character
+# A text of these characters alone holds no junk token; others are scanned for one.
+_PLAIN_RE = re.compile(r"[A-Za-z0-9\s+\-*^/()]*")
+
+# Exponent tokens as printed forms write them, and their values.
+_POWERS = {f"^{k}": k for k in range(MAX_DEGREE + 1)}
 
 
-def _tokenize(text: str):
-    tokens = []
-    append = tokens.append
-    for match in _TOKEN_RE.finditer(text):  # only trailing whitespace goes unmatched
-        group = match.lastindex
-        if group == 4:
-            raise ParseError(f"unexpected character {match[group]!r}", match.start(group))
-        append((_KINDS[group], match[group], match.start(group)))
-    append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of the text as strings, then the end token ""; refuses the first junk one."""
+    if not _PLAIN_RE.fullmatch(text):
+        for match in _TOKEN_RE.finditer(text):
+            if not _LEXEME_RE.fullmatch(match[1]):
+                raise ParseError(f"unexpected character {match[1]!r}", match.start(1))
+    tokens = _TOKEN_RE.findall(text)  # only trailing whitespace goes unmatched
+    tokens.append("")
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list.
+def _lexeme(token: str) -> str:
+    """The lexeme a token starts with: '^' of ^k, p of p/q; any other token is one lexeme."""
+    if token[:1] == "^":
+        return "^"
+    head = token.partition("/")[0]
+    return head.rstrip() if head else token
 
-    The hot loops read self.tokens[self.index] directly.  An op token's value
-    is its one character, which no other token has, so they test the value
-    alone; the end token's value is "".
+
+class _Parser:
+    """Recursive descent over the token strings.
+
+    A token's kind is its first character: a letter starts a name, a digit
+    or '.' a number, '^' an exponent (a '^' alone is followed by no whole
+    number); any other token is a one-character op, and the end token is "".
+    Tokens hold no positions: `error` finds the position of the failing one
+    by scanning the text again.  `atoms` maps the symbol names, i and the p/q
+    literals met so far in this parse to their shared nodes.
     """
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        self.atoms = dict(_ATOMS)
+
+    def error(self, message: str, index: int, offset: int = 0) -> ParseError:
+        """A ParseError at token `index`, `offset` characters into it (the end token at len(text))."""
+        match = next(islice(_TOKEN_RE.finditer(self.text), index, None), None)
+        return ParseError(message, len(self.text) if match is None else match.start(1) + offset)
 
     def expect_op(self, op: str):
-        _, value, pos = self.tokens[self.index]
-        if value != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if self.tokens[self.index] != op:
+            raise self.error(f"expected {op!r}", self.index)
         self.index += 1
 
-    def nested(self, parse, pos: int) -> ExprNode:
+    def nested(self, parse, index: int) -> ExprNode:
         """parse() one level deeper, refusing nesting past MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"more than {MAX_NESTING} nested parentheses and unary minus signs", pos)
+            raise self.error(
+                f"more than {MAX_NESTING} nested parentheses and unary minus signs", index)
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -199,20 +232,20 @@ class _Parser:
 
     def parse(self) -> ExprNode:
         node = self.parse_expr()
-        kind, value, pos = self.tokens[self.index]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
+        token = self.tokens[self.index]
+        if token:
+            raise self.error(f"unexpected trailing input {_lexeme(token)!r}", self.index)
         return node
 
     def parse_expr(self) -> ExprNode:
         tokens = self.tokens
         node = self.parse_term()
         while True:
-            value = tokens[self.index][1]
-            if value == "+":
+            token = tokens[self.index]
+            if token == "+":
                 self.index += 1
                 node = Add(node, self.parse_term())
-            elif value == "-":
+            elif token == "-":
                 self.index += 1
                 node = Sub(node, self.parse_term())
             else:
@@ -221,65 +254,77 @@ class _Parser:
     def parse_term(self) -> ExprNode:
         tokens = self.tokens
         node = self.parse_factor()
-        while tokens[self.index][1] == "*":
+        while tokens[self.index] == "*":
             self.index += 1
             node = Mul(node, self.parse_factor())
         return node
 
     def parse_factor(self) -> ExprNode:
-        tokens = self.tokens
-        kind, value, pos = tokens[self.index]
-        self.index += 1
-        if kind == "name":
-            node = _ATOMS.get(value)
-            if node is None:
-                raise ParseError(f"unknown symbol {value!r}", pos)
-        elif kind == "number":
-            node = Literal(ComplexRational(self.parse_rational_tail(value, pos), _ZERO))
-        elif value == "(":
-            node = self.nested(self.parse_expr, pos)
-            self.expect_op(")")
-        elif value == "-":
-            return Neg(self.nested(self.parse_factor, pos))
-        else:
-            raise ParseError(f"expected an atom, got {value!r}" if value else "unexpected end of input", pos)
-        if tokens[self.index][1] == "^":
+        tokens, index = self.tokens, self.index
+        token = tokens[index]
+        self.index = index + 1
+        node = self.atoms.get(token)
+        if node is None:
+            first = token[:1]
+            if first.isdecimal() or first == ".":
+                node = self.parse_number(token, index)
+            elif first == "(":
+                node = self.nested(self.parse_expr, index)
+                self.expect_op(")")
+            elif first == "-":
+                return Neg(self.nested(self.parse_factor, index))
+            elif first.isalpha():
+                raise self.error(f"unknown symbol {token!r}", index)
+            else:
+                raise self.error(
+                    f"expected an atom, got {_lexeme(token)!r}" if token else "unexpected end of input",
+                    index)
+        token = tokens[self.index]
+        if token[:1] == "^":
+            exponent = _POWERS.get(token)
+            node = Pow(node, self.parse_exponent(token) if exponent is None else exponent)
             self.index += 1
-            node = Pow(node, self.parse_uint_exponent())
         return node
 
-    def parse_uint_exponent(self) -> int:
-        kind, value, pos = self.tokens[self.index]
-        if kind != "number" or "." in value:
-            raise ParseError("exponent must be a nonnegative integer", pos)
+    def parse_exponent(self, token: str) -> int:
+        """The exponent of a `^` token that `_POWERS` does not hold."""
+        if token == "^":  # no whole number follows
+            raise self.error("exponent must be a nonnegative integer", self.index + 1)
+        value = token[1:].lstrip()
         # lengths first, so a long digit string is refused without converting it
         digits = value.lstrip("0") or "0"
         if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-            raise ParseError(f"exponent {value} exceeds the degree cap {MAX_DEGREE}", pos)
-        self.index += 1
+            raise self.error(f"exponent {value} exceeds the degree cap {MAX_DEGREE}",
+                             self.index, len(token) - len(value))
         return int(digits)
 
-    def parse_rational_tail(self, text: str, pos: int) -> Fraction:
-        _check_digits(text, pos)
-        if "." in text:
-            return Fraction(text)  # exact decimal
-        if self.tokens[self.index][1] != "/":
-            return Fraction(int(text))
-        dkind, dvalue, dpos = self.tokens[self.index + 1]
-        if dkind != "number" or "." in dvalue:
-            raise ParseError("denominator must be a positive integer", dpos)
-        _check_digits(dvalue, dpos)
-        self.index += 2
-        if int(dvalue) == 0:
-            raise ParseError("zero denominator", dpos)
-        return Fraction(int(text), int(dvalue))
+    def parse_number(self, token: str, index: int) -> Literal:
+        """A decimal, an integer or a p/q token; a p/q node is shared for the rest of the parse."""
+        numerator, slash, denominator = token.partition("/")
+        numerator, denominator = numerator.rstrip(), denominator.lstrip()
+        offset = len(token) - len(denominator)  # where the denominator starts
+        if len(token) > MAX_NUMBER_DIGITS:  # a shorter token has no part past the limit
+            self.check_digits(numerator, index)
+            if slash:
+                self.check_digits(denominator, index, offset)
+        if "." in numerator:
+            return Literal(ComplexRational(Fraction(numerator), _ZERO))  # exact decimal
+        if slash:
+            if int(denominator) == 0:
+                raise self.error("zero denominator", index, offset)
+            node = self.atoms[token] = Literal(
+                ComplexRational(Fraction(int(numerator), int(denominator)), _ZERO))
+            return node
+        if self.tokens[index + 1] == "/":  # a '/' not followed by a whole number
+            raise self.error("denominator must be a positive integer", index + 2)
+        return Literal(ComplexRational(Fraction(int(numerator)), _ZERO))
 
-
-def _check_digits(number: str, pos: int):
-    """Refuse a number literal of more than MAX_NUMBER_DIGITS digits before converting it."""
-    digits = len(number) - number.count(".")
-    if digits > MAX_NUMBER_DIGITS:
-        raise ParseError(f"number of {digits} digits exceeds the limit {MAX_NUMBER_DIGITS}", pos)
+    def check_digits(self, number: str, index: int, offset: int = 0):
+        """Refuse a number literal of more than MAX_NUMBER_DIGITS digits before converting it."""
+        digits = len(number) - number.count(".")
+        if digits > MAX_NUMBER_DIGITS:
+            raise self.error(f"number of {digits} digits exceeds the limit {MAX_NUMBER_DIGITS}",
+                             index, offset)
 
 
 def parse_expression(text: str) -> ExprNode:

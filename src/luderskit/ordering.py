@@ -31,7 +31,7 @@ from .expr import (
     Pow,
     Sub,
     Symbol,
-    I_UNIT,
+    _ZERO,
     _chain,
     parse_expression,
 )
@@ -233,11 +233,18 @@ def _signed_sum(signed) -> NormalPolynomial:
     """Σ sign · poly over (poly, ±1) pairs, on the lcm of their denominators."""
     signed = tuple(signed)
     den = lcm(*(poly.den for poly, _ in signed))
-    words = []
+    sums: dict[tuple[int, int], list[int]] = {}
+    get = sums.get
     for poly, sign in signed:
         f = sign * (den // poly.den)
-        words.extend((key, (0, 0), (f * re, f * im)) for key, (re, im) in poly.num.items())
-    return NormalPolynomial._reduced(_swapped_sum(words, 1), den)
+        for key, (re, im) in poly.num.items():
+            acc = get(key)
+            if acc is None:
+                sums[key] = [f * re, f * im]
+            else:
+                acc[0] += f * re
+                acc[1] += f * im
+    return NormalPolynomial._reduced(sums, den)
 
 
 def _poly_source(poly: _OrderedPolynomial, creation_first: bool) -> str:
@@ -557,8 +564,8 @@ def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamil
     heads = [num.get((n, 0), (0, 0)) for n in range(1, max_degree + 1)]
     return LuedersFamilyCoefficients(
         max_degree, Fraction(num.get((0, 0), (0, 0))[0], den),
-        tuple(Fraction(2 * re, den) for re, _ in heads),
-        tuple(Fraction(2 * im, den) for _, im in heads))
+        tuple(Fraction(2 * re, den) if re else _ZERO for re, _ in heads),
+        tuple(Fraction(2 * im, den) if im else _ZERO for _, im in heads))
 
 
 def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
@@ -578,7 +585,7 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
         raise ValueError(f"max_degree must be in 0..{MAX_DEGREE}, got {max_degree}")
     for m in range(max_degree + 1):
         for n in range(max_degree - m + 1):
-            image = luders_symbolic(NormalPolynomial.monomial(m, n))
+            image = luders_symbolic(NormalPolynomial._stored({(m, n): (1, 0)}, 1))
             keys = set(image.num) | {(m, n)}  # the terms of Λ(word) - word
             if image.num.get((m, n)) == (image.den, 0):
                 keys.remove((m, n))
@@ -588,9 +595,10 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
                     f"Lüders image of a†^{m} a^{n} is not triangular in its charge "
                     f"chain: terms on {sorted(keys)}"
                 )
-    heads = (NormalPolynomial.identity(),) + tuple(
-        NormalPolynomial({(n, 0): c, (0, n): c.conjugate()})
-        for n in range(1, max_degree + 1) for c in (ONE, I_UNIT))
+    # 1, then a†^n + a^n and i·a†^n - i·a^n, stored as Gaussian integers over 1
+    heads = (NormalPolynomial._stored({(0, 0): (1, 0)}, 1),) + tuple(
+        NormalPolynomial._stored({(n, 0): (re, im), (0, n): (re, -im)}, 1)
+        for n in range(1, max_degree + 1) for re, im in ((1, 0), (0, 1)))
     coords = tuple(decompose_in_family(poly, max_degree) for poly in heads)
     return FixedSpaceResult(max_degree, len(heads), heads, coords)
 

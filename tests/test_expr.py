@@ -6,6 +6,7 @@ from luderskit.expr import (
     Add,
     ComplexRational,
     Literal,
+    MAX_DEGREE,
     MAX_NESTING,
     MAX_NUMBER_DIGITS,
     Mul,
@@ -151,3 +152,23 @@ def test_denominator_must_be_a_positive_integer(text):
     with pytest.raises(ParseError, match="denominator must be a positive integer") as excinfo:
         parse_expression(text)
     assert excinfo.value.position == 2
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("2^3/4", "unexpected trailing input '/'", 3),
+    ("7/8/9", "unexpected trailing input '/'", 3),
+    ("a^2^3", "unexpected trailing input '^'", 3),
+    ("^2", "expected an atom, got '^'", 0),
+    ("a*^2", "expected an atom, got '^'", 2),
+    ("65+65/", "denominator must be a positive integer", 6),
+    ("q7/8", "unexpected trailing input '7'", 1),
+    ("3 / 0", "zero denominator", 4),
+    ("a ^ 100", f"exponent 100 exceeds the degree cap {MAX_DEGREE}", 4),
+    ("a^²", "unexpected character '²'", 2),
+])
+def test_errors_at_joined_lexemes_name_the_lexeme_and_its_position(text, message, position):
+    """A p/q or ^k is one token, yet an error names the lexeme a character scan meets there."""
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(text)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position

@@ -259,6 +259,20 @@ def test_fixed_space_basis_is_chain_heads(n_max):
         assert flat == [value if j == i else 0 for j in range(2 * n_max + 1)]
 
 
+def test_fixed_space_heads_are_the_complex_rational_heads_at_every_degree():
+    for n_max in range(MAX_DEGREE + 1):
+        result = luders_fixed_space(n_max)
+        assert list(result.basis) == [NormalPolynomial.identity()] + [
+            NormalPolynomial({(n, 0): c, (0, n): c.conjugate()})
+            for n in range(1, n_max + 1) for c in (ONE, I_UNIT)]
+        # (b0, bq..., bp...) holds one nonzero entry: b0 = 1, bq[n - 1] = 2 or bp[n - 1] = 2
+        entries = [(0, 1)] + [(i, 2) for n in range(1, n_max + 1) for i in (n, n_max + n)]
+        for (i, value), coeffs in zip(entries, result.family_coordinates, strict=True):
+            flat = [coeffs.b0, *coeffs.bq, *coeffs.bp]
+            assert flat == [value if j == i else 0 for j in range(2 * n_max + 1)]
+            assert all(type(entry) is Fraction for entry in flat)
+
+
 def test_decompose_rejects_mixed_terms():
     with pytest.raises(ValueError):
         decompose_in_family(normal_order("ad*a"), 2)

@@ -1068,6 +1068,14 @@ def test_to_source_parses_back_to_the_tree(node):
 
 
 @ENGINE
+@given(expressions())
+def test_whitespace_inside_fractions_and_powers_parses_to_the_same_tree(node):
+    # p/q and ^k are each one token; whitespace inside them is still insignificant
+    text = to_source(node).replace("/", " / ").replace("^", "\t^\n")
+    assert parse_expression(text) == node
+
+
+@ENGINE
 @given(valued_expressions())
 def test_to_source_keeps_the_value_of_every_tree(node):
     assert normal_order(parse_expression(to_source(node))) == normal_order(node)
