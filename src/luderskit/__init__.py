@@ -22,7 +22,6 @@ from .channel import (
     apply_channel,
     build_luders_channel,
     channel_spectrum,
-    charge_block_image,
     charge_block_spectrum,
     charge_blocks,
     choi_matrix,

@@ -31,9 +31,9 @@ charges q′ ≡ q (mod n_φ) for one of B's (c′ = c on an alias-free grid), e
 the others; the resolution, the image of the symbol 1 on charge 0, visits only
 q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the inverse FFT of W ⊙ Q
 on the nodes, on every charge.  `ring_charge_sums` returns the sums
-c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for those that need only their φ-transform
-(the spin harmonics) and no node, and `ring_luders_symbols` the symbols of B and of
-Λ(B) together, the second from Λ(B)'s image diagonals with no D × D image.  Between B
+c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q], `ring_luders_sums` those of B and of Λ(B) for
+the spin harmonics, which need only their φ-transform and no node, and `ring_luders_symbols`
+the symbols of both, Λ(B)'s from its image diagonals with no D × D image.  Between B
 and its image the core works on offset diagonals alone, and `ring_diagonal_image`
 exposes that kernel: from the diagonals X (D × c) of B's c charges, the sums
 c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix product (GEMM) of n_r·D·2c real
@@ -48,13 +48,12 @@ constant along each ring; `charge_blocks` refuses any other grid) the channel
 preserves the U(1) charge q = j − k and acts on each offset diagonal
 b_q = (B[j, j−q])_j by one real symmetric (D−|q|)-square block.  `charge_blocks`
 builds them all from one Gram product S = F²ᵀ diag(w) F² of O(n_r·D²) flops and
-O(D³) scaling by κ, and `charge_block_image` and `charge_block_spectrum` give the
-image and the spectrum from them: O(D³) memory and O(D⁴) time against the
-superoperator's O(D⁴) and O(D⁶).  One cached index, `_diagonal_index`,
-maps each signed charge to its matrix entries: the live-charge scan, the ring core's
-gather and store, `fock`'s scatters and the block image's per-charge reads and writes
-go through it.  The superoperator stays as the dense reference.  The symbols, the ring
-image and the block image also take a stack (…, D, D).
+O(D³) scaling by κ, and `charge_block_spectrum` gives the spectrum from them: O(D³)
+memory and O(D⁴) time against the superoperator's O(D⁴) and O(D⁶); every image is the
+ring core's.  One cached index, `_diagonal_index`, maps each signed charge to its matrix
+entries: the live-charge scan, the ring core's gather and store and `fock`'s scatters go
+through it.  The superoperator stays as the dense reference.  The symbols, the sums and
+the ring image also take a stack (…, D, D).
 """
 
 from __future__ import annotations
@@ -298,9 +297,8 @@ def _diagonal_index(dim: int) -> np.ndarray:
     The one map from a charge to its matrix entries: `_live_charges` scans
     the nonzero mask through it, the ring core gathers the live offset
     diagonals through it and stores its image back through it (`_live_sums`,
-    `_on_diagonals`), and `charge_block_image` reads and
-    writes each b_±q through its first D − |q| rows.  Past the end of
-    diagonal q (i + |q| ≥ D) it repeats the diagonal's last entry, where κ is 0.
+    `_on_diagonals`).  Past the end of diagonal q (i + |q| ≥ D) it repeats the
+    diagonal's last entry, where κ is 0.
     """
     q = np.arange(1 - dim, dim)
     i = np.minimum(np.arange(dim)[:, None], dim - 1 - np.abs(q))
@@ -345,21 +343,6 @@ def charge_blocks(factors: RingFactors, weights: np.ndarray) -> dict:
     if defect > UNITALITY_TOL:
         raise ValueError(f"charge block q = 0 is not unital (defect {defect:.3e})")
     return blocks
-
-
-def charge_block_image(blocks: dict, operator: np.ndarray) -> np.ndarray:
-    """Λ(B) charge by charge: one product M_q [b_−q, b_q] per q ≥ 0; B may be a stack (…, D, D)."""
-    dim = len(blocks[0])
-    operator = _square(operator, dim)
-    flat = operator.reshape(operator.shape[:-2] + (dim * dim,))
-    out = np.empty_like(flat)  # the 2D − 1 charges cover every entry
-    for charge in range(dim):
-        # the columns of charges −q and q, 2q apart (one column at q = 0), as a view
-        pair = _diagonal_index(dim)[:dim - charge, dim - 1 - charge:dim + charge:2 * charge or 1]
-        # (…, D−q, 4): Re and Im of b_−q, then of b_q (2 at q = 0); `take` copies C-contiguous
-        pairs = np.take(flat, pair, axis=-1).view(float)
-        out[..., pair] = (blocks[charge] @ pairs).view(complex)
-    return out.reshape(operator.shape)
 
 
 def charge_block_spectrum(blocks: dict) -> SpectralReport:
@@ -551,20 +534,23 @@ def _live_sums(factors: RingFactors, operator: np.ndarray) -> tuple[np.ndarray, 
     return _diagonal_sums(factors, diagonals, charges), charges
 
 
-def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
-    """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for q = −(D−1)..D−1, per B of a stack.
-
-    The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; the sums are
-    formed only on the live charges of the stack and are exactly 0 elsewhere,
-    and come back as formed, with no copy, when every charge is live.
-    """
-    dim = np.shape(factors)[1]
-    sums, charges = _live_sums(factors, operator)
-    if len(charges) == 2 * dim - 1:  # every charge live: the sums have the layout already
+def _signed_layout(sums: np.ndarray, charges: np.ndarray, dim: int) -> np.ndarray:
+    """The sums on the sorted `charges` at column q + D − 1 of all 2D − 1, exactly 0 on the
+    other charges; as formed, with no copy, when every charge is there."""
+    if len(charges) == 2 * dim - 1:
         return sums
     out = np.zeros(sums.shape[:-1] + (2 * dim - 1,), dtype=complex)
     out[..., _table_columns(charges, dim)] = sums
     return out
+
+
+def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
+    """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for q = −(D−1)..D−1, per B of a stack.
+
+    The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; the sums are
+    formed only on the live charges of the stack and are exactly 0 elsewhere.
+    """
+    return _signed_layout(*_live_sums(factors, operator), np.shape(factors)[1])
 
 
 def _ring_symbols(sums: np.ndarray, charges: np.ndarray, n_angular: int) -> np.ndarray:
@@ -656,11 +642,11 @@ def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np
     index i on the signed charge q = charges[k], increasing; B is 0 on the other charges, and
     the entries past a diagonal's end (i + |q| ≥ D) meet κ = 0.  The images come in the same
     layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.  Raises
-    ValueError unless `charges` is a strictly increasing list of integers in −(D−1)..D−1
-    and `diagonals` has D rows and one column per charge.
+    ValueError unless `charges` is a non-empty, strictly increasing list of integers in
+    −(D−1)..D−1 and `diagonals` has D rows and one column per charge.
     """
     dim, charges = _ring_dim(factors), np.asarray(charges)
-    if (charges.ndim != 1 or not np.issubdtype(charges.dtype, np.integer)
+    if (charges.ndim != 1 or not charges.size or not np.issubdtype(charges.dtype, np.integer)
             or np.any(np.diff(charges) <= 0) or np.any(np.abs(charges) >= dim)):
         raise ValueError(f"charges must be strictly increasing integers in {1 - dim}..{dim - 1}, "
                          f"got {charges}")
@@ -678,15 +664,29 @@ def ring_luders_image(factors: RingFactors, weights: np.ndarray,
     return _on_diagonals(*_symbol_image(factors, weights, *_live_sums(factors, operator)))
 
 
-def ring_luders_symbols(factors: RingFactors, weights: np.ndarray,
-                        operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q_B, Q_Λ(B)): the `ring_q_symbols` of B and of `ring_luders_image`(B), per B of a stack.
+def _luders_sums(factors: RingFactors, weights: np.ndarray, operator: np.ndarray) -> tuple:
+    """(sums, charges, image sums, image charges) of B and of Λ(B), per B of a stack.
 
     B is gathered once and its sums formed once; Λ(B)'s sums come straight
     from its image diagonals, with no D × D image and no second scan or gather.
     """
     sums, charges = _live_sums(factors, operator)
     images, image_charges = _symbol_image(factors, weights, sums, charges)  # checks W
-    image_sums = _diagonal_sums(factors, images, image_charges)
+    return sums, charges, _diagonal_sums(factors, images, image_charges), image_charges
+
+
+def ring_luders_sums(factors: RingFactors, weights: np.ndarray,
+                     operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_B, c_Λ(B)): the `ring_charge_sums` of B and of `ring_luders_image`(B), per B of a stack."""
+    sums, charges, image_sums, image_charges = _luders_sums(factors, weights, operator)
+    dim = _ring_dim(factors)
+    return _signed_layout(sums, charges, dim), _signed_layout(image_sums, image_charges, dim)
+
+
+def ring_luders_symbols(factors: RingFactors, weights: np.ndarray,
+                        operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q_B, Q_Λ(B)): the `ring_q_symbols` of B and of `ring_luders_image`(B), per B of a stack,
+    from `_luders_sums`."""
+    sums, charges, image_sums, image_charges = _luders_sums(factors, weights, operator)
     n_angular = np.shape(weights)[1]
     return _ring_symbols(sums, charges, n_angular), _ring_symbols(image_sums, image_charges, n_angular)

@@ -28,21 +28,20 @@ from math import exp, lgamma, log
 import numpy as np
 
 from . import __version__, fock, ordering, spin
-# cmd_spin works from the charge blocks and the ring charge sums, cmd_fock from offset
-# diagonals; apply_channel, build_luders_channel and channel_spectrum stay imported for
-# bench/spans.py and bench/selftest.py, and ring_luders_image, ring_luders_symbols and
-# ring_q_symbols only because tests patch them here to count or refuse their calls
+# cmd_spin takes its spectrum from the charge blocks and its sums from the ring core, cmd_fock
+# works from offset diagonals; apply_channel, build_luders_channel and channel_spectrum stay
+# imported for bench/spans.py and bench/selftest.py, and ring_luders_image, ring_luders_symbols
+# and ring_q_symbols only because tests patch them here to count or refuse their calls
 from .channel import (
     _resolution_diagonals,
     apply_channel,
     build_luders_channel,
     channel_spectrum,
-    charge_block_image,
     charge_block_spectrum,
     charge_blocks,
-    ring_charge_sums,
     ring_diagonal_image,
     ring_luders_image,
+    ring_luders_sums,
     ring_luders_symbols,
     ring_q_symbols,
 )
@@ -164,8 +163,7 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
 
     run.numeric("resolution_of_unity", 0.0, _resolution_gap(factors, weights, 1.0), 1e-12)
 
-    blocks = charge_blocks(factors, weights)
-    spectral = charge_block_spectrum(blocks)
+    spectral = charge_block_spectrum(charge_blocks(factors, weights))
     expected = spin.expected_spectrum(space)
     run.numeric("spectrum_law", 0.0,
                 np.abs(spectral.eigenvalues.real - expected).max(), 1e-9)
@@ -180,11 +178,9 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
     operators = draws[:, 0] + 1j * draws[:, 1]
     operators += operators.conj().swapaxes(-1, -2)
     operators /= 2
-    # one charge-sum call per stack (two of 20, not one of 40, for the peak
-    # memory); rows 0..19 expand B, rows 20..39 expand Λ(B), and no symbol
-    # is formed on the nodes
-    sums = np.concatenate([ring_charge_sums(factors, stack)
-                           for stack in (operators, charge_block_image(blocks, operators))])
+    # one ring-core call for the stack: rows 0..19 expand B, rows 20..39 expand Λ(B),
+    # and neither a D × D image nor a symbol on the nodes is formed
+    sums = np.concatenate(ring_luders_sums(factors, weights, operators))
     # row l² + l + m of the coefficients is damped by entry l² + l + m of the spectrum
     coeffs = spin.charge_harmonic_coefficients(sums, grid, space)
     run.numeric("harmonic_damping", 0.0,

@@ -426,6 +426,7 @@ def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
     2·max|α|·max|ξ| ≈ 712; there one call on the 40 × 64 grid at radius 6.3,
     for two symbols at the 25 default points scaled out, took about 11 ms and
     raised the peak RSS by 7.5 MB (one BLAS thread, 2-core x86-64).
+    No ξ point gives coeffs with an empty last axis and builds no table.
     """
     xi_points = np.asarray(xi_points, dtype=complex)
     if xi_points.ndim != 1 or not np.isfinite(xi_points).all():
@@ -434,6 +435,8 @@ def xi_coefficients(samples: np.ndarray, quad: PlaneQuadrature,
     if samples.shape[-1:] != (len(quad),):
         raise ValueError(f"samples must end in an axis of {len(quad)} nodes, "
                          f"got shape {samples.shape}")
+    if not len(xi_points):
+        return XiSpectrum(xi_points, np.zeros(samples.shape[:-1] + (0,), dtype=complex))
     radii, weights = quad.rings
     n_r, n_phi = weights.shape
     rhos, which = _distinct_moduli(np.abs(xi_points))

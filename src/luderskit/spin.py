@@ -9,7 +9,7 @@ machine precision.  Grid work runs ring by ring from the split in
 `SphereQuadrature.rings`: `ring_factors` (F, W) and the harmonic
 transform, which expands a whole stack of symbols in one pass, from
 their node samples or, with no node formed, from the ring charge sums
-of `channel.ring_charge_sums`.
+of `channel.ring_luders_sums`.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def charge_harmonic_coefficients(sums: np.ndarray, grid: SphereQuadrature,
                                  space: SpinSpace) -> np.ndarray:
     """`harmonic_coefficients` of the ring symbols of the charge sums c, with no node formed.
 
-    `sums` has shape (…, n_r, 4s + 1) as from `channel.ring_charge_sums`
+    `sums` has shape (…, n_r, 4s + 1) as from `channel.ring_luders_sums`
     on `ring_factors(space, grid)`, c[r, q] in column q + 2s.  On an
     alias-free grid the φ-sum of W∘Q against e^(-imφ) is exactly
     n_φ W[r, 0] c[r, −m]: c reversed along q, with ring weights n_φ W[r, 0].

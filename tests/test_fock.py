@@ -343,6 +343,17 @@ def test_xi_coefficients_refuse_non_finite_or_non_1d_points(space, quad):
         verify_damping(space, np.eye(space.dim), quad, np.array([np.nan]))
 
 
+def test_xi_transform_of_no_points_is_empty(space, quad):
+    # an empty array is a finite 1-D array: no coefficient and no Bessel table, and a
+    # damping report with nothing to compare reads NaN, as when every point is flagged
+    samples = np.ones((2, 3, len(quad)))
+    for points in (np.array([], complex), []):
+        assert xi_coefficients(samples, quad, points).coeffs.shape == (2, 3, 0)
+    report = verify_damping(space, np.eye(space.dim), quad, xi_points=np.array([], complex))
+    assert report.source_coeffs.shape == report.image_coeffs.shape == (0,)
+    assert np.isnan(report.max_deviation)
+
+
 def test_xi_coefficients_refuse_samples_off_the_grid(quad):
     for shape in ((len(quad) - 1,), (2, len(quad) + 1), (len(quad), 2), ()):
         with pytest.raises(ValueError, match="nodes"):

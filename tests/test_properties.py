@@ -11,7 +11,6 @@ from scipy.special import gammainc, gammaln, sph_harm_y
 
 from luderskit import channel, cli, fock, ordering, spin
 from luderskit.channel import (
-    charge_block_image,
     charge_block_spectrum,
     charge_blocks,
     luders_image,
@@ -20,6 +19,7 @@ from luderskit.channel import (
     ring_charge_sums,
     ring_diagonal_image,
     ring_luders_image,
+    ring_luders_sums,
     ring_q_symbols,
     ring_resolution,
     split_rings,
@@ -81,16 +81,6 @@ def test_block_spectrum_is_the_spectrum_law(case):
     report = charge_block_spectrum(charge_blocks(*ring_factors(space, grid)))
     assert np.abs(report.eigenvalues.real - expected_spectrum(space)).max() < 1e-12
     assert report.fixed_space_dim == 1
-
-
-@DETERMINISTIC
-@given(spin_grids(), st.integers(0, 2**32 - 1))
-def test_block_image_preserves_hermiticity(case, seed):
-    space, grid = case
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
-    image = charge_block_image(charge_blocks(*ring_factors(space, grid)), raw + raw.conj().T)
-    assert np.abs(image - image.conj().T).max() < 1e-12
 
 
 @pytest.mark.parametrize("two_s", [1, 4, 12])
@@ -256,27 +246,36 @@ def test_one_signed_charge_image_lives_on_its_alias_class_on_spin_grids(case, n_
 
 
 @DETERMINISTIC
-@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
-def test_one_charge_block_image_lives_on_its_charge(case, seed):
-    """The block image of a charge-q operator is exactly 0 off ±q and the dense image, so the
-    per-charge writes fill every entry of the uninitialized output."""
-    states, node_weights, factors, weights = case
+@given(spin_ring_grids())
+def test_every_charge_block_is_the_ring_image_of_its_unit_diagonals(case):
+    """On an alias-free grid the ring image of e_k on the signed charge q lives on q alone, and
+    its diagonal there is column k of M_q: the spectrum's blocks are the kernel's action."""
+    _, _, factors, weights = case
     dim = factors.shape[1]
-    operator, charge = one_charge_operator(seed, dim)
-    image = charge_block_image(charge_blocks(factors, weights), operator)
-    offsets = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
-    assert np.all(image[offsets != charge] == 0)
-    assert_close(image, luders_image(states, node_weights, operator))
+    blocks = charge_blocks(factors, weights)
+    for charge in range(1 - dim, dim):
+        size = dim - abs(charge)
+        units = np.zeros((size, dim, 1))
+        units[np.arange(size), np.arange(size), 0] = 1  # one e_k per operator of the stack
+        images, image_charges = ring_diagonal_image(factors, weights, units, [charge])
+        assert list(image_charges) == [charge]
+        assert_close(images[:, :size, 0].T, blocks[charge])
+        assert np.all(images[:, size:, 0] == 0)
 
-def check_charge_sparse_symbols(case, seed):
-    """Each operator of a (2, 3) stack keeps a random subset of its signed charges."""
-    states, _, factors, weights = case
-    dim = factors.shape[1]
+
+def charge_sparse_stack(seed, dim):
+    """A (2, 3) stack in which each operator keeps a random subset of its signed charges."""
     rng = np.random.default_rng(seed)
     stack = random_stack(seed, dim)
     signed = np.subtract.outer(np.arange(dim), np.arange(dim)) + dim - 1
     for index in np.ndindex(stack.shape[:2]):
         stack[index] *= (rng.random(2 * dim - 1) < rng.random())[signed]
+    return stack
+
+
+def check_charge_sparse_symbols(case, seed):
+    states, _, factors, weights = case
+    stack = charge_sparse_stack(seed, factors.shape[1])
     symbols = ring_q_symbols(factors, weights.shape[1], stack)
     assert_close(symbols.reshape(stack.shape[:2] + (-1,)), q_symbols(states, stack))
 
@@ -322,6 +321,72 @@ def test_charge_sums_are_the_offset_diagonal_sums_on_spin_grids(case, seed):
     check_charge_sums(case, seed)
 
 
+def check_luders_sums(case, seed):
+    """c_B is `ring_charge_sums` of B bit for bit, and c_Λ(B) that of the matrix image, on a
+    dense and a charge-sparse stack."""
+    _, _, factors, weights = case
+    dim = factors.shape[1]
+    for stack in (random_stack(seed, dim), charge_sparse_stack(seed, dim)):
+        source, image = ring_luders_sums(factors, weights, stack)
+        assert source.shape == image.shape == (2, 3, len(factors), 2 * dim - 1)
+        assert np.array_equal(source, ring_charge_sums(factors, stack))
+        assert_close(image, ring_charge_sums(factors, ring_luders_image(factors, weights, stack)))
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_luders_sums_are_the_charge_sums_of_b_and_its_image_on_fock_grids(case, seed):
+    check_luders_sums(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_luders_sums_are_the_charge_sums_of_b_and_its_image_on_spin_grids(case, seed):
+    check_luders_sums(case, seed)
+
+
+def check_stacked_luders_sums(case, seed):
+    _, _, factors, weights = case
+    stack = random_stack(seed, factors.shape[1])
+    stacked = ring_luders_sums(factors, weights, stack)
+    for index in np.ndindex(stack.shape[:2]):
+        for half, single in zip(stacked, ring_luders_sums(factors, weights, stack[index])):
+            assert np.array_equal(half[index], single)
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_luders_sums_are_the_single_ones_on_fock_grids(case, seed):
+    check_stacked_luders_sums(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_stacked_luders_sums_are_the_single_ones_on_spin_grids(case, seed):
+    check_stacked_luders_sums(case, seed)
+
+
+def check_hermitian_luders_sums(case, seed):
+    """B = B† gives c[r, −q] = conj c[r, q] for B and for Λ(B), which is Hermitian too."""
+    _, _, factors, weights = case
+    stack = random_stack(seed, factors.shape[1])
+    stack += stack.conj().swapaxes(-1, -2)
+    for sums in ring_luders_sums(factors, weights, stack):
+        assert_close(sums[..., ::-1], sums.conj())
+
+
+@DETERMINISTIC
+@given(fock_grids(), st.integers(0, 2**32 - 1))
+def test_hermitian_luders_sums_are_conjugate_symmetric_on_fock_grids(case, seed):
+    check_hermitian_luders_sums(case, seed)
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_hermitian_luders_sums_are_conjugate_symmetric_on_spin_grids(case, seed):
+    check_hermitian_luders_sums(case, seed)
+
+
 @pytest.mark.parametrize("family, size, radius", [("fock", 200, 7.07), ("fock", 200, 0.05),
                                                   ("fock", 8, 0.05), ("spin", 50, None)])
 def test_charge_sums_are_finite_and_exact_at_the_extreme_sizings(family, size, radius):
@@ -343,17 +408,6 @@ def test_ring_core_maps_the_zero_operator_to_zero():
     zero = np.zeros((12, 12))
     assert np.array_equal(ring_q_symbols(factors, 10, zero), np.zeros((6, 10)))
     assert np.array_equal(ring_luders_image(factors, weights, zero), zero)
-
-
-@DETERMINISTIC
-@given(spin_grids(), st.integers(0, 2**32 - 1))
-def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
-    space, grid = case
-    factors, ring_weights = ring_factors(space, grid)
-    operator = random_operator(seed, space.dim)
-    image = charge_block_image(charge_blocks(factors, ring_weights), operator)
-    assert_close(ring_luders_image(factors, grid.weights.reshape(len(factors), -1), operator),
-                 image)
 
 
 # --- the ring core on offset diagonals -----------------------------------------------
@@ -433,18 +487,6 @@ def test_stacked_ring_symbols_are_the_single_ones_on_fock_grids(case, seed):
 @given(spin_ring_grids(), st.integers(0, 2**32 - 1))
 def test_stacked_ring_symbols_are_the_single_ones_on_spin_grids(case, seed):
     check_stacked_symbols_are_the_single_ones(case, seed)
-
-
-@DETERMINISTIC
-@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
-def test_stacked_block_images_are_the_single_ones(case, seed):
-    _, _, factors, weights = case
-    blocks = charge_blocks(factors, weights)
-    stack = random_stack(seed, factors.shape[1])
-    images = charge_block_image(blocks, stack)
-    assert images.shape == stack.shape
-    for index in np.ndindex(stack.shape[:2]):
-        assert np.array_equal(images[index], charge_block_image(blocks, stack[index]))
 
 
 def check_stacked_images_are_the_single_ones(case, seed):
@@ -563,7 +605,6 @@ def test_ring_and_block_images_are_unital(case):
     _, _, factors, weights = case
     identity = np.eye(factors.shape[1])
     assert_close(ring_luders_image(factors, weights, identity), identity)
-    assert_close(charge_block_image(charge_blocks(factors, weights), identity), identity)
 
 
 @DETERMINISTIC
@@ -571,11 +612,8 @@ def test_ring_and_block_images_are_unital(case):
 def test_ring_and_block_images_preserve_the_trace(case, seed):
     _, _, factors, weights = case
     dim = factors.shape[1]
-    operator, stack = random_operator(seed, dim), random_stack(seed, dim)
-    assert_close(np.trace(ring_luders_image(factors, weights, operator)), np.trace(operator))
-    blocks = charge_blocks(factors, weights)
-    for operators in (operator, stack):
-        assert_close(np.trace(charge_block_image(blocks, operators), axis1=-2, axis2=-1),
+    for operators in (random_operator(seed, dim), random_stack(seed, dim)):
+        assert_close(np.trace(ring_luders_image(factors, weights, operators), axis1=-2, axis2=-1),
                      np.trace(operators, axis1=-2, axis2=-1))
 
 
@@ -624,11 +662,13 @@ def counted(monkeypatch, name, *modules):
 
 
 def test_spin_command_maps_its_operators_as_stacks(monkeypatch):
-    sums = counted(monkeypatch, "ring_charge_sums", channel, cli)
-    images = counted(monkeypatch, "charge_block_image", channel, cli)
+    sums = counted(monkeypatch, "ring_luders_sums", channel, cli)
+    single = counted(monkeypatch, "ring_charge_sums", channel)
+    images = counted(monkeypatch, "_on_diagonals", channel)
     assert cli.run(["spin", "--two-s", "3"]) == 0
-    assert 1 <= len(sums) <= 2
-    assert len(images) == 1
+    assert len(sums) == 1
+    assert sums[0][2].shape == (20, 4, 4)
+    assert single == images == []  # no second gather and no D × D image
 
 
 def test_damping_check_transforms_both_symbols_in_one_call(monkeypatch):
@@ -729,8 +769,8 @@ def test_harmonic_rows_are_damped_by_the_spectrum_in_the_same_order(case, seed):
     # times row l² + l + m of those of Q_B, the contract the spin command's check reads
     space, grid = case
     stack = np.array([random_operator(seed + i, space.dim) for i in range(2)])
-    image = charge_block_image(charge_blocks(*ring_factors(space, grid)), stack)
     states = spin.coherent_state_matrix(space, grid)
+    image = np.array([luders_image(states, grid.weights, operator) for operator in stack])
     before, after = (spin.harmonic_coefficients(q_symbols(states, ops), grid, space)
                      for ops in (stack, image))
     assert before.shape == (space.dim ** 2, 2)
