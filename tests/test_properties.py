@@ -263,6 +263,30 @@ def test_every_charge_block_is_the_ring_image_of_its_unit_diagonals(case):
         assert np.all(images[:, size:, 0] == 0)
 
 
+
+def block_image(blocks, operator):
+    """Λ(B) from the charge blocks alone: M_q times each offset diagonal b_q = (B[j, j−q])_j."""
+    dim = len(blocks[0])
+    image = np.zeros_like(operator, dtype=complex)
+    for charge in range(1 - dim, dim):
+        i = np.arange(dim - abs(charge))
+        rows, cols = i + max(charge, 0), i + max(-charge, 0)
+        image[rows, cols] = blocks[charge] @ operator[rows, cols]
+    return image
+
+
+@DETERMINISTIC
+@given(spin_ring_grids(), st.integers(0, 2**32 - 1))
+def test_one_charge_block_image_lives_on_its_charge(case, seed):
+    """The block image of a charge-q operator is exactly 0 off ±q and the dense image."""
+    states, node_weights, factors, weights = case
+    dim = factors.shape[1]
+    operator, charge = one_charge_operator(seed, dim)
+    image = block_image(charge_blocks(factors, weights), operator)
+    offsets = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    assert np.all(image[offsets != charge] == 0)
+    assert_close(image, luders_image(states, node_weights, operator))
+
 def charge_sparse_stack(seed, dim):
     """A (2, 3) stack in which each operator keeps a random subset of its signed charges."""
     rng = np.random.default_rng(seed)
@@ -409,6 +433,15 @@ def test_ring_core_maps_the_zero_operator_to_zero():
     assert np.array_equal(ring_q_symbols(factors, 10, zero), np.zeros((6, 10)))
     assert np.array_equal(ring_luders_image(factors, weights, zero), zero)
 
+
+@DETERMINISTIC
+@given(spin_grids(), st.integers(0, 2**32 - 1))
+def test_ring_image_is_the_charge_block_image_on_alias_free_grids(case, seed):
+    space, grid = case
+    factors, ring_weights = ring_factors(space, grid)
+    operator = random_operator(seed, space.dim)
+    assert_close(ring_luders_image(factors, grid.weights.reshape(len(factors), -1), operator),
+                 block_image(charge_blocks(factors, ring_weights), operator))
 
 # --- the ring core on offset diagonals -----------------------------------------------
 
