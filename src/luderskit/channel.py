@@ -58,11 +58,12 @@ the ring image also take a stack (…, D, D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import pi
 
 import numpy as np
+
+from ._value import Value
 
 STATE_NORM_TOL = 1e-12
 RESOLUTION_TOL = 1e-10
@@ -114,20 +115,21 @@ def luders_image(states: np.ndarray, weights: np.ndarray,
     return resolution(states, weights * q_symbols(states, operator))
 
 
-@dataclass(frozen=True)
-class WeightedProjectorFamily:
-    """Unit vectors |ψ_i⟩ in C^dim with positive weights resolving identity."""
+class WeightedProjectorFamily(Value):
+    """Unit vectors |ψ_i⟩ in C^dim with positive weights resolving identity.
 
-    dim: int
-    states: np.ndarray   # (n_members, dim) complex, rows are the states
-    weights: np.ndarray  # (n_members,) positive reals
+    `states` is (n_members, dim) complex, rows are the states; `weights`
+    (n_members,) positive reals.
+    """
 
-    def __post_init__(self):
-        states = _read_only(self.states, complex)
-        weights = _read_only(self.weights, float)
-        if states.ndim != 2 or states.shape[1] != self.dim:
+    _fields = __slots__ = ("dim", "states", "weights")
+
+    def __init__(self, dim: int, states: np.ndarray, weights: np.ndarray):
+        states = _read_only(states, complex)
+        weights = _read_only(weights, float)
+        if states.ndim != 2 or states.shape[1] != dim:
             raise QuadratureError(
-                f"states must have shape (n, {self.dim}), got {states.shape}"
+                f"states must have shape (n, {dim}), got {states.shape}"
             )
         if weights.shape != (states.shape[0],):
             raise QuadratureError("one weight per state required")
@@ -137,26 +139,25 @@ class WeightedProjectorFamily:
         worst = np.abs(norms - 1.0).max()
         if worst > STATE_NORM_TOL:
             raise QuadratureError(f"state norm deviates from 1 by {worst:.3e}")
-        defect = np.abs(resolution(states, weights) - np.eye(self.dim)).max()
+        defect = np.abs(resolution(states, weights) - np.eye(dim)).max()
         if defect > RESOLUTION_TOL:
             raise QuadratureError(
                 f"resolution of unity fails: entrywise defect {defect:.3e} "
                 f"exceeds {RESOLUTION_TOL:.0e} (bad quadrature)"
             )
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class SuperoperatorMatrix:
+class SuperoperatorMatrix(Value):
     """D²×D² matrix of a channel in the column-stacking vectorization."""
 
-    dim: int
-    matrix: np.ndarray
+    _fields = __slots__ = ("dim", "matrix")
 
-    def __post_init__(self):
-        matrix = _read_only(self.matrix, complex)
-        d2 = self.dim * self.dim
+    def __init__(self, dim: int, matrix: np.ndarray):
+        matrix = _read_only(matrix, complex)
+        d2 = dim * dim
         if matrix.shape != (d2, d2):
             raise ValueError(f"expected shape ({d2}, {d2}), got {matrix.shape}")
         herm = np.abs(matrix - matrix.conj().T).max()
@@ -164,19 +165,25 @@ class SuperoperatorMatrix:
             raise ValueError(
                 f"superoperator is not Hilbert-Schmidt Hermitian (defect {herm:.3e})"
             )
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
-        identity = np.eye(self.dim)
+        identity = np.eye(dim)
         defect = np.abs(apply_channel(self, identity) - identity).max()
         if defect > UNITALITY_TOL:
             raise ValueError(f"channel is not unital (defect {defect:.3e})")
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Eigendecomposition summary: spectrum, fixed-space basis and dimension."""
+class SpectralReport(Value):
+    """Eigendecomposition summary: spectrum, fixed-space basis and dimension.
 
-    eigenvalues: np.ndarray  # complex, descending real part
-    fixed_basis: tuple = field(default=())
+    `eigenvalues` is complex, in descending real part.
+    """
+
+    _fields = __slots__ = ("eigenvalues", "fixed_basis")
+
+    def __init__(self, eigenvalues: np.ndarray, fixed_basis: tuple = ()):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "fixed_basis", fixed_basis)
 
     @property
     def fixed_space_dim(self) -> int:
@@ -413,8 +420,7 @@ def _level_logs(log_y, size: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RingFactors:
+class RingFactors(Value):
     """The ring factors F (n_r × D) of a product grid in the Perelomov form F[r, k] = g_r h_k t_r^k.
 
     `rows` is F; `log_t` holds log t_r per ring (−inf for t = 0) and
@@ -428,13 +434,12 @@ class RingFactors:
     t^q would overflow.
     """
 
-    rows: np.ndarray
-    log_t: np.ndarray
-    log_h: np.ndarray
+    _fields = ("rows", "log_t", "log_h")
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        rows = _read_only(self.rows, float)
-        log_t, log_h = _read_only(self.log_t, float), _read_only(self.log_h, float)
+    def __init__(self, rows: np.ndarray, log_t: np.ndarray, log_h: np.ndarray):
+        rows = _read_only(rows, float)
+        log_t, log_h = _read_only(log_t, float), _read_only(log_h, float)
         if rows.ndim != 2 or log_t.shape != rows.shape[:1] or log_h.shape != rows.shape[1:]:
             raise ValueError(f"factors of shape {rows.shape} need log_t of shape (n_r,) and "
                              f"log_h of shape (D,), got {log_t.shape} and {log_h.shape}")

@@ -21,9 +21,10 @@ names the lexeme it starts with ('^' of ^k, p of p/q) and its position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+
+from ._value import Value
 
 # Largest exponent the parser accepts and largest degree of any product the
 # ordering engine forms; a product's cost grows steeply with its degree (the
@@ -49,12 +50,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class ComplexRational:
+class ComplexRational(Value):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    _fields = __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @classmethod
     def real(cls, value) -> "ComplexRational":
@@ -110,43 +113,55 @@ I_UNIT = ComplexRational.imag_unit()
 
 # --- abstract syntax tree ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
-    value: ComplexRational
+class Literal(Value):
+    _fields = __slots__ = ("value",)
+
+    def __init__(self, value: ComplexRational):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str  # one of 'a', 'ad', 'q', 'p', 'id'
+class Symbol(Value):
+    _fields = __slots__ = ("name",)
+
+    def __init__(self, name: str):  # one of 'a', 'ad', 'q', 'p', 'id'
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprNode"
+class Neg(Value):
+    _fields = __slots__ = ("operand",)
+
+    def __init__(self, operand: "ExprNode"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Add:
-    lhs: "ExprNode"
-    rhs: "ExprNode"
+class _Binary(Value):
+    """A node with two operands."""
+
+    _fields = __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "ExprNode", rhs: "ExprNode"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Sub:
-    lhs: "ExprNode"
-    rhs: "ExprNode"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    lhs: "ExprNode"
-    rhs: "ExprNode"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprNode"
-    exponent: int
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Pow(Value):
+    _fields = __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "ExprNode", exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 ExprNode = Literal | Symbol | Neg | Add | Sub | Mul | Pow

@@ -38,12 +38,12 @@ place of an (n_nodes × n_ξ) table of exponentials.  Its cost grows with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lgamma, log, pi, sqrt
 
 import numpy as np
 
+from ._value import Value
 from .channel import (
     TABLE_CACHE_SIZE,
     RingFactors,
@@ -74,22 +74,22 @@ class TruncationError(ValueError):
     """A phase-space label is too large for the truncated space."""
 
 
-@dataclass(frozen=True)
-class FockSpace:
+class FockSpace(Value):
     """Levels 0..dim-1 with read-only lowering/raising matrices a, a†, built on first use."""
 
-    dim: int
-    guard_dim: int = -1  # -1 means dim - DEFAULT_GUARD_MARGIN
+    _fields = ("dim", "guard_dim")
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        for name in ("dim", "guard_dim"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.dim < 2:
+    def __init__(self, dim: int, guard_dim: int = -1):  # -1 means dim - DEFAULT_GUARD_MARGIN
+        dim, guard_dim = _integer(dim, "dim"), _integer(guard_dim, "guard_dim")
+        if dim < 2:
             raise ValueError("dim must be at least 2")
-        if self.guard_dim == -1:
-            object.__setattr__(self, "guard_dim", max(self.dim - DEFAULT_GUARD_MARGIN, 1))
-        if not 0 < self.guard_dim <= self.dim:
+        if guard_dim == -1:
+            guard_dim = max(dim - DEFAULT_GUARD_MARGIN, 1)
+        if not 0 < guard_dim <= dim:
             raise ValueError("guard_dim must lie in 1..dim")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "guard_dim", guard_dim)
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -182,17 +182,16 @@ def displacement_matrix(space: FockSpace, alpha: complex) -> np.ndarray:
     return (vecs * np.exp(-1j * lam)) @ vecs.conj().T
 
 
-@dataclass(frozen=True)
-class PlaneQuadrature:
+class PlaneQuadrature(Value):
     """Disk nodes α_k with weights carrying the d²α/π measure; Σw = radius²."""
 
-    alphas: np.ndarray
-    weights: np.ndarray
-    radius: float
+    _fields = ("alphas", "weights", "radius")
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", _read_only(self.alphas, complex))
-        object.__setattr__(self, "weights", _read_only(self.weights, float))
+    def __init__(self, alphas: np.ndarray, weights: np.ndarray, radius: float):
+        object.__setattr__(self, "alphas", _read_only(alphas, complex))
+        object.__setattr__(self, "weights", _read_only(weights, float))
+        object.__setattr__(self, "radius", radius)
 
     def __len__(self):
         return len(self.weights)
@@ -306,12 +305,14 @@ def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.n
 
 # --- symplectic-Fourier coefficients and the damping check --------------------
 
-@dataclass(frozen=True)
-class XiSpectrum:
+class XiSpectrum(Value):
     """Discretized coefficients B_ξ of a Q-symbol at the given ξ points."""
 
-    xi_points: np.ndarray
-    coeffs: np.ndarray
+    _fields = __slots__ = ("xi_points", "coeffs")
+
+    def __init__(self, xi_points: np.ndarray, coeffs: np.ndarray):
+        object.__setattr__(self, "xi_points", xi_points)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def _jacobi_anger_order(z_max: float) -> int:
@@ -472,19 +473,29 @@ def default_xi_points() -> np.ndarray:
     return np.array(out)
 
 
-@dataclass(frozen=True)
-class DampingReport:
-    """Pointwise ratio B_ξ(Q_Λ(B)) / B_ξ(Q_B) against the Gaussian e^(-|ξ|²)."""
+class DampingReport(Value):
+    """Pointwise ratio B_ξ(Q_Λ(B)) / B_ξ(Q_B) against the Gaussian e^(-|ξ|²).
 
-    source_symbols: np.ndarray  # Q_B on the quadrature nodes
-    image_symbols: np.ndarray   # Q_Λ(B) on the quadrature nodes
-    xi_points: np.ndarray
-    source_coeffs: np.ndarray
-    image_coeffs: np.ndarray
-    ratios: np.ndarray
-    expected: np.ndarray
-    deviations: np.ndarray
-    flagged: np.ndarray  # True where |B_ξ| < XI_FLOOR: not compared
+    `source_symbols` and `image_symbols` are Q_B and Q_Λ(B) on the
+    quadrature nodes; `flagged` is True where |B_ξ| < XI_FLOOR: not compared.
+    """
+
+    _fields = __slots__ = ("source_symbols", "image_symbols", "xi_points", "source_coeffs",
+                           "image_coeffs", "ratios", "expected", "deviations", "flagged")
+
+    def __init__(self, source_symbols: np.ndarray, image_symbols: np.ndarray,
+                 xi_points: np.ndarray, source_coeffs: np.ndarray, image_coeffs: np.ndarray,
+                 ratios: np.ndarray, expected: np.ndarray, deviations: np.ndarray,
+                 flagged: np.ndarray):
+        object.__setattr__(self, "source_symbols", source_symbols)
+        object.__setattr__(self, "image_symbols", image_symbols)
+        object.__setattr__(self, "xi_points", xi_points)
+        object.__setattr__(self, "source_coeffs", source_coeffs)
+        object.__setattr__(self, "image_coeffs", image_coeffs)
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "deviations", deviations)
+        object.__setattr__(self, "flagged", flagged)
 
     @property
     def max_deviation(self) -> float:

@@ -15,10 +15,10 @@ word, and the printed forms are rendered from the integers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
+from ._value import Value
 from .expr import (
     Add,
     ComplexRational,
@@ -528,22 +528,28 @@ def family_p(n: int) -> NormalPolynomial:
     return NormalPolynomial({(n, 0): -_NEG_HALF_I, (0, n): _NEG_HALF_I})
 
 
-@dataclass(frozen=True)
-class LuedersFamilyCoefficients:
+class LuedersFamilyCoefficients(Value):
     """Coordinates b0, bq[n], bp[n] of a polynomial in the invariant family."""
 
-    max_degree: int
-    b0: Fraction
-    bq: tuple[Fraction, ...]
-    bp: tuple[Fraction, ...]
+    _fields = __slots__ = ("max_degree", "b0", "bq", "bp")
+
+    def __init__(self, max_degree: int, b0: Fraction, bq: tuple[Fraction, ...],
+                 bp: tuple[Fraction, ...]):
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "bq", bq)
+        object.__setattr__(self, "bp", bp)
 
 
-@dataclass(frozen=True)
-class FixedSpaceResult:
-    max_degree: int
-    dimension: int
-    basis: tuple[NormalPolynomial, ...]
-    family_coordinates: tuple[LuedersFamilyCoefficients, ...]
+class FixedSpaceResult(Value):
+    _fields = __slots__ = ("max_degree", "dimension", "basis", "family_coordinates")
+
+    def __init__(self, max_degree: int, dimension: int, basis: tuple[NormalPolynomial, ...],
+                 family_coordinates: tuple[LuedersFamilyCoefficients, ...]):
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "family_coordinates", family_coordinates)
 
 
 def decompose_in_family(poly: NormalPolynomial, max_degree: int) -> LuedersFamilyCoefficients:
@@ -599,8 +605,14 @@ def luders_fixed_space(max_degree: int) -> FixedSpaceResult:
     heads = (NormalPolynomial._stored({(0, 0): (1, 0)}, 1),) + tuple(
         NormalPolynomial._stored({(n, 0): (re, im), (0, n): (re, -im)}, 1)
         for n in range(1, max_degree + 1) for re, im in ((1, 0), (0, 1)))
-    coords = tuple(decompose_in_family(poly, max_degree) for poly in heads)
-    return FixedSpaceResult(max_degree, len(heads), heads, coords)
+    # their family coordinates: b0 = 1, then bq[n - 1] = 2 or bp[n - 1] = 2, zero elsewhere
+    zeros = (_ZERO,) * max_degree
+    coords = [LuedersFamilyCoefficients(max_degree, Fraction(1), zeros, zeros)]
+    for n in range(max_degree):
+        two = zeros[:n] + (Fraction(2),) + zeros[n + 1:]
+        coords += (LuedersFamilyCoefficients(max_degree, _ZERO, two, zeros),
+                   LuedersFamilyCoefficients(max_degree, _ZERO, zeros, two))
+    return FixedSpaceResult(max_degree, len(heads), heads, tuple(coords))
 
 
 def to_matrix(poly: NormalPolynomial, space):

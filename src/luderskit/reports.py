@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
+
+from ._value import Value
 
 
 class ReportSchemaError(ValueError):
@@ -25,13 +26,16 @@ def format_quantity(value) -> str:
     return f"{float(value):.15g}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    expected: object
-    actual: object
-    tolerance: object
-    passed: bool
+class CheckResult(Value):
+    _fields = __slots__ = ("name", "expected", "actual", "tolerance", "passed")
+
+    def __init__(self, name: str, expected: object, actual: object, tolerance: object,
+                 passed: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", passed)
 
     def as_dict(self) -> dict:
         return {
@@ -43,17 +47,21 @@ class CheckResult:
         }
 
 
-@dataclass
-class ReportDocument:
-    command: str
-    parameters: dict
-    results: list = field(default_factory=list)
-    timestamp: str = ""
-    version: str = ""
+class ReportDocument(Value):
+    """A command's report; unlike the other value types, mutable and unhashable."""
 
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    _fields = __slots__ = ("command", "parameters", "results", "timestamp", "version")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, parameters: dict, results: list | None = None,
+                 timestamp: str = "", version: str = ""):
+        self.command = command
+        self.parameters = parameters
+        self.results = [] if results is None else results
+        self.timestamp = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
+        self.version = version
 
     @property
     def all_passed(self) -> bool:

@@ -14,13 +14,13 @@ of `channel.ring_luders_sums`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, isqrt, pi
 
 import numpy as np
 
+from ._value import Value
 from .channel import (
     RingFactors,
     WeightedProjectorFamily,
@@ -35,18 +35,19 @@ from .channel import (
 MAX_TWO_S = 50  # pinned by the tests; raising it is a change of its own
 
 
-@dataclass(frozen=True)
-class SpinSpace:
+class SpinSpace(Value):
     """Spin-s Hilbert space (dim = two_s + 1) with read-only ladder matrices, built on first use."""
 
-    two_s: int
+    _fields = ("two_s",)
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "two_s", _integer(self.two_s, "two_s"))
-        if self.two_s < 1:
+    def __init__(self, two_s: int):
+        two_s = _integer(two_s, "two_s")
+        if two_s < 1:
             raise ValueError("two_s must be a positive integer")
-        if self.two_s > MAX_TWO_S:
+        if two_s > MAX_TWO_S:
             raise ValueError(f"two_s capped at {MAX_TWO_S}")
+        object.__setattr__(self, "two_s", two_s)
 
     @property
     def dim(self) -> int:
@@ -71,16 +72,16 @@ class SpinSpace:
         return self.jplus.conj().T
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    theta: float
-    phi: float
+class SpherePoint(Value):
+    _fields = __slots__ = ("theta", "phi")
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2 * pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+    def __init__(self, theta: float, phi: float):
+        if not 0.0 <= theta <= pi:
+            raise ValueError(f"theta must lie in [0, pi], got {theta}")
+        if not 0.0 <= phi < 2 * pi:
+            raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def unit_vector(self) -> np.ndarray:
@@ -122,22 +123,22 @@ def overlap_squared(space: SpinSpace, p1: SpherePoint, p2: SpherePoint) -> float
     return float(abs(np.vdot(v1, v2)) ** 2)
 
 
-@dataclass(frozen=True)
-class SphereQuadrature:
+class SphereQuadrature(Value):
     """Product quadrature on the sphere carrying the (2s+1)/(4π) sinθ measure.
 
     Exact for all integrands band-limited to spherical-harmonic degree
     exact_degree; total weight is 2s+1.
     """
 
-    thetas: np.ndarray
-    phis: np.ndarray
-    weights: np.ndarray
-    exact_degree: int
+    _fields = ("thetas", "phis", "weights", "exact_degree")
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        for name in ("thetas", "phis", "weights"):
-            object.__setattr__(self, name, _read_only(getattr(self, name), float))
+    def __init__(self, thetas: np.ndarray, phis: np.ndarray, weights: np.ndarray,
+                 exact_degree: int):
+        object.__setattr__(self, "thetas", _read_only(thetas, float))
+        object.__setattr__(self, "phis", _read_only(phis, float))
+        object.__setattr__(self, "weights", _read_only(weights, float))
+        object.__setattr__(self, "exact_degree", exact_degree)
 
     def __len__(self):
         return len(self.weights)

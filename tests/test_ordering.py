@@ -273,6 +273,13 @@ def test_fixed_space_heads_are_the_complex_rational_heads_at_every_degree():
             assert all(type(entry) is Fraction for entry in flat)
 
 
+def test_fixed_space_coordinates_are_the_family_decomposition_of_each_head():
+    for n_max in range(MAX_DEGREE + 1):
+        result = luders_fixed_space(n_max)
+        assert result.family_coordinates == tuple(
+            decompose_in_family(head, n_max) for head in result.basis)
+
+
 def test_decompose_rejects_mixed_terms():
     with pytest.raises(ValueError):
         decompose_in_family(normal_order("ad*a"), 2)
