@@ -317,13 +317,18 @@ def _table_columns(charges: np.ndarray, dim: int):
     return slice(None) if len(charges) == 2 * dim - 1 else charges + (dim - 1)
 
 
+def _ring_constant(weights: np.ndarray) -> bool:
+    """Whether W is exactly constant along each ring: `_alias_free` and `_symbol_image` both ask."""
+    return bool(np.all(weights == weights[:, :1]))
+
+
 def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
-    """W as floats; raises ValueError unless n_φ > 2(D − 1) and W is constant along each ring,
-    the grids on which the φ-sum is an exact Kronecker delta on the charge q = j − k."""
+    """W as floats; raises ValueError unless n_φ > 2(D − 1) and `_ring_constant`(W), the grids
+    on which the φ-sum is an exact Kronecker delta on the charge q = j − k."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape[1] <= 2 * (dim - 1):
         raise ValueError(f"need more than {2 * (dim - 1)} phi nodes, got {weights.shape[1]}")
-    if np.abs(weights - weights[:, :1]).max() > 1e-12 * weights.max():
+    if not _ring_constant(weights):
         raise ValueError("grid weights vary along a ring")
     return weights
 
@@ -588,17 +593,12 @@ def _on_diagonals(images: np.ndarray, charges) -> np.ndarray:
     return out[..., :-1].reshape(lead + (dim, dim))
 
 
-def _resolution_diagonals(factors: RingFactors, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonals, charges) of `ring_resolution` in `ring_diagonal_image`'s layout: the image
-    of the symbol 1 (c[r, 0] = 1) on charge 0, on `_symbol_image`'s charges, 0 included."""
-    return _symbol_image(factors, values, np.ones((len(factors), 1)), np.zeros(1, dtype=int))
-
-
 def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
     """Σ_{r,l} V[r, l] |ψ_rl⟩⟨ψ_rl| for the ring states of `ring_q_symbols`: entry (j, j−q) is
-    Σ_r F[r, j] F[r, j−q] V̂[r, q], V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}, formed on the charges of
-    `_resolution_diagonals` and exactly 0 on the others."""
-    return _on_diagonals(*_resolution_diagonals(factors, values))
+    Σ_r F[r, j] F[r, j−q] V̂[r, q], V̂[r, q] = Σ_l V[r, l] e^{iqφ_l}, the image of the symbol 1
+    (c[r, 0] = 1) on charge 0, formed on `_symbol_image`'s charges and exactly 0 on the others."""
+    return _on_diagonals(*_symbol_image(factors, values, np.ones((len(factors), 1)),
+                                        np.zeros(1, dtype=int)))
 
 
 def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
@@ -630,7 +630,7 @@ def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
     V̂ is the alias fold of the sums (`_folded_hats`), formed only on the image charges
     q′ ≡ q (mod n_φ) and exactly 0 elsewhere; else it comes from the symbols on the nodes."""
     weights = _per_ring(factors, weights)
-    hats_from = _folded_hats if np.all(weights == weights[:, :1]) else _node_hats
+    hats_from = _folded_hats if _ring_constant(weights) else _node_hats
     hats, charges = hats_from(factors, weights, sums, charges)
     columns = _table_columns(charges, _ring_dim(factors))
     hats *= factors._charge_powers[:, columns]

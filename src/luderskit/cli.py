@@ -28,18 +28,17 @@ from math import exp, lgamma, log
 import numpy as np
 
 from . import __version__, fock, ordering, spin
-# cmd_spin takes its spectrum from the charge blocks and its sums from the ring core, cmd_fock
-# works from offset diagonals; apply_channel, build_luders_channel and channel_spectrum stay
+# cmd_spin takes its spectrum from the charge blocks, and both commands map closed-form charge
+# sums through `_symbol_image`; apply_channel, build_luders_channel and channel_spectrum stay
 # imported for bench/spans.py and bench/selftest.py, and ring_luders_image, ring_luders_symbols
 # and ring_q_symbols only because tests patch them here to count or refuse their calls
 from .channel import (
-    _resolution_diagonals,
+    _symbol_image,
     apply_channel,
     build_luders_channel,
     channel_spectrum,
     charge_block_spectrum,
     charge_blocks,
-    ring_diagonal_image,
     ring_luders_image,
     ring_luders_sums,
     ring_luders_symbols,
@@ -95,22 +94,27 @@ def _label_pairs(rng, space):
     return a_pts, b_pts, va, vb, (va.conj() * vb).sum(axis=1)
 
 
-def _q_band(dim: int) -> np.ndarray:
-    """q[j, j + 1] = q[j + 1, j] = √(j + 1)/2, j = 0..D − 2: the two bands of the truncated
-    q = (a + a†)/2, which is 0 elsewhere."""
-    return np.sqrt(np.arange(1, dim)) / 2
-
-
-def _resolution_gap(factors, weights, diagonal) -> float:
-    """max |Σ w|ψ⟩⟨ψ| − diag(d)| over the entries, from the resolution's offset diagonals alone."""
-    images, charges = _resolution_diagonals(factors, weights)
-    images[:, np.searchsorted(charges, 0)] -= diagonal
+def _image_gap(factors, weights, sums, charges, references) -> float:
+    """max |Λ(B) − reference| over the entries of Λ(B), for B given by its ring charge sums
+    c[…, r, k] on the sorted `charges` (the resolution: the sum 1 on charge 0) and the reference
+    by its offset diagonals (…, D, k) on the same charges, 0 on every other."""
+    images, image_charges = _symbol_image(factors, weights, sums, np.asarray(charges))
+    images[..., np.searchsorted(image_charges, charges)] -= references
     return np.abs(images).max()
 
 
+def _disk_diagonal(dim: int, m: int, n: int, radius: float) -> np.ndarray:
+    """The whole-space disk image of a†^m a^n (m, n ≤ 4) on its charge m − n, on the leading
+    D × D block: `disk_monomial_diagonal` on D + 4 levels, which reach past the block, cut to
+    the block's D − |m − n| entries."""
+    out = fock.disk_monomial_diagonal(fock.FockSpace(dim + 4), m, n, radius)[:dim]
+    out[dim - abs(m - n):] = 0
+    return out
+
+
 def _apply_q(states: np.ndarray) -> np.ndarray:
-    """q|ψ⟩ per row ψ, from q's two bands: (qψ)[j] = (√j ψ[j − 1] + √(j + 1) ψ[j + 1])/2."""
-    band = _q_band(states.shape[-1])
+    """q|ψ⟩ per row ψ, q = (a + a†)/2 truncated: (qψ)[j] = (√j ψ[j − 1] + √(j + 1) ψ[j + 1])/2."""
+    band = np.sqrt(np.arange(1, states.shape[-1])) / 2
     out = np.zeros_like(states)
     out[..., 1:] = band * states[..., :-1]
     out[..., :-1] += band * states[..., 1:]
@@ -161,7 +165,8 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
         "seed": _RNG_SEED,
     }, overrides)
 
-    run.numeric("resolution_of_unity", 0.0, _resolution_gap(factors, weights, 1.0), 1e-12)
+    run.numeric("resolution_of_unity", 0.0,
+                _image_gap(factors, weights, np.ones((len(factors), 1)), [0], 1.0), 1e-12)
 
     spectral = charge_block_spectrum(charge_blocks(factors, weights))
     expected = spin.expected_spectrum(space)
@@ -213,45 +218,38 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
-    run.numeric("resolution_of_unity_disk", 0.0,
-                _resolution_gap(factors, weights, fock.disk_monomial_diagonal(space, 0, 0, radius)),
-                1e-9)
+    run.numeric("resolution_of_unity_disk", 0.0, _image_gap(
+        factors, weights, np.ones((len(factors), 1)), [0],
+        fock.disk_monomial_diagonal(space, 0, 0, radius)[:, None]), 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
     a_pts, b_pts, _, _, overlaps = _label_pairs(rng, space)
     run.numeric("coherent_overlap_law", 0.0,
                 np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
-    # each word a†^m a^n and its disk image sit on charge m − n: the words of equal
-    # charge q are one stack of offset diagonals and one kernel call
+    # the Q-symbol of a word a†^m a^n is ᾱ^m α^n, so its charge sums on ring r are t_r^(m + n)
+    # on charge m − n: the words of equal charge q are one stack and one kernel call
     gaps = []
     for q in range(-4, 5):
         words = [(m, n) for m in range(5) for n in range(5 - m) if m - n == q]
-        diagonals = np.stack([space.ladder_diagonal(m, n) for m, n in words])[..., None]
-        images, charges = ring_diagonal_image(factors, weights, diagonals, [q])
-        images[..., np.searchsorted(charges, q)] -= [
-            fock.disk_monomial_diagonal(space, m, n, radius) for m, n in words]
-        gaps.append(np.abs(images).max())
+        sums = np.stack([factors.powers[:, m + n] for m, n in words])[..., None]
+        disks = np.stack([_disk_diagonal(dim, m, n, radius) for m, n in words])[..., None]
+        gaps.append(_image_gap(factors, weights, sums, [q], disks))
     run.numeric("grid_vs_symbolic_disk", 0.0, np.max(gaps), 1e-9)
 
     lam_q2 = ordering.luders_symbolic(ordering.normal_order("q^2"))
     target = ordering.normal_order("q^2 + 1/2")
     run.numeric("lambda_q2_symbolic", 0.0, _largest_coefficient(lam_q2 - target), 0)
 
-    # the truncated q² = (a² + a†² + a a† + a† a)/4 on its charges −2, 0 and 2; its a a†
-    # ends in 0, so entry D − 1 of charge 0 is (D − 1)/4
-    band = _q_band(dim)
-    squares = np.zeros((dim, 3))
-    squares[:dim - 2, 0] = squares[:dim - 2, 2] = band[1:] * band[:-1]
-    squares[:, 1] = (2 * np.arange(dim) + 1) / 4
-    squares[-1, 1] = (dim - 1) / 4
-    images, charges = ring_diagonal_image(factors, weights, squares, [-2, 0, 2])
-    for q, disk in ((-2, fock.disk_monomial_diagonal(space, 0, 2, radius)),
-                    (2, fock.disk_monomial_diagonal(space, 2, 0, radius)),
-                    (0, 2 * fock.disk_monomial_diagonal(space, 1, 1, radius)
-                     + fock.disk_monomial_diagonal(space, 0, 0, radius))):
-        images[:, np.searchsorted(charges, q)] -= disk / 4
-    run.numeric("lambda_q2_grid_disk", 0.0, np.abs(images).max(), 1e-9)
+    # q² = (a² + a†² + 2a†a + 1)/4 has the Q-symbol (α² + ᾱ² + 2|α|² + 1)/4: the sums t²/4,
+    # t²/2 + 1/4 and t²/4 on its charges −2, 0 and 2
+    quarter = factors.powers[:, 2] / 4
+    disks = np.stack([_disk_diagonal(dim, 0, 2, radius),
+                      2 * _disk_diagonal(dim, 1, 1, radius) + _disk_diagonal(dim, 0, 0, radius),
+                      _disk_diagonal(dim, 2, 0, radius)], axis=-1) / 4
+    run.numeric("lambda_q2_grid_disk", 0.0,
+                _image_gap(factors, weights, np.stack([quarter, 2 * quarter + 0.25, quarter], -1),
+                           [-2, 0, 2], disks), 1e-9)
 
     vb = fock.fock_coherent_state(space, beta)
     damping = fock.verify_damping(space, np.outer(vb, vb.conj()), quad, ring=(factors, weights))

@@ -16,10 +16,11 @@ split into the (F, W) pair of the ring core, which the grid helpers
 from `channel.ring_luders_symbols`, with no D × D image.
 `coherent_state_matrix` gives the dense (n_points, dim) matrix, and
 `fock_coherent_state` one row per label of an array of labels.  A ladder
-word a†^m a^n and its disk-limit image sit on the charge m − n, whose one
-offset diagonal `FockSpace.ladder_diagonal` and `disk_monomial_diagonal`
-give (`ring_diagonal_image` maps it) and `ladder_word` and
-`disk_monomial_image` scatter with the ring core's `_on_diagonals`.
+word a†^m a^n and its disk-limit image sit on the charge m − n: the truncated
+word's offset diagonal is `FockSpace.ladder_diagonal`, the image's
+`disk_monomial_diagonal` (whole on D + min(m, n) levels), and `ladder_word`
+and `disk_monomial_image` scatter them with `_on_diagonals`.  The word's
+Q-symbol ᾱ^m α^n has the ring charge sums t_r^(m+n), which `cli` maps.
 
 The module needs numpy alone.  Factorials enter through a cached table of
 log k!, and the incomplete-gamma factor P(a, R²), for integer a the

@@ -466,3 +466,23 @@ def test_charge_blocks_refuse_weights_that_vary_along_a_ring():
     tilted = weights * (1 + 1e-6 * np.cos(grid.rings[1]))  # same total per ring
     with pytest.raises(ValueError, match="vary along a ring"):
         charge_blocks(factors, tilted)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-14, 1e-6])
+def test_charge_blocks_accept_a_grid_iff_the_ring_image_keeps_the_charge(spread):
+    # one test of "W is constant along each ring" serves both: a W that varies by rounding alone
+    # moves the image off its charge, so the blocks may not claim that the charge is kept
+    space = SpinSpace(4)
+    factors, weights = ring_factors(space, sphere_quadrature(space))
+    rng = np.random.default_rng(4)
+    weights = weights * (1 + spread * rng.uniform(size=weights.shape))
+    operator = np.diag(rng.normal(size=space.dim - 2), -2)  # on the charge q = j − k = 2 alone
+    image = channel.ring_luders_image(factors, weights, operator)
+    keeps_charge = not image[~np.eye(space.dim, k=-2, dtype=bool)].any()
+    try:
+        charge_blocks(factors, weights)
+        accepted = True
+    except ValueError as exc:
+        assert "vary along a ring" in str(exc)
+        accepted = False
+    assert accepted == keeps_charge == (spread == 0)

@@ -139,16 +139,26 @@ def test_fock_command_forms_the_projector_image_once(monkeypatch):
     assert sum(abs(np.trace(op) - 1) < 1e-9 for op in images) == 1
 
 
+def _wide_grid(dim, radius):
+    """(wide, (F, W), whole): the row's nodes on D + 40 levels, whose input truncation lies below
+    rounding on the leading D × D block, and the D + 4 levels on which the disk images are whole
+    there."""
+    wide = fock.FockSpace(dim + 40)
+    grid = fock.ring_factors(wide, fock.plane_quadrature(wide, radius=radius))
+    return wide, grid, fock.FockSpace(dim + 4)
+
+
 @pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
 def test_fock_ladder_row_is_the_matrix_expression_exactly(dim, radius):
-    # the row works on offset diagonals; the matrix path it replaces gives the same float
-    space = fock.FockSpace(dim)
-    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, radius=radius))
-    expected = max(np.abs(channel.ring_luders_image(factors, weights, space.ladder_word(m, n))
-                          - fock.disk_monomial_image(space, m, n, radius)).max()
+    # the row maps each word's closed-form Q-symbol; the matrix path maps the word itself on
+    # D + 40 input levels and keeps the leading block
+    wide, (factors, weights), whole = _wide_grid(dim, radius)
+    expected = max(np.abs(channel.ring_luders_image(factors, weights, wide.ladder_word(m, n))
+                          [:dim, :dim] - fock.disk_monomial_image(whole, m, n, radius)[:dim, :dim]
+                          ).max()
                    for m in range(5) for n in range(5 - m))
     row, = (r for r in cli.cmd_fock(dim, radius, {}).results if r.name == "grid_vs_symbolic_disk")
-    assert row.actual == expected
+    assert abs(row.actual - expected) <= 1e-13
 
 
 @pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
@@ -174,16 +184,19 @@ def test_spin_resolution_row_is_the_matrix_expression_exactly(two_s):
 
 @pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (8, 1.0), (16, 1.8), (40, 3.0)])
 def test_fock_q_rows_are_the_matrix_expressions_exactly(dim, radius):
-    # the rows work on q's bands and q²'s three diagonals; the matrix path they replace gives
-    # the same floats
+    # the q² row maps q²'s closed-form Q-symbol; the matrix path maps q_op @ q_op on D + 40
+    # input levels and keeps the leading block.  The commutator row works on q's bands; the
+    # matrix path it replaces gives the same float
+    wide, (factors, weights), whole = _wide_grid(dim, radius)
+    q_wide = (wide.a + wide.adag) / 2
+    disk = (fock.disk_monomial_image(whole, 2, 0, radius)
+            + fock.disk_monomial_image(whole, 0, 2, radius)
+            + 2 * fock.disk_monomial_image(whole, 1, 1, radius)
+            + fock.disk_identity_matrix(whole, radius)) / 4
+    q2 = np.abs(channel.ring_luders_image(factors, weights, q_wide @ q_wide)[:dim, :dim]
+                - disk[:dim, :dim]).max()
     space = fock.FockSpace(dim)
-    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, radius=radius))
     q_op = (space.a + space.adag) / 2
-    disk = (fock.disk_monomial_image(space, 2, 0, radius)
-            + fock.disk_monomial_image(space, 0, 2, radius)
-            + 2 * fock.disk_monomial_image(space, 1, 1, radius)
-            + fock.disk_identity_matrix(space, radius)) / 4
-    q2 = np.abs(channel.ring_luders_image(factors, weights, q_op @ q_op) - disk).max()
     rng = np.random.default_rng(cli._RNG_SEED)
     cli._label_pairs(rng, space)
     a_pts, b_pts, va, vb, overlaps = cli._label_pairs(rng, space)
@@ -192,7 +205,7 @@ def test_fock_q_rows_are_the_matrix_expressions_exactly(dim, radius):
     rhs = 0.5 * ((a_pts - a_pts.conj()) - (b_pts - b_pts.conj())) \
         * np.exp(-np.abs(a_pts - b_pts) ** 2)
     rows = {r.name: r.actual for r in cli.cmd_fock(dim, radius, {}).results}
-    assert rows["lambda_q2_grid_disk"] == q2
+    assert abs(rows["lambda_q2_grid_disk"] - q2) <= 1e-13
     assert rows["commutator_formula"] == np.abs(lhs - rhs).max()
 
 
@@ -200,6 +213,25 @@ def test_fock_command_forms_no_ladder_word(monkeypatch):
     calls = counting(monkeypatch, fock.FockSpace, "ladder_word")
     assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
     assert calls == []
+
+
+def test_fock_command_maps_closed_form_symbols_not_ladder_diagonals(monkeypatch):
+    diagonals = counting(monkeypatch, fock.FockSpace, "ladder_diagonal")
+    images = counting(monkeypatch, channel, "ring_diagonal_image")
+    assert not hasattr(cli, "ring_diagonal_image")
+    assert run(["fock", "--dim", "16", "--radius", "1.8"]) in (0, 1)
+    assert diagonals == [] and images == []
+
+
+# dim 8, 16, 24 and 32 at ¼, ½, ¾ and 1 × √dim/2, where 64 angles alias no charge, and two
+# sizings of the benchmark
+@pytest.mark.parametrize("dim, radius", [(dim, share * np.sqrt(dim) / 2) for dim in (8, 16, 24, 32)
+                                         for share in (0.25, 0.5, 0.75, 1.0)]
+                         + [(8, 1.0), (16, 1.8)])
+def test_fock_word_rows_pass_on_alias_free_grids(dim, radius):
+    rows = {r.name: r for r in cli.cmd_fock(dim, radius, {}).results}
+    for name in ("grid_vs_symbolic_disk", "lambda_q2_grid_disk"):
+        assert rows[name].passed, (name, rows[name].actual)
 
 
 def test_spin_command_builds_no_state_matrix_or_projector_family(monkeypatch, capsys):

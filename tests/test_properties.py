@@ -1,7 +1,16 @@
-"""Property tests: grid split, charge blocks, ring core, operator stacks, exact ordering engine."""
+"""Property tests: grid split, charge blocks, ring core, operator stacks, exact ordering engine,
+the CLI's envelope."""
 
+import contextlib
+import csv
+import io
+import json
+import os
+import tempfile
+import warnings
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, exp, factorial, log
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +35,8 @@ from luderskit.channel import (
 )
 from luderskit.expr import (
     MAX_DEGREE,
+    MAX_NESTING,
+    MAX_NUMBER_DIGITS,
     Add,
     ComplexRational,
     I_UNIT,
@@ -1332,3 +1343,94 @@ def test_integer_coefficient_text_is_the_complex_rational_text(case):
     re, im, den = case
     expected = str(ComplexRational(Fraction(re, den), Fraction(im, den)))
     assert ordering._coefficient_source(re, im, den) == expected
+
+
+# --- the CLI's envelope over drawn argv ----------------------------------------------
+
+_FOCK_STAGE, _PAST_TOP = (fock, "plane_quadrature"), float(np.nextafter(np.sqrt(40) / 2, np.inf))
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, inside, (module, name)): an argv inside or just outside one command's accepted
+    range, and the command's first stage, which a refused argv must not reach."""
+    command = draw(st.sampled_from(("spin", "fock", "order")))
+    if command == "spin":
+        two_s = str(draw(st.integers(1, spin.MAX_TWO_S) | st.sampled_from((-1, 0, 51, 52, 1.5))))
+        inside = two_s.isdigit() and 1 <= int(two_s) <= spin.MAX_TWO_S
+        return ["spin", f"--two-s={two_s}"], inside, (spin, "sphere_quadrature")
+    if command == "fock":
+        # inside, or one of the two sizes just outside its range
+        past = draw(st.sampled_from((None, None, None, "dim", "radius")))
+        dim = draw(st.sampled_from((6, 7, 201, 202)) if past == "dim" else st.integers(8, 200))
+        top = float(np.sqrt(dim) / 2)
+        # log-uniform from the least subnormal to √dim/2, both ends included
+        radius = draw(st.sampled_from((0.0, -1.0, float(np.nextafter(top, np.inf))))
+                      if past == "radius" else
+                      st.sampled_from((5e-324, top)) | st.floats(0, 1).map(
+                          lambda u: min(max(exp((1 - u) * log(5e-324) + u * log(top)), 5e-324),
+                                        top)))
+        inside = 8 <= dim <= 200 and 0 < radius <= top
+        return ["fock", f"--dim={dim}", f"--radius={radius!r}"], inside, _FOCK_STAGE
+    # one front-end cap, approached from below, met or passed by one
+    knob, step = draw(st.sampled_from(("degree", "digits", "nesting"))), draw(st.integers(-1, 1))
+    if knob == "degree":
+        total = MAX_DEGREE + step
+        k = draw(st.integers(0, total))
+        expression = draw(st.sampled_from((f"ad^{k}*a^{total - k}", f"a^{k}*ad^{total - k}")))
+    elif knob == "digits":
+        expression = "9" * (MAX_NUMBER_DIGITS + step) + "*a"
+    else:
+        depth = MAX_NESTING + step
+        expression = draw(st.sampled_from(("(" * depth + "a" + ")" * depth, "-" * depth + "a")))
+    fixed_space = draw(st.sampled_from((None, 0, 2, MAX_DEGREE, -1, MAX_DEGREE + 1)))
+    inside = step <= 0 and (fixed_space is None or 0 <= fixed_space <= MAX_DEGREE)
+    options = [] if fixed_space is None else [f"--fixed-space={fixed_space}"]
+    return ["order", *options, "--", expression], inside, (ordering, "anti_normal_order")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(cli_argvs())
+# each bound of a sizing just passed, the other sizes inside
+@example((["spin", "--two-s=51"], False, (spin, "sphere_quadrature")))
+@example((["fock", "--dim=201", "--radius=1.0"], False, _FOCK_STAGE))
+@example((["fock", "--dim=7", "--radius=1.0"], False, _FOCK_STAGE))
+@example((["fock", "--dim=40", f"--radius={_PAST_TOP!r}"], False, _FOCK_STAGE))
+@example((["fock", "--dim=40", "--radius=0.0"], False, _FOCK_STAGE))
+def test_cli_keeps_its_envelope_over_drawn_argv(case):
+    argv, inside, (module, stage) = case
+    reports, emit = [], cli._emit
+    with contextlib.ExitStack() as stack:
+        tmp = stack.enter_context(tempfile.TemporaryDirectory())
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error", RuntimeWarning)
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        stack.enter_context(mock.patch.object(
+            cli, "_emit", lambda report, args: reports.append(report) or emit(report, args)))
+        if not inside:
+            stack.enter_context(mock.patch.object(module, stage,
+                                                  side_effect=AssertionError(f"{stage} ran")))
+        json_path, csv_path = os.path.join(tmp, "report.json"), os.path.join(tmp, "report.csv")
+        try:
+            status = cli.run(argv[:1] + ["--json", json_path, "--csv", csv_path] + argv[1:])
+        except SystemExit as exc:  # argparse's own usage path
+            status = exc.code
+        if not inside:
+            assert status == 2 and reports == [], argv
+            return
+        with open(json_path) as handle:
+            rows = json.load(handle)["results"]
+        with open(csv_path, newline="") as handle:
+            table = list(csv.reader(handle))
+    assert status in ((0, 1) if argv[0] == "fock" else (0,)), argv
+    report, = reports
+    assert status == (0 if report.all_passed else 1)
+    for row in report.results:
+        agrees = (row.expected == row.actual if isinstance(row.expected, str)
+                  else abs(float(row.actual) - float(row.expected)) <= float(row.tolerance))
+        assert row.passed == agrees, (argv, row)
+    assert rows == [row.as_dict() for row in report.results]
+    assert table == [["name", "expected", "actual", "tolerance", "pass"]] + [
+        [r["name"], r["expected"], r["actual"], r["tolerance"], "true" if r["pass"] else "false"]
+        for r in rows]
