@@ -23,14 +23,14 @@ families' F takes the Perelomov form F[r, k] = g_r h_k t_r^k, so
 F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
 every offset diagonal, one column per signed charge q = j − k, meets the
 rings in one shared matrix product.  The symbols visit only the c charges on which
-B is nonzero.  Every angular step is the alias fold C[r, m] = Σ_{q ≡ m (mod n_φ)} c[r, q]
-of the charge sums (`_fold`) and at most one length-n_φ `np.fft` per ring: the
-symbols are the FFT of C.  When W is constant along each ring, the image's φ-sum is
-V̂[r, q′] = n_φ W[r, 0] C[r, q′ mod n_φ], with no symbol on the nodes, on the c′ image
-charges q′ ≡ q (mod n_φ) for one of B's (c′ = c on an alias-free grid), exactly 0 on
-the others; the resolution, the image of the symbol 1 on charge 0, visits only
-q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the inverse FFT of W ⊙ Q
-on the nodes, on every charge.  `ring_charge_sums` returns the sums
+B is nonzero: they are the FFT of the alias fold C[r, m] = Σ_{q ≡ m (mod n_φ)} c[r, q]
+of the charge sums (`_fold`), one length-n_φ `np.fft` per ring.  When W is constant
+along each ring, the image's φ-sum is V̂[r, q′] = n_φ W[r, 0] C[r, q′ mod n_φ], with no
+symbol on the nodes, on the c′ image charges q′ ≡ q (mod n_φ) for one of B's, exactly 0
+on the others; on an alias-free grid (n_φ > 2(D − 1)) C is c itself, c′ = c, and V̂ is
+the sums scaled, with no fold.  The resolution, the image of the symbol 1 on charge 0,
+visits only q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the inverse
+FFT of W ⊙ Q on the nodes, on every charge.  `ring_charge_sums` returns the sums
 c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q], `ring_luders_sums` those of B and of Λ(B) for
 the spin harmonics, which need only their φ-transform and no node, and `ring_luders_symbols`
 the symbols of both, Λ(B)'s from its image diagonals with no D × D image.  Between B
@@ -38,8 +38,8 @@ and its image the core works on offset diagonals alone, and `ring_diagonal_image
 exposes that kernel: from the diagonals X (D × c) of B's c charges, the sums
 c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix product (GEMM) of n_r·D·2c real
 multiply-adds, and the image diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) on the c′ image
-charges one GEMM of n_r·D·2c′: O(n_r·D·2(c + c′)) in all with the fold's
-O(n_r·(span + n_φ)), span the width of B's charges, one call per stack.  A matrix B
+charges one GEMM of n_r·D·2c′: O(n_r·D·2(c + c′)) in all, plus on an aliased grid the
+fold's O(n_r·(span + n_φ)), span the width of B's charges, one call per stack.  A matrix B
 adds O(D²) to that: one scan of its nonzero mask for the live charges, one indexed
 gather of X and one indexed store of the image, against the state matrix's
 O(n_r·n_φ·D²).  A dense B (c = 2D − 1) costs O(n_r·D²), reading each table whole;
@@ -322,11 +322,17 @@ def _ring_constant(weights: np.ndarray) -> bool:
     return bool(np.all(weights == weights[:, :1]))
 
 
+def _aliasing(n_angular: int, dim: int) -> bool:
+    """Whether two charges of −(D−1)..D−1 share a residue mod n_φ: n_φ ≤ 2(D − 1)."""
+    return n_angular <= 2 * (dim - 1)
+
+
 def _alias_free(weights: np.ndarray, dim: int) -> np.ndarray:
-    """W as floats; raises ValueError unless n_φ > 2(D − 1) and `_ring_constant`(W), the grids
-    on which the φ-sum is an exact Kronecker delta on the charge q = j − k."""
+    """W as floats; raises ValueError on a grid that is `_aliasing` or whose W is not
+    `_ring_constant`: only the other grids make the φ-sum an exact Kronecker delta on the
+    charge q = j − k."""
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[1] <= 2 * (dim - 1):
+    if _aliasing(weights.shape[1], dim):
         raise ValueError(f"need more than {2 * (dim - 1)} phi nodes, got {weights.shape[1]}")
     if not _ring_constant(weights):
         raise ValueError("grid weights vary along a ring")
@@ -604,8 +610,17 @@ def ring_resolution(factors: RingFactors, values: np.ndarray) -> np.ndarray:
 def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                  charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(V̂, image charges) for W constant along each ring: V̂[…, r, q′] = n_φ W[r, 0] C[…, r, q′
-    mod n_φ], C the alias fold of the sums (`_fold`), on the image charges q′ of `_alias_charges`."""
+    mod n_φ], C the alias fold of the sums (`_fold`), on the image charges q′ of `_alias_charges`.
+
+    The `charges` must be sorted and lie in −(D−1)..D−1, as `_live_sums` and
+    `ring_diagonal_image` give them.  On an alias-free grid (`_aliasing` false) each residue
+    mod n_φ holds one charge, so C is the sums themselves and the image charges are B's own:
+    V̂ = n_φ W[r, 0] c[…, r, q] is one scaled copy, with no fold and no gather.
+    """
     dim, n_angular = _ring_dim(factors), weights.shape[1]
+    if not _aliasing(n_angular, dim):
+        # a C-contiguous copy, so the image product can view it
+        return np.multiply(sums, n_angular * weights[:, :1], dtype=complex, order="C"), charges
     image_charges = _alias_charges(charges, dim, n_angular)
     # `take`, not fancy indexing: its copy is C-contiguous, so the image product can view it
     hats = np.take(_fold(sums, charges, n_angular), image_charges % n_angular, axis=-1)
@@ -626,9 +641,10 @@ def _node_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
 def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                   charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(images, image charges): Λ(B)'s diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)), V = W ⊙ Q, from B's
-    live sums on the sorted `charges`; W must pass `_per_ring`.  With W constant along each ring,
-    V̂ is the alias fold of the sums (`_folded_hats`), formed only on the image charges
-    q′ ≡ q (mod n_φ) and exactly 0 elsewhere; else it comes from the symbols on the nodes."""
+    live sums on the sorted `charges` in −(D−1)..D−1; W must pass `_per_ring`.  With W constant
+    along each ring, V̂ is the alias fold of the sums (`_folded_hats`), formed only on the image
+    charges q′ ≡ q (mod n_φ) and exactly 0 elsewhere: on an alias-free grid, B's own charges and
+    the sums scaled by n_φ W[r, 0], with no fold.  Else V̂ comes from the symbols on the nodes."""
     weights = _per_ring(factors, weights)
     hats_from = _folded_hats if _ring_constant(weights) else _node_hats
     hats, charges = hats_from(factors, weights, sums, charges)

@@ -67,6 +67,7 @@ DEFAULT_N_RADIAL = 40
 DEFAULT_N_ANGULAR = 64
 XI_FLOOR = 1e-8  # |B_xi| below this is too ill-conditioned for a ratio
 MAX_XI_ORDER = 1000  # Bessel orders the ξ transform may sum: its cost grows with them
+MAX_DISK_RADIUS_SQUARED = 1e4  # R² of the disk references: their P table grows with it
 _LOG_UNIT_ROUNDOFF = -53 * log(2)
 _SMALL_BESSEL_Z = 2.0 ** -26  # (z/2)² ≤ 2^-54: below it J_n is its leading series term
 
@@ -210,7 +211,12 @@ class PlaneQuadrature(Value):
 def plane_quadrature(space: FockSpace, radius: float = DEFAULT_RADIUS,
                      n_radial: int = DEFAULT_N_RADIAL,
                      n_angular: int = DEFAULT_N_ANGULAR) -> PlaneQuadrature:
-    """Gauss-Legendre nodes in r² on [0, radius²] × uniform angle grid."""
+    """Gauss-Legendre nodes in r² on [0, radius²] × uniform angle grid.
+
+    Raises ValueError unless both node counts are integers (`channel._integer`) of at least 1
+    and the radius is positive, then TruncationError past √dim/2.
+    """
+    n_radial, n_angular = _integer(n_radial, "n_radial"), _integer(n_angular, "n_angular")
     if not radius > 0:  # true for NaN too
         raise ValueError("radius must be positive")
     if n_radial < 1 or n_angular < 1:
@@ -281,15 +287,30 @@ def disk_identity_matrix(space: FockSpace, radius: float) -> np.ndarray:
 
 
 def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
-    """Continuum disk-channel image of a†^m a^n on its charge m − n, in `ladder_diagonal`'s layout.
+    """Continuum disk-channel image of the truncated a†^m a^n (`FockSpace.ladder_word`) on its
+    charge m − n, in `ladder_diagonal`'s layout.
 
-    Over the whole plane the image is a^n a†^m; the disk |α| <= R scales
-    entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
+    Over the whole plane the image of a†^m a^n is a^n a†^m; the disk |α| <= R
+    scales entry (k + m − n, k) by the regularized incomplete gamma P = P(m + k + 1, R²).
     For max(n − m, 0) <= k < dim − m that entry, k − max(n − m, 0) of the diagonal,
     is (k + m)! / √(k! (k + m − n)!) · P, formed in logs so that neither the
-    factorials nor P leave the float range before the product does.
+    factorials nor P leave the float range before the product does.  The entries stop
+    where the truncated word does, at k < dim − m, so the last min(m, n) entries that the
+    whole-space image has inside the dim × dim block are 0 here.  For the whole-space image
+    on that block, call this on at least dim + min(m, n) levels and cut the result to the
+    block, as `cli._disk_diagonal` does.
+
+    Raises ValueError, before any table is built, unless the powers are nonnegative and
+    0 <= R² <= MAX_DISK_RADIUS_SQUARED (1e4, radius 100; the CLI's largest R² is 50).  The
+    P table runs R² + 12√(R² + 1) + 40 entries past the last level, and its log-sum stays
+    within 1e-11 of P up to the cap (2e-14 at R² = 50).  NaN and infinite radii are
+    refused; a radius whose square underflows to 0 is R = 0.
     """
     _check_powers(m, n)
+    if not 0 <= radius <= sqrt(MAX_DISK_RADIUS_SQUARED):  # false for NaN too
+        raise ValueError(f"radius must lie in 0..{sqrt(MAX_DISK_RADIUS_SQUARED):g} "
+                         f"(R² at most MAX_DISK_RADIUS_SQUARED = {MAX_DISK_RADIUS_SQUARED:g}), "
+                         f"got {radius}")
     k = np.arange(max(n - m, 0), space.dim - m)
     log_fact = _log_factorials(space.dim)
     log_p = _log_gamma_p(space.dim + 1, radius**2)
@@ -300,7 +321,8 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
 
 
 def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:
-    """Continuum disk-channel image of a†^m a^n: `disk_monomial_diagonal` on charge m − n."""
+    """Continuum disk-channel image of the truncated a†^m a^n: `disk_monomial_diagonal` on
+    charge m − n, whose docstring says how to get the whole-space image on the block."""
     return _on_diagonals(disk_monomial_diagonal(space, m, n, radius)[:, None], [m - n])
 
 

@@ -161,11 +161,12 @@ def sphere_quadrature(space: SpinSpace, n_theta: int | None = None,
 
     Every integrand arising from degree-2s symbols (overlaps, symbol
     products) is band-limited to degree 4s, which this grid integrates
-    exactly: min(2*n_theta - 1, n_phi - 1) >= 4s.
+    exactly: min(2*n_theta - 1, n_phi - 1) >= 4s.  Raises ValueError unless the node
+    counts given are integers (`channel._integer`) of at least 2s + 1 and 4s + 1.
     """
     two_s = space.two_s
-    n_theta = two_s + 1 if n_theta is None else n_theta
-    n_phi = 2 * two_s + 1 if n_phi is None else n_phi
+    n_theta = two_s + 1 if n_theta is None else _integer(n_theta, "n_theta")
+    n_phi = 2 * two_s + 1 if n_phi is None else _integer(n_phi, "n_phi")
     if n_theta < two_s + 1:
         raise ValueError(f"need at least {two_s + 1} theta nodes")
     if n_phi < 2 * two_s + 1:

@@ -223,6 +223,26 @@ def test_fock_command_maps_closed_form_symbols_not_ladder_diagonals(monkeypatch)
     assert diagonals == [] and images == []
 
 
+def test_spin_command_maps_its_images_with_no_alias_fold(monkeypatch):
+    # n_φ = 61 > 2(D − 1) = 60: every charge has its own residue, so V̂ is the sums scaled
+    folds = counting(monkeypatch, channel, "_fold")
+    aliases = counting(monkeypatch, channel, "_alias_charges")
+    assert run(["spin", "--two-s", "30"]) == 0
+    assert folds == [] and aliases == []
+
+
+def test_fock_command_folds_its_images_only_on_aliased_grids(monkeypatch):
+    folds = counting(monkeypatch, channel, "_fold")
+    aliases = counting(monkeypatch, channel, "_alias_charges")
+    symbols = counting(monkeypatch, channel, "_ring_symbols")
+    # 64 > 2 · 31: the only folds are those of the FFT symbol route
+    assert run(["fock", "--dim", "32", "--radius", "2.82"]) == 0
+    assert aliases == [] and symbols and len(folds) == len(symbols)
+    # 64 ≤ 2 · 32: the images take the alias fold
+    assert run(["fock", "--dim", "33", "--radius", "2.85"]) == 0
+    assert aliases and len(folds) > len(symbols)
+
+
 # dim 8, 16, 24 and 32 at ¼, ½, ¾ and 1 × √dim/2, where 64 angles alias no charge, and two
 # sizings of the benchmark
 @pytest.mark.parametrize("dim, radius", [(dim, share * np.sqrt(dim) / 2) for dim in (8, 16, 24, 32)

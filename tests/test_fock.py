@@ -210,6 +210,18 @@ def test_quadrature_rejects_node_counts_below_one(space, nodes, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("name", ["n_radial", "n_angular"])
+def test_quadrature_takes_integer_node_counts_only(name):
+    # a fractional count once built a grid whose weights summed to 0.8, not R² = 1
+    space = FockSpace(16)
+    for count in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            plane_quadrature(space, 1.0, **{name: count})
+    quad = plane_quadrature(space, 1.0, **{name: np.int64(3)})
+    assert abs(quad.weights.sum() - 1.0) < 1e-14
+    assert quad.rings[1].shape[0 if name == "n_radial" else 1] == 3
+
+
 def test_ring_factors_accept_aliasing_and_reject_non_product_grids(space):
     aliased = plane_quadrature(space, n_radial=5, n_angular=3)  # n_phi far below 2(dim - 1)
     factors, weights = ring_factors(space, aliased)
@@ -279,6 +291,30 @@ def test_disk_image_stays_finite_where_its_factors_leave_the_float_range():
     assert np.isfinite(entry)
     assert abs(entry - expected) <= 1e-12 * expected
 
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1.0, -1e-170, 100.00000001, 1e4])
+def test_disk_references_refuse_a_radius_they_cannot_use(monkeypatch, radius):
+    # a negative radius once gave the image at |R|, and a finite R past the cap asked the
+    # P table for R² + 12√(R² + 1) + 40 entries
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(fock, "_log_gamma_p", refuse)
+    monkeypatch.setattr(fock, "_log_factorials", refuse)
+    for call in (lambda: fock.disk_monomial_diagonal(FockSpace(8), 1, 0, radius),
+                 lambda: disk_monomial_image(FockSpace(8), 0, 2, radius),
+                 lambda: disk_identity_matrix(FockSpace(8), radius)):
+        with pytest.raises(ValueError, match="MAX_DISK_RADIUS_SQUARED = 10000"):
+            call()
+
+
+def test_disk_references_take_radius_zero_and_the_cap():
+    # R² underflows to 0 at 1e-170: the image of the identity is 0, as at R = 0
+    for radius in (0.0, 1e-170):
+        assert np.array_equal(disk_identity_matrix(FockSpace(8), radius), np.zeros((8, 8)))
+    assert fock.MAX_DISK_RADIUS_SQUARED == 1e4
+    # P(k + 1, 1e4) rounds to 1; the log-sum over about 1e4 terms keeps it within 1e-11
+    assert np.abs(disk_identity_matrix(FockSpace(8), 100.0) - np.eye(8)).max() < 1e-11
 
 
 def test_log_gamma_p_at_zero_is_exact_without_a_warning():

@@ -565,6 +565,12 @@ def ring_uniform_cases(draw):
     radius = draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2
     quad = fock.plane_quadrature(space, radius, draw(st.integers(1, 12)), draw(st.integers(1, 70)))
     factors, weights = fock.ring_factors(space, quad)
+    return factors, weights, draw_charge_operators(draw, dim)
+
+
+def draw_charge_operators(draw, dim):
+    """A dense D × D operator, one on a sparse set of signed charges (spanning all 2D − 1
+    when the ends are drawn), or a stack of two of them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signed = np.subtract.outer(np.arange(dim), np.arange(dim))
     masks = []
@@ -578,7 +584,7 @@ def ring_uniform_cases(draw):
         masks.append(np.isin(signed, sorted(charges)))
     masks = np.array(masks)
     operators = np.where(masks, rng.normal(size=masks.shape) + 1j * rng.normal(size=masks.shape), 0)
-    return factors, weights, operators if len(operators) > 1 else operators[0]
+    return operators if len(operators) > 1 else operators[0]
 
 
 @DETERMINISTIC
@@ -595,6 +601,52 @@ def test_alias_fold_is_the_node_route(case):
     full = np.zeros_like(nodes)
     full[..., image_charges + dim - 1] = folded
     assert np.abs(full - nodes).max() <= 1e-13 * np.abs(nodes).max()
+
+
+@st.composite
+def alias_free_ring_cases(draw):
+    """(factors, W, operators): a spin grid of two_s 1..50 or a disk grid of dim 2..48, each
+    under 2D − 1 to 2D + 19 phi nodes, so no two charges alias, and `draw_charge_operators`."""
+    extra_phi = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        space = SpinSpace(draw(st.integers(1, spin.MAX_TWO_S)))
+        grid = sphere_quadrature(space, space.dim + draw(st.integers(0, 3)),
+                                 2 * space.dim - 1 + extra_phi)
+        factors, weights = ring_factors(space, grid)
+    else:
+        space = fock.FockSpace(draw(st.integers(2, 48)))
+        radius = draw(st.floats(0.05, 1.0)) * np.sqrt(space.dim) / 2
+        quad = fock.plane_quadrature(space, radius, draw(st.integers(1, 12)),
+                                     2 * space.dim - 1 + extra_phi)
+        factors, weights = fock.ring_factors(space, quad)
+    return factors, weights, draw_charge_operators(draw, space.dim)
+
+
+def padded_fold_hats(weights, sums, charges):
+    """V̂ as the fold route forms it: the sums zero-padded to whole turns of n_φ from the
+    multiple of n_φ at or below the lowest charge, summed over the turns, read back at each
+    charge's residue and scaled by n_φ W[r, 0]."""
+    n_angular = weights.shape[1]
+    base = charges[0] - charges[0] % n_angular
+    turns = (charges[-1] - base) // n_angular + 1
+    padded = np.zeros(sums.shape[:-1] + (turns * n_angular,), dtype=complex)
+    padded[..., charges - base] = sums
+    folded = padded.reshape(sums.shape[:-1] + (turns, n_angular)).sum(axis=-2)
+    return np.take(folded, charges % n_angular, axis=-1) * (n_angular * weights[:, :1])
+
+
+@DETERMINISTIC
+@given(alias_free_ring_cases())
+def test_alias_free_hats_are_the_padded_fold_bit_for_bit(case):
+    factors, weights, operators = case
+    sums, charges = channel._live_sums(factors, operators)
+    refuse = mock.Mock(side_effect=AssertionError("the alias-free route folds or gathers"))
+    with (mock.patch.object(channel, "_fold", refuse),
+          mock.patch.object(channel, "_alias_charges", refuse), mock.patch.object(np, "take", refuse)):
+        hats, image_charges = channel._folded_hats(factors, weights, sums, charges)
+    assert np.array_equal(image_charges, charges)
+    assert hats.dtype == complex and hats.flags.c_contiguous
+    assert np.array_equal(hats, padded_fold_hats(weights, sums, charges))
 
 
 @pytest.mark.parametrize("dim, radius, n_angular", [

@@ -176,6 +176,18 @@ def test_quadrature_rejects_undersized_requests():
         sphere_quadrature(space, n_phi=4)
 
 
+@pytest.mark.parametrize("name", ["n_theta", "n_phi"])
+def test_quadrature_takes_integer_node_counts_only(name):
+    # a fractional n_phi once built a grid of total weight 3.73, not 2s + 1 = 4
+    space = SpinSpace(3)
+    for count in (7.5, True, "3"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sphere_quadrature(space, **{name: count})
+    grid = sphere_quadrature(space, **{name: np.int64(9)})
+    assert abs(grid.weights.sum() - space.dim) < 1e-13
+    assert grid.rings[2].shape[0 if name == "n_theta" else 1] == 9
+
+
 def test_ring_factors_reject_aliasing_and_non_product_grids():
     two_s = 3
     space = SpinSpace(two_s)
