@@ -22,28 +22,27 @@ W, without the state matrix.  The factors come as a `RingFactors`: both
 families' F takes the Perelomov form F[r, k] = g_r h_k t_r^k, so
 F[r, i+q] F[r, i] = F[r, i]² t_r^q κ[q, i] with κ[q, i] = h_{i+q}/h_i, and
 every offset diagonal, one column per signed charge q = j − k, meets the
-rings in one shared matrix product.  The symbols visit only the c charges on which
-B is nonzero: they are the FFT of the alias fold C[r, m] = Σ_{q ≡ m (mod n_φ)} c[r, q]
-of the charge sums (`_fold`), one length-n_φ `np.fft` per ring.  When W is constant
-along each ring, the image's φ-sum is V̂[r, q′] = n_φ W[r, 0] C[r, q′ mod n_φ], with no
-symbol on the nodes, on the c′ image charges q′ ≡ q (mod n_φ) for one of B's, exactly 0
-on the others; on an alias-free grid (n_φ > 2(D − 1)) C is c itself, c′ = c, and V̂ is
-the sums scaled, with no fold.  The resolution, the image of the symbol 1 on charge 0,
-visits only q ≡ 0 (mod n_φ).  A W that varies along a ring takes V̂ from the inverse
-FFT of W ⊙ Q on the nodes, on every charge.  `ring_charge_sums` returns the sums
-c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q], `ring_luders_sums` those of B and of Λ(B) for
-the spin harmonics, which need only their φ-transform and no node, and `ring_luders_symbols`
-the symbols of both, Λ(B)'s from its image diagonals with no D × D image.  Between B
-and its image the core works on offset diagonals alone, and `ring_diagonal_image`
-exposes that kernel: from the diagonals X (D × c) of B's c charges, the sums
-c = t^|q| ⊙ (F² @ (κ ⊙ X)) are one matrix product (GEMM) of n_r·D·2c real
-multiply-adds, and the image diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) on the c′ image
-charges one GEMM of n_r·D·2c′: O(n_r·D·2(c + c′)) in all, plus on an aliased grid the
-fold's O(n_r·(span + n_φ)), span the width of B's charges, one call per stack.  A matrix B
-adds O(D²) to that: one scan of its nonzero mask for the live charges, one indexed
-gather of X and one indexed store of the image, against the state matrix's
-O(n_r·n_φ·D²).  A dense B (c = 2D − 1) costs O(n_r·D²), reading each table whole;
-a word a†^m a^n has c = 1.  When the angle grid is alias-free (n_φ > 2(D − 1), W
+rings in one shared matrix product.  A matrix B enters on all 2D − 1 charges, whatever
+its sparsity: one indexed gather of its offset diagonals X (D × (2D − 1)) and the sums
+c = t^|q| ⊙ (F² @ (κ ⊙ X)), one matrix product (GEMM) per stack.  The symbols are the FFT
+of the alias fold C[r, m] = Σ_{q ≡ m (mod n_φ)} c[r, q] of the charge sums (`_fold`), one
+length-n_φ `np.fft` per ring.  When W is constant along each ring, the image's φ-sum is
+V̂[r, q′] = n_φ W[r, 0] C[r, q′ mod n_φ], with no symbol on the nodes, on the image charges
+q′ ≡ q (mod n_φ) for one of the charges of the sums, exactly 0 on the others; on an
+alias-free grid (n_φ > 2(D − 1)) C is c itself and V̂ is the sums scaled, with no fold.  A W
+that varies along a ring takes V̂ from the inverse FFT of W ⊙ Q on the nodes, on every
+charge.  The image diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) are one more GEMM, and one indexed
+store puts them in a D × D matrix.  A matrix B thus costs O(n_r·D²) (two GEMMs of
+n_r·D·2(2D − 1) real multiply-adds, plus on an aliased grid the fold's O(n_r·(D + n_φ))),
+against the state matrix's O(n_r·n_φ·D²).  Sums known in closed form on c chosen charges
+(`cli`'s ladder-word Q-symbols, the resolution's symbol 1 on charge 0) skip the gather and
+the first GEMM, and their image GEMM covers only the c′ image charges: O(n_r·D·2c′).
+`ring_charge_sums` returns the sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q],
+`ring_luders_sums` those of B and of Λ(B) for the spin harmonics, which need only their
+φ-transform and no node, and `ring_luders_symbols` the symbols of both, Λ(B)'s from its
+image diagonals with no D × D image.  `ring_diagonal_image` maps B given as offset
+diagonals on chosen charges: it scatters them into a matrix and maps that, at a matrix's
+cost.  When the angle grid is alias-free (n_φ > 2(D − 1), W
 constant along each ring; `charge_blocks` refuses any other grid) the channel
 preserves the U(1) charge q = j − k and acts on each offset diagonal
 b_q = (B[j, j−q])_j by one real symmetric (D−|q|)-square block.  `charge_blocks`
@@ -51,9 +50,9 @@ builds them all from one Gram product S = F²ᵀ diag(w) F² of O(n_r·D²) flop
 O(D³) scaling by κ, and `charge_block_spectrum` gives the spectrum from them: O(D³)
 memory and O(D⁴) time against the superoperator's O(D⁴) and O(D⁶); every image is the
 ring core's.  One cached index, `_diagonal_index`, maps each signed charge to its matrix
-entries: the live-charge scan, the ring core's gather and store and `fock`'s scatters go
-through it.  The superoperator stays as the dense reference.  The symbols, the sums and
-the ring image also take a stack (…, D, D).
+entries: the ring core's gather and store and `fock`'s scatters go through it.  The
+superoperator stays as the dense reference.  The symbols, the sums and the ring image
+also take a stack (…, D, D).
 """
 
 from __future__ import annotations
@@ -275,21 +274,6 @@ def choi_matrix(chan: SuperoperatorMatrix) -> np.ndarray:
 
 # --- U(1) charge blocks ---------------------------------------------------------
 
-def _live_charges(operator: np.ndarray) -> np.ndarray:
-    """The signed charges q = j − k on which some operator of the stack is nonzero, or [0].
-
-    The stack's nonzero mask is read through `_diagonal_index`, one column
-    per charge, whose repeats past each diagonal's end are that diagonal's own entries.
-    """
-    dim = operator.shape[-1]
-    # compare the float view and pair its Re/Im flags as one uint16: the same
-    # mask as `operator != 0`, NaN and −0.0 included, at a fraction of the cost
-    parts = np.ascontiguousarray(operator).view(float) != 0
-    nonzero = (parts.view(np.uint16) != 0).reshape(-1, dim * dim).any(axis=0)
-    live = np.flatnonzero(nonzero[_diagonal_index(dim)].any(axis=0)) - (dim - 1)
-    return live if live.size else np.zeros(1, dtype=int)
-
-
 def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
     """The signed charges q′ in −(D−1)..D−1 with q′ ≡ q (mod n_φ) for some q of `charges`."""
     hit = np.bincount(charges % n_angular, minlength=n_angular) > 0
@@ -301,11 +285,10 @@ def _alias_charges(charges: np.ndarray, dim: int, n_angular: int) -> np.ndarray:
 def _diagonal_index(dim: int) -> np.ndarray:
     """Read-only [i, q + D − 1] → the flat index of B[i + q, i] (q ≥ 0) or B[i, i − q] (q < 0).
 
-    The one map from a charge to its matrix entries: `_live_charges` scans
-    the nonzero mask through it, the ring core gathers the live offset
-    diagonals through it and stores its image back through it (`_live_sums`,
-    `_on_diagonals`).  Past the end of diagonal q (i + |q| ≥ D) it repeats the
-    diagonal's last entry, where κ is 0.
+    The one map from a charge to its matrix entries: the ring core gathers
+    every offset diagonal through it (`_live_sums`) and stores its image back
+    through it (`_on_diagonals`).  Past the end of diagonal q (i + |q| ≥ D) it
+    repeats the diagonal's last entry, where κ is 0.
     """
     q = np.arange(1 - dim, dim)
     i = np.minimum(np.arange(dim)[:, None], dim - 1 - np.abs(q))
@@ -527,46 +510,35 @@ def _fold(sums: np.ndarray, charges: np.ndarray, n_angular: int) -> np.ndarray:
     return padded.reshape(sums.shape[:-1] + (turns, n_angular)).sum(axis=-2)
 
 
-def _diagonal_sums(factors: RingFactors, diagonals: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """sums[…, r, k] = c[r, q] for q = charges[k], from B's diagonals X in `_diagonal_index`'s
-    layout: c = t^|q| ⊙ (F² @ (κ ⊙ X)), one product per B.  Scales X in place."""
-    columns = _table_columns(charges, _ring_dim(factors))
-    diagonals *= factors._charge_ratios[:, columns]
+def _diagonal_sums(factors: RingFactors, diagonals: np.ndarray) -> np.ndarray:
+    """sums[…, r, q + D − 1] = c[r, q] for every signed charge q, from B's diagonals X in
+    `_diagonal_index`'s layout: c = t^|q| ⊙ (F² @ (κ ⊙ X)), one product per B.  Scales X in
+    place."""
+    diagonals *= factors._charge_ratios
     sums = (factors.squares @ diagonals.view(float)).view(complex)
-    sums *= factors._charge_powers[:, columns]
+    sums *= factors._charge_powers
     return sums
 
 
 def _live_sums(factors: RingFactors, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, charges): `_diagonal_sums` on the live charges of B, whose offset diagonals
-    X[…, i, k] one indexed gather reads through `_diagonal_index`."""
+    """(sums, charges): `_diagonal_sums` of B on all 2D − 1 signed charges, increasing, whatever
+    B's sparsity; one indexed gather reads its offset diagonals through `_diagonal_index`."""
     dim = _ring_dim(factors)
     operator = _square(operator, dim)
-    charges = _live_charges(operator)
     flat = operator.reshape(operator.shape[:-2] + (-1,))
     # κ = 0 past each diagonal's end, where the gather repeats its last entry: a NaN
     # or inf read there reaches only the sums of its own charge, which it reaches anyway
-    diagonals = np.take(flat, _diagonal_index(dim)[:, _table_columns(charges, dim)], axis=-1)
-    return _diagonal_sums(factors, diagonals, charges), charges
-
-
-def _signed_layout(sums: np.ndarray, charges: np.ndarray, dim: int) -> np.ndarray:
-    """The sums on the sorted `charges` at column q + D − 1 of all 2D − 1, exactly 0 on the
-    other charges; as formed, with no copy, when every charge is there."""
-    if len(charges) == 2 * dim - 1:
-        return sums
-    out = np.zeros(sums.shape[:-1] + (2 * dim - 1,), dtype=complex)
-    out[..., _table_columns(charges, dim)] = sums
-    return out
+    diagonals = np.take(flat, _diagonal_index(dim), axis=-1)
+    return _diagonal_sums(factors, diagonals), np.arange(1 - dim, dim)
 
 
 def ring_charge_sums(factors: RingFactors, operator: np.ndarray) -> np.ndarray:
     """c[…, r, q + D − 1] = Σ_j F[r, j] F[r, j−q] B[j, j−q] for q = −(D−1)..D−1, per B of a stack.
 
-    The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; the sums are
-    formed only on the live charges of the stack and are exactly 0 elsewhere.
+    The ring symbols are Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}; every charge is
+    formed, and a charge on which B is 0 gets sums exactly 0.
     """
-    return _signed_layout(*_live_sums(factors, operator), np.shape(factors)[1])
+    return _live_sums(factors, operator)[0]
 
 
 def _ring_symbols(sums: np.ndarray, charges: np.ndarray, n_angular: int) -> np.ndarray:
@@ -580,8 +552,7 @@ def ring_q_symbols(factors: RingFactors, n_angular: int,
     """Q[…, r, l] = ⟨ψ_rl|B|ψ_rl⟩ for ψ_rl[k] = F[r, k] e^{ikφ_l}, φ_l = 2πl/n_φ, per B of a stack.
 
     The charge sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q] are formed
-    over the charges where some B of the stack is nonzero, and
-    Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
+    on every charge, and Q[r, l] = Σ_q c[r, q] e^{−iqφ_l}.
     """
     return _ring_symbols(*_live_sums(factors, operator), n_angular)
 
@@ -612,8 +583,8 @@ def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
     """(V̂, image charges) for W constant along each ring: V̂[…, r, q′] = n_φ W[r, 0] C[…, r, q′
     mod n_φ], C the alias fold of the sums (`_fold`), on the image charges q′ of `_alias_charges`.
 
-    The `charges` must be sorted and lie in −(D−1)..D−1, as `_live_sums` and
-    `ring_diagonal_image` give them.  On an alias-free grid (`_aliasing` false) each residue
+    The `charges` must be sorted and lie in −(D−1)..D−1, as `_live_sums`, `ring_resolution`
+    and `cli._image_gap` give them.  On an alias-free grid (`_aliasing` false) each residue
     mod n_φ holds one charge, so C is the sums themselves and the image charges are B's own:
     V̂ = n_φ W[r, 0] c[…, r, q] is one scaled copy, with no fold and no gather.
     """
@@ -641,10 +612,11 @@ def _node_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
 def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
                   charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(images, image charges): Λ(B)'s diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)), V = W ⊙ Q, from B's
-    live sums on the sorted `charges` in −(D−1)..D−1; W must pass `_per_ring`.  With W constant
-    along each ring, V̂ is the alias fold of the sums (`_folded_hats`), formed only on the image
-    charges q′ ≡ q (mod n_φ) and exactly 0 elsewhere: on an alias-free grid, B's own charges and
-    the sums scaled by n_φ W[r, 0], with no fold.  Else V̂ comes from the symbols on the nodes."""
+    sums on the sorted `charges` in −(D−1)..D−1, B 0 on the others; W must pass `_per_ring`.
+    With W constant along each ring, V̂ is the alias fold of the sums (`_folded_hats`), formed
+    only on the image charges q′ ≡ q (mod n_φ) and exactly 0 elsewhere: on an alias-free grid,
+    B's own charges and the sums scaled by n_φ W[r, 0], with no fold.  Else V̂ comes from the
+    symbols on the nodes."""
     weights = _per_ring(factors, weights)
     hats_from = _folded_hats if _ring_constant(weights) else _node_hats
     hats, charges = hats_from(factors, weights, sums, charges)
@@ -661,10 +633,13 @@ def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np
 
     `diagonals` (…, D, c) holds B in `_diagonal_index`'s layout, [i, k] the entry of lower
     index i on the signed charge q = charges[k], increasing; B is 0 on the other charges, and
-    the entries past a diagonal's end (i + |q| ≥ D) meet κ = 0.  The images come in the same
-    layout, 0 past each end, on `_symbol_image`'s charges; one call per stack.  Raises
-    ValueError unless `charges` is a non-empty, strictly increasing list of integers in
-    −(D−1)..D−1 and `diagonals` has D rows and one column per charge.
+    the entries past a diagonal's end (i + |q| ≥ D) are dropped unread.  B is scattered into
+    its matrix (`_on_diagonals`) and mapped as `ring_luders_image` maps it, one call per
+    stack, so the images are that image's diagonals bit for bit, in the same layout, 0 past
+    each end, on the image charges: those of `_alias_charges` when W is constant along each
+    ring, every charge otherwise.  Raises ValueError unless `charges` is a non-empty, strictly
+    increasing list of integers in −(D−1)..D−1 and `diagonals` has D rows and one column per
+    charge.
     """
     dim, charges = _ring_dim(factors), np.asarray(charges)
     if (charges.ndim != 1 or not charges.size or not np.issubdtype(charges.dtype, np.integer)
@@ -674,40 +649,37 @@ def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np
     if np.ndim(diagonals) < 2 or np.shape(diagonals)[-2:] != (dim, len(charges)):
         raise ValueError(f"diagonals must have shape (..., {dim}, {len(charges)}), "
                          f"got {np.shape(diagonals)}")
-    sums = _diagonal_sums(factors, np.array(diagonals, complex, order="C"), charges)  # a copy
-    return _symbol_image(factors, weights, sums, charges)
+    sums, every_charge = _live_sums(factors, _on_diagonals(np.asarray(diagonals), charges))
+    images, _ = _symbol_image(factors, weights, sums, every_charge)  # checks W
+    image_charges = (_alias_charges(charges, dim, np.shape(weights)[1])
+                     if _ring_constant(np.asarray(weights)) else every_charge)
+    return np.take(images, image_charges + (dim - 1), axis=-1), image_charges
 
 
 def ring_luders_image(factors: RingFactors, weights: np.ndarray,
                       operator: np.ndarray) -> np.ndarray:
-    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors, formed on the
-    image charges of `_symbol_image` (exactly 0 on the others); B may be a stack (…, D, D)."""
+    """Λ(B) = Σ_{r,l} W[r, l] Q[r, l] |ψ_rl⟩⟨ψ_rl| from the ring factors, B on every charge;
+    B may be a stack (…, D, D)."""
     return _on_diagonals(*_symbol_image(factors, weights, *_live_sums(factors, operator)))
-
-
-def _luders_sums(factors: RingFactors, weights: np.ndarray, operator: np.ndarray) -> tuple:
-    """(sums, charges, image sums, image charges) of B and of Λ(B), per B of a stack.
-
-    B is gathered once and its sums formed once; Λ(B)'s sums come straight
-    from its image diagonals, with no D × D image and no second scan or gather.
-    """
-    sums, charges = _live_sums(factors, operator)
-    images, image_charges = _symbol_image(factors, weights, sums, charges)  # checks W
-    return sums, charges, _diagonal_sums(factors, images, image_charges), image_charges
 
 
 def ring_luders_sums(factors: RingFactors, weights: np.ndarray,
                      operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c_B, c_Λ(B)): the `ring_charge_sums` of B and of `ring_luders_image`(B), per B of a stack."""
-    sums, charges, image_sums, image_charges = _luders_sums(factors, weights, operator)
-    dim = _ring_dim(factors)
-    return _signed_layout(sums, charges, dim), _signed_layout(image_sums, image_charges, dim)
+    """(c_B, c_Λ(B)): the `ring_charge_sums` of B and of `ring_luders_image`(B), per B of a stack.
+
+    B is gathered once and its sums formed once; from sums on every charge the image
+    diagonals lie on every charge too, and Λ(B)'s sums come straight from them, with no
+    D × D image and no second gather.
+    """
+    sums, charges = _live_sums(factors, operator)
+    images, _ = _symbol_image(factors, weights, sums, charges)  # checks W
+    return sums, _diagonal_sums(factors, images)
 
 
 def ring_luders_symbols(factors: RingFactors, weights: np.ndarray,
                         operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q_B, Q_Λ(B)): the `ring_q_symbols` of B and of `ring_luders_image`(B), per B of a stack,
-    from `_luders_sums`."""
-    sums, charges, image_sums, image_charges = _luders_sums(factors, weights, operator)
-    n_angular = np.shape(weights)[1]
-    return _ring_symbols(sums, charges, n_angular), _ring_symbols(image_sums, image_charges, n_angular)
+    from `ring_luders_sums`."""
+    sums = ring_luders_sums(factors, weights, operator)
+    dim, n_angular = factors.shape[1], np.shape(weights)[1]
+    return tuple(_ring_symbols(half, np.arange(1 - dim, dim), n_angular) for half in sums)

@@ -535,11 +535,17 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     Points where the source coefficient is below XI_FLOOR are flagged and
     excluded from the deviation (the ratio there is ill-conditioned).
     `ring` is the (F, W) pair of `ring_factors(space, quad)`, formed here
-    unless the caller already holds it.
+    unless the caller already holds it; raises ValueError unless its W is
+    `quad.rings[1]` entry for entry and its F has shape (n_r, dim).
     """
     if xi_points is None:
         xi_points = default_xi_points()
-    factors, weights = ring_factors(space, quad) if ring is None else ring
+    if ring is None:
+        ring = ring_factors(space, quad)
+    elif (not np.array_equal(ring[1], quad.rings[1])
+            or np.shape(ring[0]) != (len(quad.rings[1]), space.dim)):
+        raise ValueError("ring must be the (F, W) pair of ring_factors(space, quad)")
+    factors, weights = ring
     symbols = np.stack(ring_luders_symbols(factors, weights, operator)).reshape(2, -1)
     xi = xi_coefficients(symbols, quad, xi_points)
     (source, image), (src, img) = symbols, xi.coeffs

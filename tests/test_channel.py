@@ -279,25 +279,50 @@ def test_charge_blocks_are_the_dense_superoperator(two_s, oversized):
     assert np.abs(dense[off_sector]).max() <= 1e-12
 
 
-def test_live_charges_are_those_of_the_complex_nonzero_mask():
-    # the float-view mask against `operator != 0`: NaN counts as nonzero, −0.0
-    # as zero, and a transposed (non-contiguous) stack reads the same
-    dim = 7
+@pytest.mark.parametrize("grid", ["fock 12", "fock 160", "spin 9"])
+def test_live_sums_form_every_charge_and_keep_each_charge_in_its_column(grid):
+    # B's sums come on all 2D − 1 charges whatever its sparsity; a charge on which B is 0
+    # reads exactly 0, a NaN reaches only its own charge's column, −0.0 sums to 0, and a
+    # transposed (non-contiguous) stack reads as its contiguous copy
+    family, size = grid.split()
+    if family == "fock":
+        space = FockSpace(int(size))
+        factors, _ = fock.ring_factors(space, plane_quadrature(space, 1.5, 6, 10))
+        sparse_word = space.ladder_word(2, 0)
+    else:
+        space = SpinSpace(int(size))
+        factors, _ = ring_factors(space, sphere_quadrature(space))
+        sparse_word = space.jz
+    dim = space.dim
+    every = np.arange(1 - dim, dim)
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
     signed = np.subtract.outer(np.arange(dim), np.arange(dim))
-    stack *= np.isin(signed, (-6, -2, 0, 3))
-    stack[0, 5, 0] = complex(-0.0, -0.0)  # charge 5 stays dead
-    stack[1, 1, 5] = complex(0.0, np.nan)  # charge −4 becomes live
-    stack[1, 6, 5] = complex(0.0, 1e-300)  # charge 1 becomes live
-
-    def reference(operators):
-        nonzero = (operators != 0).any(axis=0)
-        return [q for q in range(1 - dim, dim) if nonzero.diagonal(-q).any()]
-    for operators, live in ((stack, [-6, -4, -2, 0, 1, 3]),
-                            (stack.swapaxes(-1, -2), [-3, -1, 0, 2, 4, 6])):
-        assert list(channel._live_charges(operators)) == reference(operators) == live
-    assert list(channel._live_charges(np.zeros((dim, dim), dtype=complex))) == [0]
+    for operator in (np.zeros((dim, dim)), sparse_word, stack * np.isin(signed, (-6, -2, 0, 3))):
+        sums, charges = channel._live_sums(factors, operator)
+        assert np.array_equal(charges, every)
+        assert sums.shape == np.shape(operator)[:-2] + (len(factors), 2 * dim - 1)
+    full, _ = channel._live_sums(factors, stack)
+    for kept in ([0], [-6, -2, 0, 3], [1 - dim, dim - 1], sorted(rng.choice(every, dim, False))):
+        columns = np.isin(every, kept)
+        masked, _ = channel._live_sums(factors, stack * np.isin(signed, kept))
+        assert np.array_equal(masked[..., columns], full[..., columns])
+        assert np.all(masked[..., ~columns] == 0)
+    # the last entry of a diagonal, repeated past the diagonal's end by the gather, included
+    for j, k in ((dim - 1, 2), (0, dim - 1), (dim // 2, dim // 3)):
+        poisoned = stack.copy()
+        poisoned[1, j, k] = complex(np.nan, 0.0)
+        sums, _ = channel._live_sums(factors, poisoned)
+        column = every == j - k
+        assert np.isnan(sums[1][:, column]).all()
+        assert np.array_equal(sums[1][:, ~column], full[1][:, ~column])
+        assert np.array_equal(sums[0], full[0])
+    negative_zeros = np.full((dim, dim), complex(-0.0, -0.0))
+    assert np.all(channel._live_sums(factors, negative_zeros)[0] == 0)
+    transposed = stack.swapaxes(-1, -2)
+    assert not transposed.flags.c_contiguous
+    assert np.array_equal(channel._live_sums(factors, transposed)[0],
+                          channel._live_sums(factors, np.ascontiguousarray(transposed))[0])
 
 
 def test_family_and_superoperator_refuse_wrong_shapes():
@@ -352,6 +377,22 @@ def test_diagonal_image_refuses_charges_out_of_order_range_or_count():
             channel.ring_diagonal_image(factors, weights, columns, [0])
     images, charges = channel.ring_diagonal_image(factors, weights, diagonals, full)
     assert list(charges) == list(full) and images.shape == (8, 15)
+
+
+def test_diagonal_image_drops_the_entries_past_each_diagonal_end():
+    # a NaN past the end of a†²a's diagonal (entry 7 at D = 8) once made the whole image NaN,
+    # as NaN · κ = NaN where κ = 0; on both image routes, W constant and varying along a ring
+    space = FockSpace(8)
+    factors, weights = fock.ring_factors(space, plane_quadrature(space, 1.0, 6, 64))
+    diagonal = space.ladder_diagonal(2, 1)[:, None]
+    for grid_weights in (weights, weights * np.linspace(0.5, 1.5, 64)):
+        clean, clean_charges = channel.ring_diagonal_image(factors, grid_weights, diagonal, [1])
+        assert np.isfinite(clean).all()
+        for value in (np.nan, np.inf):
+            poisoned = diagonal.copy()
+            poisoned[7] = value
+            images, charges = channel.ring_diagonal_image(factors, grid_weights, poisoned, [1])
+            assert np.array_equal(images, clean) and np.array_equal(charges, clean_charges)
 
 
 # --- ring factors in the Perelomov form F[r, k] = g_r h_k t_r^k ---------------------

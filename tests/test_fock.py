@@ -482,6 +482,22 @@ def test_damping_report_carries_the_node_symbols(space, quad):
     assert np.array_equal(report.image_symbols, q_symbol_fock(space, image, quad))
 
 
+def test_damping_check_refuses_a_ring_pair_of_another_grid(space, quad):
+    # a pair built on the radius-2 grid once read max_deviation 18.98 against 0.48, with no error
+    state = fock_coherent_state(space, 1.0)
+    projector = np.outer(state, state.conj())
+    factors, weights = ring_factors(space, quad)
+    other_factors, other_weights = ring_factors(space, plane_quadrature(space, 2.0))
+    small = FockSpace(32)
+    small_factors, _ = ring_factors(small, plane_quadrature(small, 2.0))
+    for ring in ((other_factors, other_weights), (factors, other_weights),
+                 (small_factors, weights), (factors, weights[:-1]), (factors, weights.T)):
+        with pytest.raises(ValueError, match=r"ring_factors\(space, quad\)"):
+            verify_damping(space, projector, quad, ring=ring)
+    report = verify_damping(space, projector, quad, ring=(factors, np.array(weights)))
+    assert report.max_deviation == verify_damping(space, projector, quad).max_deviation < 0.75
+
+
 def test_damping_flags_ill_conditioned_points(space, quad):
     # the disk transform of the constant symbol vanishes on the Airy ring,
     # so those ratios must be flagged rather than compared
