@@ -467,11 +467,14 @@ class RingFactors(Value):
 
     @cached_property
     def _charge_ratios(self) -> np.ndarray:
-        """Read-only κ[|q|, i] at [i, q + D − 1] for each signed q, and 0 where i + |q| ≥ D."""
+        """Read-only κ[|q|, i] at [i, q + D − 1] for each signed q, and 0 where i + |q| ≥ D: the
+        q ≥ 0 half exponentiates its D(D + 1)/2 entries with j = i + q < D alone, and column −q
+        copies column q."""
         dim = self.shape[1]
-        i, q = np.arange(dim)[:, None], np.abs(np.arange(1 - dim, dim))
-        logs = self.log_h[np.minimum(i + q, dim - 1)] - self.log_h[i]
-        return _read_only(np.exp(logs, out=np.zeros((dim, 2 * dim - 1)), where=i + q < dim))
+        i, j = np.triu_indices(dim)
+        half = np.zeros((dim, dim))
+        half[i, j - i] = np.exp(self.log_h[j] - self.log_h[i])
+        return _read_only(half[:, np.abs(np.arange(1 - dim, dim))])
 
     @property
     def powers(self) -> np.ndarray:

@@ -22,12 +22,21 @@ word's offset diagonal is `FockSpace.ladder_diagonal`, the image's
 and `disk_monomial_image` scatter them with `_on_diagonals`.  The word's
 Q-symbol ᾱ^m α^n has the ring charge sums t_r^(m+n), which `cli` maps.
 
-The module needs numpy alone.  Factorials enter through a cached table of
-log k!, and the incomplete-gamma factor P(a, R²), for integer a the
-Poisson tail Σ_{j≥a} e^{−R²} R^{2j}/j!, is summed in logs from the far
-tail down, so it neither overflows nor underflows before the final
-exponential.  `displacement_matrix` exponentiates through the eigenbasis
-of the Hermitian generator.
+The module needs numpy alone.  A coherent-state row is one running product
+along the levels: e^{−|α|²/2}, then a multiply by α/√k per level k
+(`_coherent_rows`), with no log or exponential per entry; every grid row,
+label row and P_β is formed so.  The row rises to its peak near k = |α|² and
+falls after it, so an entry that leaves the normal floats never climbs back.
+The first entry e^{−|α|²/2} is a normal float only up to the float limit
+|α|² ≤ MAX_LABEL_SQUARED = 2·ln(1/tiny) ≈ 1416.8, which `check_label`'s
+dim/4 reaches from dim 5668 up; a label past it is refused with
+TruncationError before any row is formed.  Factorials enter the disk
+references through a cached table of log k!, and the incomplete-gamma factor
+P(a, R²), for integer a the Poisson tail Σ_{j≥a} e^{−R²} R^{2j}/j!, is the
+tail summed in logs from the far end down for a > R², and log1p of minus
+the head Σ_{j<a} for a ≤ R², so it neither overflows nor underflows before
+the final exponential.  `displacement_matrix` exponentiates through the
+eigenbasis of the Hermitian generator.
 
 The symplectic-Fourier coefficients B_ξ of a node symbol (`xi_coefficients`)
 run ring by ring through the Jacobi–Anger expansion: one angular transform per
@@ -68,6 +77,8 @@ DEFAULT_N_ANGULAR = 64
 XI_FLOOR = 1e-8  # |B_xi| below this is too ill-conditioned for a ratio
 MAX_XI_ORDER = 1000  # Bessel orders the ξ transform may sum: its cost grows with them
 MAX_DISK_RADIUS_SQUARED = 1e4  # R² of the disk references: their P table grows with it
+# e^(-|α|²/2) is a normal float up to |α|² = 2·ln(1/tiny) ≈ 1416.8: the states' float limit
+MAX_LABEL_SQUARED = -2 * log(float(np.finfo(float).tiny))
 _LOG_UNIT_ROUNDOFF = -53 * log(2)
 _SMALL_BESSEL_Z = 2.0 ** -26  # (z/2)² ≤ 2^-54: below it J_n is its leading series term
 
@@ -142,35 +153,60 @@ def _log_factorials(size: int) -> np.ndarray:
 def _log_gamma_p(size: int, x: float) -> np.ndarray:
     """Read-only log P(a, x) for a = 0..size−1, P the regularized lower incomplete gamma.
 
-    For integer a, P(a, x) is the Poisson tail Σ_{j≥a} e^{−x} x^j / j!: its
-    log pmf is accumulated with logaddexp from the far tail down.  The sum
-    stops x + 12√(x + 1) + 40 terms past the last a, where what is cut off
-    lies below rounding.
+    For integer a, P(a, x) is the Poisson tail Σ_{j≥a} e^{−x} x^j / j!.  For
+    a > x its log pmf is accumulated with logaddexp from the far tail down;
+    the sum stops x + 12√(x + 1) + 40 terms past the last a, where what is cut
+    off lies below rounding.  For a ≤ x it is log1p(−head), the head
+    Σ_{j<a} e^{−x} x^j / j! summed from j = 0 up, smallest terms first (the
+    pmf rises up to j = x), so the ~x log-sum steps below a leave no drift.
+    Near a ≈ x both halves keep the rounding of the log pmf's own terms, of
+    size x·log x: 4.5e-12 absolute at x = 1e4.
     """
     stop = size + int(x + 12 * sqrt(x + 1)) + 40
     with np.errstate(divide="ignore"):  # x = 0 gives log x = −inf
         log_x = np.log(x)
     log_pmf = _level_logs(log_x, stop) - x - _log_factorials(stop)
-    return _read_only(np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size])
+    out = np.logaddexp.accumulate(log_pmf[::-1])[::-1][:size]
+    # a = 0..⌊x⌋, where the head Σ_{j<a} is below 1/2, so log1p stays finite
+    heads = np.cumsum(np.exp(log_pmf[:min(size, int(x) + 1)]))  # heads[a] = Σ_{j≤a}
+    out[:len(heads)] = np.log1p(np.concatenate(([0.0], -heads[:-1])))
+    return _read_only(out)
+
+
+def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
+    """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, on a new last axis of the labels α (real
+    moduli or complex): one cumulative product e^(-|α|²/2) ∏_{j=1..k} α·(1/√j) along the levels,
+    with no log and no exponential per entry.  A modulus and the same label on the real axis
+    give the same bits.  Raises TruncationError, before any row is formed, past the float limit
+    MAX_LABEL_SQUARED, where the first entry e^(-|α|²/2) would leave the normal floats.
+    """
+    squares = np.abs(alphas)**2
+    largest = np.max(squares, initial=0.0)
+    if not largest <= MAX_LABEL_SQUARED:  # true for NaN too
+        raise TruncationError(f"|alpha|^2 = {largest:.3f} exceeds the float limit "
+                              f"2·ln(1/tiny) = {MAX_LABEL_SQUARED:.3f}: "
+                              f"e^(-|alpha|^2/2) is not a normal float")
+    rows = np.empty(alphas.shape + (space.dim,), alphas.dtype)
+    rows[..., 0] = np.exp(-squares / 2)
+    np.multiply(alphas[..., None], 1 / np.sqrt(np.arange(1, space.dim)), out=rows[..., 1:])
+    return np.cumprod(rows, axis=-1, out=rows)
 
 
 def _coherent_magnitudes(space: FockSpace, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, log |α|): e^(-|α|²/2) |α|^k / sqrt(k!), k = 0..dim-1, on a new last axis of the
-    moduli |α|, formed in logs against factorial overflow at high dim, and the log it used."""
-    with np.errstate(divide="ignore"):  # α = 0 gives log |α| = −inf, and level 0 still gives |0⟩
+    moduli |α|, as one running product (`_coherent_rows`), and log |α| for `RingFactors.log_t`."""
+    with np.errstate(divide="ignore"):  # α = 0 gives log |α| = −inf
         log_mags = np.log(mags)
-    return np.exp(-mags[..., None]**2 / 2 + _level_logs(log_mags, space.dim)
-                  - _log_factorials(space.dim) / 2), log_mags
-
-
-def _coherent_rows(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
-    """Rows e^(-|α|²/2) α^k / sqrt(k!), k = 0..dim-1, on a new last axis of the labels α."""
-    phases = np.exp(1j * np.arange(space.dim) * np.angle(alphas)[..., None])
-    return _coherent_magnitudes(space, np.abs(alphas))[0] * phases
+    return _coherent_rows(space, mags), log_mags
 
 
 def fock_coherent_state(space: FockSpace, alpha) -> np.ndarray:
-    """|α⟩ on the truncated space: 1-D for a scalar label, one row per label for an array."""
+    """|α⟩ on the truncated space: 1-D for a scalar label, one row per label for an array.
+
+    Each row is e^(-|α|²/2) times the running product of α/√k (`_coherent_rows`).  Raises
+    TruncationError unless every |α|² is at most dim/4 (`FockSpace.check_label`) and at most
+    the float limit MAX_LABEL_SQUARED ≈ 1416.8, which binds from dim 5668 up.
+    """
     space.check_label(alpha)
     return _coherent_rows(space, np.asarray(alpha, dtype=complex))
 
@@ -302,9 +338,10 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
 
     Raises ValueError, before any table is built, unless the powers are nonnegative and
     0 <= R² <= MAX_DISK_RADIUS_SQUARED (1e4, radius 100; the CLI's largest R² is 50).  The
-    P table runs R² + 12√(R² + 1) + 40 entries past the last level, and its log-sum stays
-    within 1e-11 of P up to the cap (2e-14 at R² = 50).  NaN and infinite radii are
-    refused; a radius whose square underflows to 0 is R = 0.
+    P table runs R² + 12√(R² + 1) + 40 entries past the last level; on levels below 400 it
+    stays within 3e-15 of P at R² = 50 and reads P exactly at 1e3 and 1e4 (`_log_gamma_p`),
+    while near level R² it still drifts with R² (1.5e-13 at 1e3, 4.5e-12 at 1e4).
+    NaN and infinite radii are refused; a radius whose square underflows to 0 is R = 0.
     """
     _check_powers(m, n)
     if not 0 <= radius <= sqrt(MAX_DISK_RADIUS_SQUARED):  # false for NaN too
@@ -536,15 +573,21 @@ def verify_damping(space: FockSpace, operator: np.ndarray, quad: PlaneQuadrature
     excluded from the deviation (the ratio there is ill-conditioned).
     `ring` is the (F, W) pair of `ring_factors(space, quad)`, formed here
     unless the caller already holds it; raises ValueError unless its W is
-    `quad.rings[1]` entry for entry and its F has shape (n_r, dim).
+    `quad.rings[1]` and its F's `log_t` is log `quad.rings[0]`, entry for
+    entry, and its F has shape (n_r, dim).
     """
     if xi_points is None:
         xi_points = default_xi_points()
     if ring is None:
         ring = ring_factors(space, quad)
-    elif (not np.array_equal(ring[1], quad.rings[1])
-            or np.shape(ring[0]) != (len(quad.rings[1]), space.dim)):
-        raise ValueError("ring must be the (F, W) pair of ring_factors(space, quad)")
+    else:
+        radii, weights = quad.rings
+        with np.errstate(divide="ignore"):  # a ring of radius 0 has log −inf, as in ring_factors
+            log_radii = np.log(radii)
+        if (not isinstance(ring[0], RingFactors) or ring[0].shape != (len(radii), space.dim)
+                or not np.array_equal(ring[0].log_t, log_radii)
+                or not np.array_equal(ring[1], weights)):
+            raise ValueError("ring must be the (F, W) pair of ring_factors(space, quad)")
     factors, weights = ring
     symbols = np.stack(ring_luders_symbols(factors, weights, operator)).reshape(2, -1)
     xi = xi_coefficients(symbols, quad, xi_points)

@@ -415,6 +415,21 @@ def test_ring_factor_rows_are_the_phi_zero_states_bit_for_bit():
             assert np.abs(form - products).max() <= 1e-13 * np.abs(products).max()
 
 
+def test_charge_ratios_are_the_signed_exponential_table_bit_for_bit():
+    # κ is formed on its q ≥ 0 half and mirrored: the same bits as exponentiating every signed q
+    families = [fock.ring_factors(FockSpace(dim), plane_quadrature(FockSpace(dim), 1.0, 4, 8))[0]
+                for dim in (8, 40, 160)]
+    families += [ring_factors(SpinSpace(two_s), sphere_quadrature(SpinSpace(two_s)))[0]
+                 for two_s in (1, 7, 30)]
+    for factors in families:
+        dim = factors.shape[1]
+        i, q = np.arange(dim)[:, None], np.abs(np.arange(1 - dim, dim))
+        logs = factors.log_h[np.minimum(i + q, dim - 1)] - factors.log_h[i]
+        expected = np.exp(logs, out=np.zeros((dim, 2 * dim - 1)), where=i + q < dim)
+        assert np.array_equal(factors._charge_ratios, expected)
+        assert not factors._charge_ratios.flags.writeable
+
+
 def test_ring_factors_refuse_powers_past_the_float_range():
     rows, log_h = np.ones((2, 5)), np.zeros(5)
     limit = np.log(np.finfo(float).max)

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 from math import factorial, pi
 
 import numpy as np
@@ -133,6 +134,60 @@ def test_coherent_truncation_error(space):
         fock_coherent_state(space, 3.5)  # |alpha|^2 = 12.25 > 10
     with pytest.raises(TruncationError):
         displacement_matrix(space, 4.0)
+
+
+def _decimal_state(alpha, dim):
+    """e^(-|α|²/2) α^k / √k!, k = 0..dim-1, from 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, y = Decimal(float(alpha.real)), Decimal(float(alpha.imag))
+        re, im = (-(x * x + y * y) / 2).exp(), Decimal(0)
+        out = [complex(re)]
+        for k in range(1, dim):
+            root = Decimal(k).sqrt()
+            re, im = (re * x - im * y) / root, (re * y + im * x) / root
+            out.append(complex(float(re), float(im)))
+    return np.array(out)
+
+
+def _worst_relative_error(rows, references):
+    live = np.abs(references) > 1e-300
+    return (np.abs(rows - references)[live] / np.abs(references[live])).max()
+
+
+@pytest.mark.parametrize("dim, radius", [(160, 6.3), (200, 7.07), (40, 3.0)])
+def test_coherent_rows_are_within_1e_14_of_a_decimal_reference(dim, radius):
+    # the states as one running product: the per-entry log-sum exponential read 1.07e-13 at 160/6.3
+    space = FockSpace(dim)
+    quad = plane_quadrature(space, radius)
+    factors, _ = ring_factors(space, quad)
+    references = np.array([_decimal_state(complex(r), dim) for r in quad.rings[0]])
+    assert _worst_relative_error(factors.rows, references) <= 1e-14
+    rng = np.random.default_rng(39)
+    labels = radius * np.sqrt(rng.uniform(size=20)) * np.exp(2j * pi * rng.uniform(size=20))
+    references = np.array([_decimal_state(label, dim) for label in labels])
+    assert _worst_relative_error(fock_coherent_state(space, labels), references) <= 1e-14
+
+
+def test_labels_past_the_float_limit_are_refused_before_any_row_is_formed():
+    # check_label admits |α|² up to dim/4, but e^(-|α|²/2) leaves the normal floats past
+    # 2·ln(1/tiny) ≈ 1416.8: no row may turn silently to 0 or subnormal
+    assert fock.MAX_LABEL_SQUARED == pytest.approx(1416.79, abs=0.01)
+    space = FockSpace(6000)
+    space.check_label(np.sqrt(1420.0))
+    for label in (np.sqrt(1420.0), np.array([1.0, 37.7j])):
+        with pytest.raises(TruncationError, match="float limit"):
+            fock_coherent_state(space, label)
+    quad = plane_quadrature(space, 38.0, 10, 4)  # its outer ring at |α|² ≈ 1425
+    for call in (coherent_state_matrix, ring_factors):
+        with pytest.raises(TruncationError, match="float limit"):
+            call(space, quad)
+
+
+def test_a_label_near_the_float_limit_matches_its_reference():
+    alpha = np.sqrt(1400.0) * np.exp(0.7j)
+    state = fock_coherent_state(FockSpace(5700), alpha)
+    assert _worst_relative_error(state, _decimal_state(alpha, 5700)) <= 1e-13
 
 
 def test_coherent_is_annihilation_eigenvector(space):
@@ -496,6 +551,17 @@ def test_damping_check_refuses_a_ring_pair_of_another_grid(space, quad):
             verify_damping(space, projector, quad, ring=ring)
     report = verify_damping(space, projector, quad, ring=(factors, np.array(weights)))
     assert report.max_deviation == verify_damping(space, projector, quad).max_deviation < 0.75
+
+
+def test_damping_check_refuses_factors_of_another_grid_of_the_same_shape(space, quad):
+    # the radius-2 grid's F with this grid's W once read max_deviation 42.73 against 0.48
+    state = fock_coherent_state(space, 1.0)
+    projector = np.outer(state, state.conj())
+    factors, weights = ring_factors(space, quad)
+    other_factors, _ = ring_factors(space, plane_quadrature(space, 2.0))
+    for other in (other_factors, np.asarray(factors)):
+        with pytest.raises(ValueError, match=r"ring_factors\(space, quad\)"):
+            verify_damping(space, projector, quad, ring=(other, weights))
 
 
 def test_damping_flags_ill_conditioned_points(space, quad):

@@ -979,6 +979,17 @@ def test_poisson_tail_is_the_regularized_incomplete_gamma(top, x):
     assert np.all(tail[~live] <= 1e-290)
 
 
+@pytest.mark.parametrize("x", [50.0, 1e3, 1e4])
+def test_incomplete_gamma_keeps_1e_14_absolute_at_large_squared_radii(x):
+    # for a ≤ x the head sum below a, not ~x logaddexp steps, so no drift grows with R²
+    # (the tail-only sum read 8.9e-12 at 1e4)
+    for size in (9, 205, 400):
+        a = np.arange(1, size)
+        got = np.exp(fock._log_gamma_p.__wrapped__(size, x))
+        assert got[0] == 1.0
+        assert np.abs(got[a] - gammainc(a, x)).max() <= 1e-14
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(st.integers(1, 600))
 def test_log_factorial_table_is_gammaln(size):
