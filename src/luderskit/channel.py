@@ -34,9 +34,13 @@ that varies along a ring takes V̂ from the inverse FFT of W ⊙ Q on the nodes,
 charge.  The image diagonals κ ⊙ (F²ᵀ @ (t^|q| ⊙ V̂)) are one more GEMM, and one indexed
 store puts them in a D × D matrix.  A matrix B thus costs O(n_r·D²) (two GEMMs of
 n_r·D·2(2D − 1) real multiply-adds, plus on an aliased grid the fold's O(n_r·(D + n_φ))),
-against the state matrix's O(n_r·n_φ·D²).  Sums known in closed form on c chosen charges
-(`cli`'s ladder-word Q-symbols, the resolution's symbol 1 on charge 0) skip the gather and
-the first GEMM, and their image GEMM covers only the c′ image charges: O(n_r·D·2c′).
+against the state matrix's O(n_r·n_φ·D²).  A power symbol, whose Q-symbol is Σ_k c_k t^{p_k}
+on the charges q_k (`cli`'s resolution, ladder words and q²), needs no per-ring work of its
+own: with W constant along each ring its image on a charge q′ ≡ q_k (mod n_φ) is
+κ[|q′|, i] Σ_k c_k M[i, p_k + |q′|], read from the grid's moment table
+M[i, s] = Σ_r F[r, i]² n_φ W[r, 0] t_r^s (`ring_moments`: one GEMM of n_r·D·S multiply-adds for
+S exponents, shared by every symbol), so each symbol costs one gather of D·c′·K table entries
+for its c′ image charges and K terms (`ring_power_image`).
 `ring_charge_sums` returns the sums c[r, q] = Σ_j F[r, j] F[r, j−q] B[j, j−q],
 `ring_luders_sums` those of B and of Λ(B) for the spin harmonics, which need only their
 φ-transform and no node, and `ring_luders_symbols` the symbols of both, Λ(B)'s from its
@@ -301,7 +305,8 @@ def _table_columns(charges: np.ndarray, dim: int):
 
 
 def _ring_constant(weights: np.ndarray) -> bool:
-    """Whether W is exactly constant along each ring: `_alias_free` and `_symbol_image` both ask."""
+    """Whether W is exactly constant along each ring: `_alias_free`, `_symbol_image` and
+    `ring_moments` ask."""
     return bool(np.all(weights == weights[:, :1]))
 
 
@@ -586,8 +591,8 @@ def _folded_hats(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
     """(V̂, image charges) for W constant along each ring: V̂[…, r, q′] = n_φ W[r, 0] C[…, r, q′
     mod n_φ], C the alias fold of the sums (`_fold`), on the image charges q′ of `_alias_charges`.
 
-    The `charges` must be sorted and lie in −(D−1)..D−1, as `_live_sums`, `ring_resolution`
-    and `cli._image_gap` give them.  On an alias-free grid (`_aliasing` false) each residue
+    The `charges` must be sorted and lie in −(D−1)..D−1, as `_live_sums` and `ring_resolution`
+    give them.  On an alias-free grid (`_aliasing` false) each residue
     mod n_φ holds one charge, so C is the sums themselves and the image charges are B's own:
     V̂ = n_φ W[r, 0] c[…, r, q] is one scaled copy, with no fold and no gather.
     """
@@ -628,6 +633,50 @@ def _symbol_image(factors: RingFactors, weights: np.ndarray, sums: np.ndarray,
     images = (factors.squares.T @ hats.view(float)).view(complex)
     images *= factors._charge_ratios[:, columns]
     return images, charges
+
+
+def ring_moments(factors: RingFactors, weights: np.ndarray, size: int) -> np.ndarray:
+    """M[i, s] = Σ_r F[r, i]² n_φ W[r, 0] t_r^s for s = 0..size − 1: the grid's moment table,
+    one matrix product F²ᵀ @ (n_φ W[:, :1] ⊙ T) with T[r, s] = t_r^s (1 at s = 0, even at t = 0).
+
+    It is all that a power symbol's image reads of the grid (`ring_power_image`).  Raises
+    ValueError unless W has one row per ring (`_per_ring`) and is constant along each ring, the
+    grids on which the φ-sum of a symbol on charge q is n_φ W[r, 0] on every q′ ≡ q (mod n_φ).
+    """
+    weights = _per_ring(factors, weights)
+    if not _ring_constant(weights):
+        raise ValueError("grid weights vary along a ring")
+    table = np.exp(_level_logs(factors.log_t, size))
+    table *= weights.shape[1] * weights[:, :1]
+    return factors.squares.T @ table
+
+
+def ring_power_image(factors: RingFactors, moments: np.ndarray, n_angular: int,
+                     coefficients: np.ndarray, powers, charges) -> tuple[np.ndarray, np.ndarray]:
+    """(images, image charges): Λ(B)'s diagonals, per B of a stack, for B whose Q-symbol is the
+    power symbol Σ_k c[…, k] t^{p_k} on the charges q_k: the charge sums c[…, k]·t_r^{p_k} on
+    charge q_k, summed over the terms of one charge.
+
+    On the grid of the `ring_moments` table M (its n_φ angles), the image on charge q′ is
+    κ[|q′|, i] Σ_{k: q_k ≡ q′ (mod n_φ)} c[…, k] M[i, p_k + |q′|], with no per-ring work.  The
+    image charges are those `_symbol_image` gives for these sums, the aliases of the q_k (B's
+    own charges on an alias-free grid), and so are the images, to rounding.  `coefficients` is
+    (…, K), `powers` and `charges` have one entry per term, the charges in −(D−1)..D−1.  Raises
+    ValueError on a negative power, or on a term whose column p_k + |q′| lies past M.
+    """
+    dim = _ring_dim(factors)
+    powers, charges = np.asarray(powers), np.asarray(charges)
+    # not np.unique, which loads numpy.ma (about 1 MB of resident memory) on first use
+    image_charges = (_alias_charges(charges, dim, n_angular) if _aliasing(n_angular, dim)
+                     else np.array(sorted(set(charges.tolist()))))
+    reach = (image_charges[:, None] - charges) % n_angular == 0
+    columns = np.where(reach, np.abs(image_charges)[:, None] + powers, 0)
+    if powers.min() < 0 or columns.max() >= moments.shape[1]:
+        raise ValueError(f"powers must be nonnegative and reach at most column "
+                         f"{moments.shape[1] - 1} of the moments, got {powers}")
+    images = np.einsum("...k,ick->...ic", coefficients, moments[:, columns] * reach)
+    images *= factors._charge_ratios[:, image_charges + (dim - 1)]
+    return images, image_charges
 
 
 def ring_diagonal_image(factors: RingFactors, weights: np.ndarray, diagonals: np.ndarray,

@@ -28,12 +28,11 @@ from math import exp, lgamma, log
 import numpy as np
 
 from . import __version__, fock, ordering, spin
-# cmd_spin takes its spectrum from the charge blocks, and both commands map closed-form charge
-# sums through `_symbol_image`; apply_channel, build_luders_channel and channel_spectrum stay
+# cmd_spin takes its spectrum from the charge blocks, and both commands map closed-form symbols
+# through the grid's moment table; apply_channel, build_luders_channel and channel_spectrum stay
 # imported for bench/spans.py and bench/selftest.py, and ring_luders_image, ring_luders_symbols
 # and ring_q_symbols only because tests patch them here to count or refuse their calls
 from .channel import (
-    _symbol_image,
     apply_channel,
     build_luders_channel,
     channel_spectrum,
@@ -42,6 +41,8 @@ from .channel import (
     ring_luders_image,
     ring_luders_sums,
     ring_luders_symbols,
+    ring_moments,
+    ring_power_image,
     ring_q_symbols,
 )
 from .expr import MAX_DEGREE, MAX_NUMBER_DIGITS, ParseError
@@ -94,22 +95,42 @@ def _label_pairs(rng, space):
     return a_pts, b_pts, va, vb, (va.conj() * vb).sum(axis=1)
 
 
-def _image_gap(factors, weights, sums, charges, references) -> float:
-    """max |Λ(B) − reference| over the entries of Λ(B), for B given by its ring charge sums
-    c[…, r, k] on the sorted `charges` (the resolution: the sum 1 on charge 0) and the reference
-    by its offset diagonals (…, D, k) on the same charges, 0 on every other."""
-    images, image_charges = _symbol_image(factors, weights, sums, np.asarray(charges))
-    images[..., np.searchsorted(image_charges, charges)] -= references
+def _power_gap(factors, moments, n_angular, coefficients, powers, charges, references) -> float:
+    """max |Λ(B) − reference| over the entries of Λ(B), for the power symbols B of
+    `ring_power_image` and the reference given as {charge: offset diagonal}, 0 on every other
+    charge."""
+    images, image_charges = ring_power_image(factors, moments, n_angular, coefficients,
+                                             powers, charges)
+    for charge, diagonal in references.items():
+        images[..., np.searchsorted(image_charges, charge)] -= diagonal
     return np.abs(images).max()
 
 
-def _disk_diagonal(dim: int, m: int, n: int, radius: float) -> np.ndarray:
-    """The whole-space disk image of a†^m a^n (m, n ≤ 4) on its charge m − n, on the leading
-    D × D block: `disk_monomial_diagonal` on D + 4 levels, which reach past the block, cut to
-    the block's D − |m − n| entries."""
-    out = fock.disk_monomial_diagonal(fock.FockSpace(dim + 4), m, n, radius)[:dim]
-    out[dim - abs(m - n):] = 0
-    return out
+def _disk_gaps(space, radius, factors, weights) -> tuple[float, float, float]:
+    """`fock`'s resolution, word and q² rows: max |Λ(B) − disk image| over the entries of Λ(B),
+    for B = 1, the largest over the 15 words a†^m a^n with m + n ≤ 4, and for B = q², each
+    mapped from its closed-form Q-symbol through one grid moment table, made and freed here,
+    before P_β is mapped, and compared with the whole-space disk image on the leading block."""
+    dim, n_angular = space.dim, weights.shape[1]
+    moments = ring_moments(factors, weights, dim + 4)
+    resolution = _power_gap(factors, moments, n_angular, [1.0], [0], [0],
+                            {0: fock.disk_monomial_diagonal(space, 0, 0, radius)})
+    # the Q-symbol of a word a†^m a^n is ᾱ^m α^n, t^(m + n) on charge m − n, and its whole-space
+    # disk image there is κ[|m − n|, i] times the disk's moment column max(m, n); the words of
+    # equal charge q are one stack
+    disk = fock.disk_moments(space, radius, 4)
+    words = []
+    for q in range(-4, 5):
+        stack = [(m, n) for m in range(5) for n in range(5 - m) if m - n == q]
+        references = factors.ratios[:, abs(q)] * disk[:, [max(m, n) for m, n in stack]].T
+        words.append(_power_gap(factors, moments, n_angular, np.eye(len(stack)),
+                                [m + n for m, n in stack], [q] * len(stack), {q: references}))
+    # q² = (a² + a†² + 2a†a + 1)/4 has the Q-symbol (α² + ᾱ² + 2|α|² + 1)/4: t²/4 on its
+    # charges −2 and 2, and t²/2 + 1/4 on charge 0
+    pair = factors.ratios[:, 2] * disk[:, 2] / 4
+    q2 = _power_gap(factors, moments, n_angular, [0.25, 0.5, 0.25, 0.25], [2, 2, 0, 2],
+                    [-2, 0, 0, 2], {-2: pair, 0: (2 * disk[:, 1] + disk[:, 0]) / 4, 2: pair})
+    return resolution, max(words), q2
 
 
 def _apply_q(states: np.ndarray) -> np.ndarray:
@@ -165,8 +186,9 @@ def cmd_spin(two_s: int, overrides: dict) -> ReportDocument:
         "seed": _RNG_SEED,
     }, overrides)
 
-    run.numeric("resolution_of_unity", 0.0,
-                _image_gap(factors, weights, np.ones((len(factors), 1)), [0], 1.0), 1e-12)
+    run.numeric("resolution_of_unity", 0.0, _power_gap(
+        factors, ring_moments(factors, weights, space.dim), weights.shape[1], [1.0], [0], [0],
+        {0: 1.0}), 1e-12)
 
     spectral = charge_block_spectrum(charge_blocks(factors, weights))
     expected = spin.expected_spectrum(space)
@@ -218,38 +240,21 @@ def cmd_fock(dim: int, radius: float, overrides: dict) -> ReportDocument:
 
     run.numeric("quadrature_mass", radius**2, quad.weights.sum(), 1e-10)
 
-    run.numeric("resolution_of_unity_disk", 0.0, _image_gap(
-        factors, weights, np.ones((len(factors), 1)), [0],
-        fock.disk_monomial_diagonal(space, 0, 0, radius)[:, None]), 1e-9)
+    resolution_gap, word_gap, q2_gap = _disk_gaps(space, radius, factors, weights)
+    run.numeric("resolution_of_unity_disk", 0.0, resolution_gap, 1e-9)
 
     rng = np.random.default_rng(_RNG_SEED)
     a_pts, b_pts, _, _, overlaps = _label_pairs(rng, space)
     run.numeric("coherent_overlap_law", 0.0,
                 np.abs(np.abs(overlaps) ** 2 - np.exp(-np.abs(a_pts - b_pts) ** 2)).max(), 1e-9)
 
-    # the Q-symbol of a word a†^m a^n is ᾱ^m α^n, so its charge sums on ring r are t_r^(m + n)
-    # on charge m − n: the words of equal charge q are one stack and one kernel call
-    gaps = []
-    for q in range(-4, 5):
-        words = [(m, n) for m in range(5) for n in range(5 - m) if m - n == q]
-        sums = np.stack([factors.powers[:, m + n] for m, n in words])[..., None]
-        disks = np.stack([_disk_diagonal(dim, m, n, radius) for m, n in words])[..., None]
-        gaps.append(_image_gap(factors, weights, sums, [q], disks))
-    run.numeric("grid_vs_symbolic_disk", 0.0, np.max(gaps), 1e-9)
+    run.numeric("grid_vs_symbolic_disk", 0.0, word_gap, 1e-9)
 
     lam_q2 = ordering.luders_symbolic(ordering.normal_order("q^2"))
     target = ordering.normal_order("q^2 + 1/2")
     run.numeric("lambda_q2_symbolic", 0.0, _largest_coefficient(lam_q2 - target), 0)
 
-    # q² = (a² + a†² + 2a†a + 1)/4 has the Q-symbol (α² + ᾱ² + 2|α|² + 1)/4: the sums t²/4,
-    # t²/2 + 1/4 and t²/4 on its charges −2, 0 and 2
-    quarter = factors.powers[:, 2] / 4
-    disks = np.stack([_disk_diagonal(dim, 0, 2, radius),
-                      2 * _disk_diagonal(dim, 1, 1, radius) + _disk_diagonal(dim, 0, 0, radius),
-                      _disk_diagonal(dim, 2, 0, radius)], axis=-1) / 4
-    run.numeric("lambda_q2_grid_disk", 0.0,
-                _image_gap(factors, weights, np.stack([quarter, 2 * quarter + 0.25, quarter], -1),
-                           [-2, 0, 2], disks), 1e-9)
+    run.numeric("lambda_q2_grid_disk", 0.0, q2_gap, 1e-9)
 
     vb = fock.fock_coherent_state(space, beta)
     damping = fock.verify_damping(space, np.outer(vb, vb.conj()), quad, ring=(factors, weights))

@@ -20,7 +20,10 @@ word a†^m a^n and its disk-limit image sit on the charge m − n: the truncate
 word's offset diagonal is `FockSpace.ladder_diagonal`, the image's
 `disk_monomial_diagonal` (whole on D + min(m, n) levels), and `ladder_word`
 and `disk_monomial_image` scatter them with `_on_diagonals`.  The word's
-Q-symbol ᾱ^m α^n has the ring charge sums t_r^(m+n), which `cli` maps.
+Q-symbol ᾱ^m α^n is t^(m+n) on that charge, which `cli` maps through the
+grid's moment table (`channel.ring_power_image`), and the whole-space disk
+image of every word on the leading D levels is κ[|m − n|, i] times column
+max(m, n) of one disk moment table (`disk_moments`).
 
 The module needs numpy alone.  A coherent-state row is one running product
 along the levels: e^{−|α|²/2}, then a multiply by α/√k per level k
@@ -334,7 +337,7 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
     where the truncated word does, at k < dim − m, so the last min(m, n) entries that the
     whole-space image has inside the dim × dim block are 0 here.  For the whole-space image
     on that block, call this on at least dim + min(m, n) levels and cut the result to the
-    block, as `cli._disk_diagonal` does.
+    block, or read it from `disk_moments`, as `cli` does.
 
     Raises ValueError, before any table is built, unless the powers are nonnegative and
     0 <= R² <= MAX_DISK_RADIUS_SQUARED (1e4, radius 100; the CLI's largest R² is 50).  The
@@ -344,10 +347,7 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
     NaN and infinite radii are refused; a radius whose square underflows to 0 is R = 0.
     """
     _check_powers(m, n)
-    if not 0 <= radius <= sqrt(MAX_DISK_RADIUS_SQUARED):  # false for NaN too
-        raise ValueError(f"radius must lie in 0..{sqrt(MAX_DISK_RADIUS_SQUARED):g} "
-                         f"(R² at most MAX_DISK_RADIUS_SQUARED = {MAX_DISK_RADIUS_SQUARED:g}), "
-                         f"got {radius}")
+    _check_disk_radius(radius)
     k = np.arange(max(n - m, 0), space.dim - m)
     log_fact = _log_factorials(space.dim)
     log_p = _log_gamma_p(space.dim + 1, radius**2)
@@ -355,6 +355,35 @@ def disk_monomial_diagonal(space: FockSpace, m: int, n: int, radius: float) -> n
     out[:len(k)] = np.exp(log_fact[k + m] - (log_fact[k] + log_fact[k + m - n]) / 2
                           + log_p[k + m + 1])
     return out
+
+
+def _check_disk_radius(radius: float):
+    """Raise ValueError unless 0 <= R² <= MAX_DISK_RADIUS_SQUARED, NaN and inf refused."""
+    if not 0 <= radius <= sqrt(MAX_DISK_RADIUS_SQUARED):  # false for NaN too
+        raise ValueError(f"radius must lie in 0..{sqrt(MAX_DISK_RADIUS_SQUARED):g} "
+                         f"(R² at most MAX_DISK_RADIUS_SQUARED = {MAX_DISK_RADIUS_SQUARED:g}), "
+                         f"got {radius}")
+
+
+def disk_moments(space: FockSpace, radius: float, top: int) -> np.ndarray:
+    """M[i, j] = (i + j)! P(i + j + 1, R²) / i! for levels i < dim and j = 0..top: the disk's
+    moment table, whose column max(m, n) times κ[|m − n|, i] = √(i! / (i + |m − n|)!) is the
+    whole-space disk image of a†^m a^n on its charge m − n, entry i of `ladder_diagonal`'s layout.
+
+    It reads the log k! and log P tables of `disk_monomial_diagonal` on dim + top levels, so
+    column 0 is that function's (0, 0) diagonal on dim + top levels bit for bit, and κ times
+    column max(m, n) its (m, n) diagonal there, cut to the dim × dim block, to rounding.  Raises
+    ValueError, before any table is built, unless top >= 0 and the radius passes
+    `disk_monomial_diagonal`'s check.
+    """
+    top = _integer(top, "top")
+    if top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
+    _check_disk_radius(radius)
+    log_fact = _log_factorials(space.dim + top)
+    log_p = _log_gamma_p(space.dim + top + 1, radius**2)
+    i, j = np.arange(space.dim)[:, None], np.arange(top + 1)
+    return np.exp(log_fact[i + j] - log_fact[i] + log_p[i + j + 1])
 
 
 def disk_monomial_image(space: FockSpace, m: int, n: int, radius: float) -> np.ndarray:

@@ -223,6 +223,24 @@ def test_fock_command_maps_closed_form_symbols_not_ladder_diagonals(monkeypatch)
     assert diagonals == [] and images == []
 
 
+@pytest.mark.parametrize("argv", [["fock", "--dim", "160", "--radius", "6.3"],
+                                  ["fock", "--dim", "16", "--radius", "1.8"],
+                                  ["spin", "--two-s", "30"]])
+def test_commands_map_only_their_dense_operator_through_the_ring_core(monkeypatch, argv):
+    # the resolution, word and q² rows read the grid's moment table; the one ring-core image is
+    # that of the dense stack (spin's 20 operators, fock's P_β), and fock's word and q² rows
+    # take their disk references from the disk's moment table
+    images = counting(monkeypatch, channel, "_symbol_image")
+    disks = counting(monkeypatch, fock, "disk_monomial_diagonal")
+    assert run(argv) in (0, 1)
+    dim = int(argv[2]) + (argv[0] == "spin")  # spin's D is two_s + 1
+    assert len(images) == 1 and images[0][2].shape[-1] == 2 * dim - 1  # the sums on every charge
+    assert len(disks) == (argv[0] == "fock")
+    if disks:
+        space, m, n, _ = disks[0]
+        assert (space.dim, m, n) == (int(argv[2]), 0, 0)
+
+
 def test_spin_command_maps_its_images_with_no_alias_fold(monkeypatch):
     # n_φ = 61 > 2(D − 1) = 60: every charge has its own residue, so V̂ is the sums scaled
     folds = counting(monkeypatch, channel, "_fold")

@@ -347,6 +347,47 @@ def test_disk_image_stays_finite_where_its_factors_leave_the_float_range():
     assert abs(entry - expected) <= 1e-12 * expected
 
 
+# dim 8, 16, 24, 32, 40, 64, 100, 160 and 200 at ¼, ½, ¾ and 1 × √dim/2
+SAMPLED_SIZINGS = [(dim, share * np.sqrt(dim) / 2)
+                   for dim in (8, 16, 24, 32, 40, 64, 100, 160, 200)
+                   for share in (0.25, 0.5, 0.75, 1.0)]
+
+
+@pytest.mark.parametrize("dim, radius", SAMPLED_SIZINGS)
+def test_disk_moments_give_the_whole_space_disk_images_on_the_block(dim, radius):
+    # κ[|m − n|, i] times column max(m, n) against `disk_monomial_diagonal` on D + 4 levels, whole
+    # on the D × D block there, cut to it.  The reference rounds the sum log k! + log (k + q)!, of
+    # up to 2·log (D + 3)!, and either route rounds an exponent up to |log P|, each a relative
+    # error of up to eps·(that size) in its entry; (0, 0) has κ = 1 and the same exponent
+    space, whole = FockSpace(dim), FockSpace(dim + 4)
+    factors, _ = ring_factors(space, plane_quadrature(space, radius))
+    disk = fock.disk_moments(space, radius, 4)
+    assert disk.shape == (dim, 5)
+    largest = (2 * fock._log_factorials(dim + 4)[-1]
+               + np.abs(fock._log_gamma_p(dim + 5, radius**2)).max())
+    for m in range(5):
+        for n in range(5 - m):
+            expected = fock.disk_monomial_diagonal(whole, m, n, radius)[:dim]
+            expected[dim - abs(m - n):] = 0
+            actual = factors.ratios[:, abs(m - n)] * disk[:, max(m, n)]
+            if m == n == 0:
+                assert np.array_equal(actual, expected)
+            assert np.array_equal(actual == 0, expected == 0), (m, n)
+            live = expected != 0
+            assert np.all(np.abs(actual - expected)[live]
+                          <= np.spacing(largest) * expected[live]), (m, n)
+
+
+@pytest.mark.parametrize("radius, top", [(np.nan, 4), (-1.0, 4), (100.00000001, 4), (1.0, -1)])
+def test_disk_moments_refuse_what_the_disk_references_refuse(monkeypatch, radius, top):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(fock, "_log_gamma_p", refuse)
+    monkeypatch.setattr(fock, "_log_factorials", refuse)
+    with pytest.raises(ValueError, match="MAX_DISK_RADIUS_SQUARED|top must be nonnegative"):
+        fock.disk_moments(FockSpace(8), radius, top)
+
+
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1.0, -1e-170, 100.00000001, 1e4])
 def test_disk_references_refuse_a_radius_they_cannot_use(monkeypatch, radius):

@@ -649,6 +649,80 @@ def test_alias_free_hats_are_the_padded_fold_bit_for_bit(case):
     assert np.array_equal(hats, padded_fold_hats(weights, sums, charges))
 
 
+MAX_SYMBOL_POWER = 6
+
+
+@st.composite
+def power_symbol_cases(draw):
+    """(factors, W, coefficients, powers, charges): a ring-constant grid, aliased or alias-free,
+    a disk grid of dim 8..200 at a radius up to √dim/2 or a spin grid of two_s 1..50 whose rings
+    keep their weights under n_φ angles, and a power symbol Σ_k c[…, k] t^{p_k} on the charges
+    q_k: one operator or a stack, some charges sharing a residue mod n_φ."""
+    if draw(st.booleans()):
+        space = SpinSpace(draw(st.integers(1, spin.MAX_TWO_S)))
+        factors, weights = ring_factors(space, sphere_quadrature(
+            space, space.dim + draw(st.integers(0, 3))))
+        dim = space.dim
+        n_angular = draw(st.integers(1, 2 * dim - 2) | st.integers(2 * dim - 1, 2 * dim + 19))
+        weights = np.repeat(weights.sum(axis=1, keepdims=True) / n_angular, n_angular, axis=1)
+    else:
+        dim = draw(st.integers(8, 200))
+        space = fock.FockSpace(dim)
+        n_angular = draw(st.integers(1, 2 * dim - 2) | st.integers(2 * dim - 1, 2 * dim + 19))
+        factors, weights = fock.ring_factors(space, fock.plane_quadrature(
+            space, draw(st.floats(0.05, 1.0)) * np.sqrt(dim) / 2, draw(st.integers(1, 12)),
+            n_angular))
+    charges = draw(st.lists(st.integers(1 - dim, dim - 1), min_size=1, max_size=5))
+    # aliases of the drawn charges, and repeats, which add to one charge's sums
+    for charge in draw(st.lists(st.sampled_from(charges), max_size=3)):
+        shift = n_angular * draw(st.integers(-3, 3))
+        charges.append(charge + shift if abs(charge + shift) < dim else charge)
+    powers = draw(st.lists(st.integers(0, MAX_SYMBOL_POWER), min_size=len(charges),
+                           max_size=len(charges)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = draw(st.sampled_from(((), (2,), (3, 2))))
+    coefficients = rng.normal(size=stack + (len(charges),))
+    if draw(st.booleans()):
+        coefficients = coefficients + 1j * rng.normal(size=coefficients.shape)
+    return factors, weights, coefficients, np.array(powers), np.array(charges)
+
+
+@DETERMINISTIC
+@given(power_symbol_cases())
+def test_moment_images_are_the_symbol_images(case):
+    # the same symbol as charge sums c[…, r, q] = Σ_{k: q_k = q} c[…, k] t_r^{p_k} on its sorted
+    # distinct charges, through the ring core's image of sums
+    factors, weights, coefficients, powers, charges = case
+    dim, n_angular = factors.shape[1], weights.shape[1]
+    moments = channel.ring_moments(factors, weights, dim + MAX_SYMBOL_POWER)
+    images, image_charges = channel.ring_power_image(factors, moments, n_angular, coefficients,
+                                                     powers, charges)
+    distinct = np.array(sorted(set(charges.tolist())))
+    t = np.exp(channel._level_logs(factors.log_t, MAX_SYMBOL_POWER + 1))
+    sums = np.zeros(coefficients.shape[:-1] + (len(factors), len(distinct)), dtype=complex)
+    for k, (power, charge) in enumerate(zip(powers, charges)):
+        sums[..., np.searchsorted(distinct, charge)] += coefficients[..., k, None] * t[:, power]
+    expected, expected_charges = channel._symbol_image(factors, weights, sums, distinct)
+    assert np.array_equal(image_charges, expected_charges)
+    assert images.shape == expected.shape
+    # the table forms t^(p + |q′|) as one exponential, the sums route t^p · t^|q′| as two: each
+    # rounds its exponent s·log t, a relative error of up to eps·s·|log t| in t^s
+    log_t = np.abs(factors.log_t[np.isfinite(factors.log_t)]).max(initial=0.0)
+    bound = np.finfo(float).eps * (8 + 2 * (dim + MAX_SYMBOL_POWER) * log_t)
+    assert np.abs(images - expected).max() <= bound * np.abs(expected).max()
+
+
+def test_moments_refuse_weights_that_vary_along_a_ring():
+    space = fock.FockSpace(16)
+    factors, weights = fock.ring_factors(space, fock.plane_quadrature(space, 1.8))
+    varying = weights.copy()
+    varying[0, 1] *= 1.5
+    with pytest.raises(ValueError, match="vary along a ring"):
+        channel.ring_moments(factors, varying, 20)
+    with pytest.raises(ValueError, match="must have shape"):
+        channel.ring_moments(factors, weights[:1], 20)
+
+
 @pytest.mark.parametrize("dim, radius, n_angular", [
     (16, 1.8, 64), (40, 3.0, 64), (160, 6.3, 64), (200, 7.07, 64), (33, 2.85, 64), (40, 3.0, 81)])
 def test_luders_symbols_are_the_symbols_of_the_image_bit_for_bit(dim, radius, n_angular):
